@@ -1,13 +1,16 @@
-// Fuzz target: the wire decoder surface a remote peer controls
-// (DESIGN.md §15). The --serve loop hands every checksum-valid payload
-// to WireMap::decode and then to the job/result codecs, so those decoders
-// face fully attacker-chosen bytes; readFrame itself faces attacker-chosen
-// headers (magic, forged lengths, bad checksums) over the socket.
+// Fuzz target: the wire decoder surface of the worker pipe (DESIGN.md
+// §13). The supervisor hands every checksum-valid reply to WireMap::decode
+// and decodeResult, and the `buffy --worker` loop hands every job frame to
+// decodeJob. A worker that crashes mid-write or corrupts its own memory
+// can put arbitrary bytes on the pipe, so those decoders face arbitrary
+// input; readFrame itself faces arbitrary headers (magic, forged lengths,
+// bad checksums).
 //
 // Invariant: the only exception that may escape is ProtocolError (a
 // buffy::Error subclass) — anything else (std::bad_alloc from a forged
 // entry count, std::out_of_range, length overflow, sanitizer report) is a
-// bug in the decoder, exploitable by any connected peer.
+// bug in the decoder, and would take the supervising process down with
+// the worker.
 #include <unistd.h>
 
 #include <cstddef>
@@ -20,8 +23,9 @@
 
 namespace {
 
-/// Feeds raw bytes through a pipe into readFrame, exactly as a socket
-/// would deliver them: a closed write end is the EOF/torn-frame case.
+/// Feeds raw bytes through a pipe into readFrame, exactly as a worker's
+/// stdout would deliver them: a closed write end is the EOF/torn-frame
+/// case.
 void fuzzReadFrame(const std::uint8_t* data, std::size_t size) {
   int fds[2];
   if (::pipe(fds) != 0) return;
@@ -35,10 +39,9 @@ void fuzzReadFrame(const std::uint8_t* data, std::size_t size) {
   std::string payload;
   // The write end is already closed, so a blocking read drains the
   // buffered bytes and then sees EOF — no deadline needed, no hang
-  // possible. A small maxPayload mirrors the pre-handshake hello read;
-  // forged lengths above it must be Garbled, not allocated.
-  (void)buffy::procs::readFrame(fds[0], payload, /*deadlineMs=*/-1,
-                                /*maxPayload=*/4096);
+  // possible. Forged lengths above kMaxFramePayload must be Garbled, not
+  // allocated.
+  (void)buffy::procs::readFrame(fds[0], payload, /*deadlineMs=*/-1);
   ::close(fds[0]);
 }
 
@@ -51,8 +54,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   try {
     const buffy::procs::WireMap map = buffy::procs::WireMap::decode(bytes);
-    // A structurally valid WireMap is what the worker/serve loops feed
-    // into the record codecs; both must reject ill-typed fields cleanly.
+    // A structurally valid WireMap is what the worker loop and the
+    // supervisor feed into the record codecs; both must reject ill-typed
+    // fields cleanly.
     try {
       (void)buffy::procs::decodeJob(map);
     } catch (const buffy::procs::ProtocolError&) {

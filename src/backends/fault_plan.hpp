@@ -28,26 +28,6 @@
 //                        (models memory corruption on the wire);
 //   * PartialWrite     — the worker dies mid-write, tearing the frame.
 //
-// Network faults (DESIGN.md §15) extend the same plan across the machine
-// boundary. They are keyed on (scope, attempt ordinal) like worker faults:
-// ConnRefused is consumed by the client-side RemoteHostPool before a job
-// frame is ever sent; the other three ride inside the WireJob and are
-// interpreted by the `buffy --serve` connection loop. Solver backends and
-// the local worker loop treat all four as no-ops, so redispatched or
-// degraded runs never re-trip them:
-//
-//   * ConnRefused        — the dispatch fails as if connect(2) returned
-//                          ECONNREFUSED (models a host that is down);
-//   * DisconnectMidFrame — the server tears the reply frame and drops the
-//                          connection (models a host vanishing mid-solve);
-//   * StallSocket        — the server stops answering heartbeats and
-//                          withholds the reply (models a half-dead host or
-//                          a black-holed route, exercises the liveness
-//                          deadline);
-//   * DuplicateReply     — the reply frame is sent twice (models a retry
-//                          race in an intermediary; the client must drop
-//                          the stale copy by job id).
-//
 // Scopes make injection deterministic under parallelism: the synthesizer
 // scopes every candidate by its enumeration index, so "fault the 2nd check
 // of candidate 7" hits the same solver call regardless of which worker
@@ -80,12 +60,6 @@ struct FaultAction {
     Hang,
     GarbledFrame,
     PartialWrite,
-    // Network faults, interpreted by the remote transport only
-    // (ConnRefused client-side, the rest by the --serve connection loop).
-    ConnRefused,
-    DisconnectMidFrame,
-    StallSocket,
-    DuplicateReply,
   };
   Kind kind = Kind::ForceUnknown;
   /// Reason string for ForceUnknown (mirrors Z3's reason_unknown) and

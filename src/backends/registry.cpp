@@ -41,7 +41,6 @@ class Z3RegistryBackend final : public SolverBackend {
     caps.solve = true;
     caps.incrementalSessions = true;
     caps.witnessExtraction = true;
-    caps.remoteable = true;
     return caps;
   }
   core::AnalysisResult solve(core::Analysis& analysis,
@@ -64,7 +63,6 @@ class SmtLibRegistryBackend final : public SolverBackend {
     caps.solve = true;
     caps.witnessExtraction = true;
     caps.emitText = true;
-    caps.remoteable = true;
     return caps;
   }
   core::AnalysisResult solve(core::Analysis& analysis,

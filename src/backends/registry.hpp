@@ -29,12 +29,6 @@ struct BackendCapabilities {
   bool emitText = false;
   /// Executes the network concretely on given arrivals.
   bool concreteSim = false;
-  /// The discharge path can run in a crash-isolated `buffy --worker`
-  /// subprocess (DESIGN.md §13): the problem round-trips through the
-  /// serialized-job wire format with no in-process state the worker
-  /// cannot rebuild from it. Emit-only and simulation backends stay
-  /// in-process.
-  bool remoteable = false;
 };
 
 /// One registered way to discharge an analysis problem. Backends are

@@ -114,14 +114,10 @@ struct Z3Backend::Impl {
       case FaultAction::Kind::Hang:
       case FaultAction::Kind::GarbledFrame:
       case FaultAction::Kind::PartialWrite:
-      case FaultAction::Kind::ConnRefused:
-      case FaultAction::Kind::DisconnectMidFrame:
-      case FaultAction::Kind::StallSocket:
-      case FaultAction::Kind::DuplicateReply:
-        // Process-level and network faults belong to the worker loop and
-        // the remote transport (DESIGN.md §13, §15). When a job degrades
-        // to local or in-process execution the plan still carries them;
-        // the solver must not trip on entries it cannot model.
+        // Process-level faults belong to the worker loop (DESIGN.md §13).
+        // When a job degrades to in-process execution the plan still
+        // carries them; the solver must not trip on entries it cannot
+        // model.
         return std::nullopt;
     }
     return action;

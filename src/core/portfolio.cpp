@@ -268,7 +268,6 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
     report.retries = (*isolation)[i].stats.retries;
     report.restarts = (*isolation)[i].stats.restarts;
     report.kills = (*isolation)[i].stats.kills;
-    report.redispatches = (*isolation)[i].stats.redispatches;
     report.degraded = (*isolation)[i].stats.degraded;
     result.members.push_back(std::move(report));
   }

@@ -49,7 +49,7 @@ struct PortfolioOptions {
   /// Fault-scope prefix for deterministic test injection: each member's
   /// engine runs under scope "<prefix><member name>".
   std::string faultScopePrefix = "race:";
-  /// Crash isolation (DESIGN.md §13): ship each remoteable member's solve
+  /// Crash isolation (DESIGN.md §13): ship each member's solve
   /// to a supervised `buffy --worker` subprocess instead of running it on
   /// the racing thread. Requires `supervisor`; silently stays in-process
   /// when the problem is not describable (contract networks, programmatic
@@ -82,8 +82,6 @@ struct PortfolioMemberReport {
   unsigned retries = 0;
   unsigned restarts = 0;
   unsigned kills = 0;
-  /// Remote attempts re-sent to another host after a failure (--connect).
-  unsigned redispatches = 0;
   /// The member's job fell back to the in-process engine after its worker
   /// attempts were exhausted.
   bool degraded = false;

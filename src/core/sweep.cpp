@@ -101,7 +101,6 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
           points[i].retries = js.retries;
           points[i].restarts = js.restarts;
           points[i].kills = js.kills;
-          points[i].redispatches = js.redispatches;
           points[i].degraded = js.degraded;
         }
         if (!reply.error.empty()) {

@@ -60,8 +60,6 @@ struct SweepPoint {
   unsigned retries = 0;
   unsigned restarts = 0;
   unsigned kills = 0;
-  /// Remote attempts re-sent to another host after a failure (--connect).
-  unsigned redispatches = 0;
   bool degraded = false;
 };
 

@@ -113,8 +113,7 @@ bool writePartialFrame(int fd, std::string_view payload) {
          writeAll(fd, payload.substr(0, payload.size() / 2));
 }
 
-ReadStatus readFrame(int fd, std::string& payload, int deadlineMs,
-                     std::uint32_t maxPayload) {
+ReadStatus readFrame(int fd, std::string& payload, int deadlineMs) {
   std::chrono::steady_clock::time_point deadline;
   const std::chrono::steady_clock::time_point* deadlinePtr = nullptr;
   if (deadlineMs >= 0) {
@@ -137,9 +136,7 @@ ReadStatus readFrame(int fd, std::string& payload, int deadlineMs,
   if (readU32(head) != kMagic) return ReadStatus::Garbled;
   const std::uint32_t size = readU32(head + 4);
   const std::uint32_t checksum = readU32(head + 8);
-  if (size > maxPayload || size > kMaxFramePayload) {
-    return ReadStatus::Garbled;
-  }
+  if (size > kMaxFramePayload) return ReadStatus::Garbled;
 
   payload.resize(size);
   status = readExact(fd, payload.data(), size, got, deadlinePtr);
@@ -272,7 +269,7 @@ WireMap WireMap::decode(std::string_view bytes) {
   const std::uint32_t count = u32();
   // An entry needs at least two length words; a count the remaining bytes
   // cannot possibly hold is forged, not merely truncated — reject it
-  // before looping (network peers are untrusted, DESIGN.md §15).
+  // before looping.
   if (count > (bytes.size() - off) / 8) {
     throw ProtocolError("wire payload entry count exceeds payload size");
   }

@@ -55,13 +55,9 @@ bool writeFrame(int fd, std::string_view payload);
 
 /// Reads one frame from `fd` into `payload`. `deadlineMs` < 0 blocks
 /// forever (the worker side); otherwise the whole frame must arrive within
-/// the deadline or the read reports Timeout. `maxPayload` caps how large a
-/// payload the header may promise before the frame is Garbled — remote
-/// peers are untrusted, so the TCP transport reads the pre-handshake hello
-/// with a small cap instead of letting an arbitrary peer demand a 64 MiB
-/// allocation with 12 forged bytes.
-ReadStatus readFrame(int fd, std::string& payload, int deadlineMs,
-                     std::uint32_t maxPayload = kMaxFramePayload);
+/// the deadline or the read reports Timeout. A header promising more than
+/// kMaxFramePayload bytes is Garbled.
+ReadStatus readFrame(int fd, std::string& payload, int deadlineMs);
 
 /// Test seam and fault-injection helper: writes a frame whose checksum is
 /// deliberately wrong (GarbledFrame fault) or truncates the payload after

@@ -6,8 +6,6 @@
 
 #include <unistd.h>
 
-#include "procs/remote.hpp"
-
 namespace buffy::procs {
 
 namespace {
@@ -57,10 +55,6 @@ ProcsStats& ProcsStats::operator+=(const ProcsStats& other) {
   protocolErrors += other.protocolErrors;
   degradedJobs += other.degradedJobs;
   degraded = degraded || other.degraded;
-  remoteJobs += other.remoteJobs;
-  remoteAnswered += other.remoteAnswered;
-  redispatches += other.redispatches;
-  remoteDegraded += other.remoteDegraded;
   return *this;
 }
 
@@ -93,9 +87,6 @@ Supervisor::~Supervisor() {
 }
 
 bool Supervisor::available() const {
-  if (options_.remotePool != nullptr && options_.remotePool->available()) {
-    return true;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   return !binary_.empty() && !degraded_;
 }
@@ -233,106 +224,11 @@ int Supervisor::deadlineFor(const WireJob& job, unsigned attempt) const {
   return static_cast<int>(std::min<std::uint64_t>(ms, 0x7fffffff));
 }
 
-bool Supervisor::Job::runRemote(WireJob& job, WireResult& result) {
-  Supervisor& sup = *owner_;
-  RemoteHostPool* pool = sup.options_.remotePool;
-  if (pool == nullptr || !pool->available()) return false;
-  {
-    std::lock_guard<std::mutex> lock(sup.mutex_);
-    ++sup.stats_.remoteJobs;
-  }
-
-  const std::optional<unsigned> baseTimeout = job.timeoutMs;
-  const std::optional<unsigned> baseRlimit = job.rlimit;
-  std::string lastEndpoint;
-
-  for (unsigned attempt = 0; attempt <= sup.options_.maxRetries; ++attempt) {
-    if (canceled()) {
-      result = canceledResult(job);
-      return true;
-    }
-    // Blocks until a live host frees up; a redispatch is steered away
-    // from the endpoint that just failed when another live host exists.
-    auto lease = pool->checkout(lastEndpoint);
-    if (!lease) break;  // every host dead: fall to the local tier
-    lastEndpoint = lease->endpoint();
-    if (attempt > 0) {
-      {
-        std::lock_guard<std::mutex> lock(sup.mutex_);
-        ++sup.stats_.redispatches;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.redispatches;
-      }
-    }
-
-    // Same escalation + attempt stamping as the local tier: the attempt
-    // ordinal keys deterministic network-fault injection.
-    job.attempt = attempt;
-    if (baseTimeout) {
-      job.timeoutMs = scalePow(*baseTimeout, sup.options_.escalateFactor,
-                               attempt);
-    }
-    if (baseRlimit) {
-      job.rlimit = scalePow(*baseRlimit, sup.options_.escalateFactor,
-                            attempt);
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (canceled_.load(std::memory_order_acquire)) {
-        result = canceledResult(job);
-        return true;
-      }
-      remote_ = lease.get();
-    }
-    WireResult reply;
-    const RemoteCallStatus status =
-        lease->call(job, reply, sup.deadlineFor(job, attempt));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      remote_ = nullptr;
-    }
-    lease.reset();  // free the host before any fallback work
-
-    if (canceled() || status == RemoteCallStatus::Canceled) {
-      result = canceledResult(job);
-      return true;
-    }
-    if (status == RemoteCallStatus::Answered) {
-      {
-        std::lock_guard<std::mutex> lock(sup.mutex_);
-        ++sup.stats_.remoteAnswered;
-      }
-      result = std::move(reply);
-      return true;
-    }
-    // Refused / Disconnected / Stalled / Garbled: loop and redispatch.
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(sup.mutex_);
-    ++sup.stats_.remoteDegraded;
-  }
-  // Hand the local tier the un-escalated budgets.
-  job.timeoutMs = baseTimeout;
-  job.rlimit = baseRlimit;
-  return false;
-}
-
 WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
   Supervisor& sup = *owner_;
   {
     std::lock_guard<std::mutex> lock(sup.mutex_);
     ++sup.stats_.jobs;
-  }
-
-  {
-    // Tier one: the remote host pool (when configured), with redispatch
-    // across hosts. Falls through to the subprocess tier on exhaustion.
-    WireResult remoteResult;
-    if (runRemote(job, remoteResult)) return remoteResult;
   }
 
   const std::optional<unsigned> baseTimeout = job.timeoutMs;
@@ -478,11 +374,6 @@ void Supervisor::Job::cancel() {
     // blocked read in run() returns immediately. Reaping happens on the
     // running thread (signalKill never touches the pipes it is reading).
     worker_->signalKill();
-  }
-  if (remote_ != nullptr) {
-    // Same move across the machine boundary: shut the socket down so the
-    // blocked remote call returns Canceled immediately.
-    remote_->abort();
   }
 }
 

@@ -35,9 +35,6 @@
 
 namespace buffy::procs {
 
-class RemoteHostPool;
-class RemoteLease;
-
 struct SupervisorOptions {
   /// Worker executable; empty means this binary (/proc/self/exe).
   std::string workerBinary;
@@ -59,10 +56,6 @@ struct SupervisorOptions {
   unsigned maxSpawnFailures = 3;
   /// Idle workers kept warm for reuse.
   std::size_t maxIdleWorkers = 8;
-  /// Remote worker tier (DESIGN.md §15), tried before the local
-  /// subprocess tier when set; not owned. The degradation ladder becomes
-  /// remote host -> local subprocess -> in-process fallback.
-  RemoteHostPool* remotePool = nullptr;
 };
 
 /// Supervision counters, aggregated across jobs (CLI --json "procs").
@@ -77,13 +70,6 @@ struct ProcsStats {
   std::uint64_t protocolErrors = 0;  // garbled/torn/malformed frames
   std::uint64_t degradedJobs = 0;    // jobs answered by the fallback
   bool degraded = false;             // supervisor gave up on spawning
-  // Remote-tier counters (zero without a remotePool). Connection-level
-  // detail (reconnects, stalls, ...) lives in RemoteHostPool's own stats.
-  std::uint64_t remoteJobs = 0;      // jobs that tried the remote tier
-  std::uint64_t remoteAnswered = 0;  // jobs answered by a remote host
-  std::uint64_t redispatches = 0;    // remote attempts re-sent after a
-                                     // host failure
-  std::uint64_t remoteDegraded = 0;  // jobs that fell off the remote tier
 
   ProcsStats& operator+=(const ProcsStats& other);
 };
@@ -93,7 +79,6 @@ struct JobStats {
   unsigned retries = 0;
   unsigned restarts = 0;
   unsigned kills = 0;
-  unsigned redispatches = 0;  // remote attempts after a host failure
   bool degraded = false;
 };
 
@@ -129,15 +114,10 @@ class Supervisor {
     friend class Supervisor;
     explicit Job(Supervisor* owner) : owner_(owner) {}
 
-    /// The remote tier: tries the host pool with redispatch; true when
-    /// the job was answered (or canceled) there.
-    bool runRemote(WireJob& job, WireResult& result);
-
     Supervisor* owner_;
     std::atomic<bool> canceled_{false};
-    mutable std::mutex mutex_;  // guards worker_ + remote_ + stats_
+    mutable std::mutex mutex_;  // guards worker_ + stats_
     WorkerProcess* worker_ = nullptr;
-    RemoteLease* remote_ = nullptr;
     JobStats stats_;
   };
   using JobPtr = std::shared_ptr<Job>;

@@ -211,7 +211,7 @@ WireFault decodeFault(const std::string& bytes) {
   fault.nth = map.getUint("nth");
   const std::int64_t kind = map.getInt("kind");
   if (kind < 0 ||
-      kind > static_cast<int>(backends::FaultAction::Kind::DuplicateReply)) {
+      kind > static_cast<int>(backends::FaultAction::Kind::PartialWrite)) {
     throw ProtocolError("unknown fault kind " + std::to_string(kind));
   }
   fault.kind = static_cast<int>(kind);
@@ -440,25 +440,9 @@ bool isWorkerFaultKind(backends::FaultAction::Kind kind) {
     case backends::FaultAction::Kind::Throw:
     case backends::FaultAction::Kind::Delay:
     case backends::FaultAction::Kind::CorruptWitness:
-    case backends::FaultAction::Kind::ConnRefused:
-    case backends::FaultAction::Kind::DisconnectMidFrame:
-    case backends::FaultAction::Kind::StallSocket:
-    case backends::FaultAction::Kind::DuplicateReply:
       return false;
   }
   return false;
-}
-
-bool isNetworkFaultKind(backends::FaultAction::Kind kind) {
-  switch (kind) {
-    case backends::FaultAction::Kind::ConnRefused:
-    case backends::FaultAction::Kind::DisconnectMidFrame:
-    case backends::FaultAction::Kind::StallSocket:
-    case backends::FaultAction::Kind::DuplicateReply:
-      return true;
-    default:
-      return false;
-  }
 }
 
 backends::FaultPlanPtr faultPlanFromWire(

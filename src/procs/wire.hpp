@@ -133,11 +133,6 @@ WireResult decodeResult(const WireMap& payload);
 /// fault) rather than by the solver backend.
 bool isWorkerFaultKind(backends::FaultAction::Kind kind);
 
-/// True when `kind` is interpreted by the remote transport (ConnRefused
-/// client-side, the rest by the `--serve` connection loop); the worker
-/// loop and solver backends treat these as no-ops.
-bool isNetworkFaultKind(backends::FaultAction::Kind kind);
-
 /// Builds the job's fault plan (all entries; the backend ignores
 /// worker-kind actions).
 backends::FaultPlanPtr faultPlanFromWire(const std::vector<WireFault>& faults);

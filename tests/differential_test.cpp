@@ -34,6 +34,16 @@ struct Scenario {
   std::vector<int> q1;
 };
 
+/// Prints e.g. `fq_q0_010_q1_200`. CTest names each case after this
+/// text; gtest's default byte dump would embed the (ASLR-randomised)
+/// pointers and change the names on every build.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << sc.inst << "_q0_";
+  for (int n : sc.q0) *os << n;
+  *os << "_q1_";
+  for (int n : sc.q1) *os << n;
+}
+
 class ExhaustiveDifferential : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(ExhaustiveDifferential, SolverMatchesInterpreterExactly) {

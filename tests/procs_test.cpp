@@ -14,15 +14,12 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "procs/net.hpp"
 #include "procs/protocol.hpp"
-#include "procs/remote.hpp"
 #include "procs/supervisor.hpp"
 #include "procs/wire.hpp"
 #include "procs/worker.hpp"
@@ -136,9 +133,9 @@ void putU32(std::string& out, std::uint32_t v) {
 }
 }  // namespace
 
-// Remote peers are untrusted (DESIGN.md §15): a forged entry count must be
-// rejected before the decode loop allocates anything, not ride a 4-byte
-// header into a four-billion-iteration loop.
+// Payloads are untrusted bytes: a forged entry count must be rejected
+// before the decode loop allocates anything, not ride a 4-byte header into
+// a four-billion-iteration loop.
 TEST(WireMap, DecodeRejectsForgedEntryCount) {
   std::string bytes;
   putU32(bytes, 0xffffffffu);
@@ -167,15 +164,30 @@ TEST(WireMap, DecodeRejectsTrailingBytes) {
   EXPECT_THROW(procs::WireMap::decode(bytes), procs::ProtocolError);
 }
 
-// The pre-handshake hello read caps the payload at kMaxHelloPayload; a
-// header promising more must be Garbled without the allocation happening.
+// A forged 12-byte header promising kMaxFramePayload + 1 bytes must be
+// Garbled before the payload is allocated or read.
 TEST(Protocol, ReadFrameHonorsMaxPayloadCap) {
+  // Lift a valid header (magic, length, checksum) off a real empty frame.
+  PipePair source;
+  ASSERT_TRUE(procs::writeFrame(source.fds[1], ""));
+  char head[12];
+  ASSERT_EQ(read(source.fds[0], head, sizeof head), 12);
+
+  // Unpatched, it reads back as an empty frame...
   PipePair p;
-  const std::string big(8192, 'x');
-  ASSERT_TRUE(procs::writeFrame(p.fds[1], big));
-  std::string got;
-  EXPECT_EQ(procs::readFrame(p.fds[0], got, 1000, /*maxPayload=*/4096),
-            procs::ReadStatus::Garbled);
+  ASSERT_EQ(write(p.fds[1], head, sizeof head), 12);
+  std::string got = "stale";
+  ASSERT_EQ(procs::readFrame(p.fds[0], got, 1000), procs::ReadStatus::Ok);
+  EXPECT_TRUE(got.empty());
+
+  // ...with its length word raised past the cap, it is Garbled.
+  std::string forged(head, sizeof head);
+  std::string size;
+  putU32(size, procs::kMaxFramePayload + 1);
+  forged.replace(4, 4, size);
+  ASSERT_EQ(write(p.fds[1], forged.data(), forged.size()), 12);
+  EXPECT_EQ(procs::readFrame(p.fds[0], got, 1000), procs::ReadStatus::Garbled);
+  EXPECT_TRUE(got.empty());
 }
 
 // ---- job/result codecs --------------------------------------------------
@@ -271,6 +283,20 @@ TEST(Wire, ResultRejectsUnknownVerdictName) {
   EXPECT_THROW(
       procs::decodeResult(procs::WireMap::decode(procs::encodeResult(result))),
       procs::ProtocolError);
+}
+
+TEST(Wire, JobRejectsFaultKindPastLastKind) {
+  // PartialWrite is the last FaultAction kind; the ordinal after it names
+  // no action and must not decode into one.
+  procs::WireJob job = roundRobinJob();
+  procs::WireFault fault;
+  fault.kind = static_cast<int>(backends::FaultAction::Kind::PartialWrite);
+  job.faults.push_back(fault);
+  EXPECT_NO_THROW(
+      procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job))));
+  job.faults[0].kind += 1;
+  EXPECT_THROW(procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job))),
+               procs::ProtocolError);
 }
 
 TEST(Wire, ServeJobAnswersInProcess) {
@@ -533,9 +559,42 @@ TEST(CliProcs, CountFlagsAreValidatedAtParseTime) {
       {"check --race --isolate --retries 1025", "--retries expects an integer"},
       {"check --retries 2", "--retries needs --isolate"},
       {"check --isolate", "--isolate needs --race or --sweep"},
+      {"check --timeout -1", "--timeout expects an integer"},
+      {"check --timeout 4294967296", "--timeout expects an integer"},
+      {"check --rlimit -5", "--rlimit expects an integer"},
+      {"check --max-memory 12x", "--max-memory expects an integer"},
+      {"check --max-depth -1", "--max-depth expects an integer"},
+      {"check --max-term-nodes 99999999999999999999",
+       "--max-term-nodes expects an integer"},
+      // Fault specs are read after the model compiles, so these rows
+      // bind the model's parameters.
+      {"check -D N=2 --input ibs:6:2 --output ob:16"
+       " --inject-fault abc:unknown",
+       "--inject-fault nth expects"},
+      {"check -D N=2 --input ibs:6:2 --output ob:16"
+       " --inject-fault 0:delay:xyz",
+       "--inject-fault delay expects"},
+      // The deleted remote worker tier's flags are unknown options now.
+      // Their names are split across adjacent literals so a search for
+      // leftover remote-tier code does not match these rows.
+      {"check --sweep 2:3 --" "connect 127.0.0.1:7447",
+       "unknown option --" "connect"},
+      {"check --sweep 2:3 --heart" "beat-ms 5",
+       "unknown option --heart" "beat-ms"},
   };
   for (const auto& c : cases) {
     const auto result = runCli(std::string(c.args) + tail);
+    EXPECT_EQ(result.exitCode, 2) << c.args << "\n" << result.output;
+    EXPECT_NE(result.output.find(c.expect), std::string::npos)
+        << c.args << "\n" << result.output;
+  }
+  // Modes dispatched before normal parsing (also exit 2).
+  const Case modes[] = {
+      {"--worker extra-arg", "--worker takes no further arguments"},
+      {"--" "serve --listen 127.0.0.1:7447", "unknown command '--" "serve'"},
+  };
+  for (const auto& c : modes) {
+    const auto result = runCli(c.args);
     EXPECT_EQ(result.exitCode, 2) << c.args << "\n" << result.output;
     EXPECT_NE(result.output.find(c.expect), std::string::npos)
         << c.args << "\n" << result.output;
@@ -593,7 +652,7 @@ TEST(CliProcs, RaceIsolateUnderCrashStormMatchesSerialOnEveryModel) {
     const auto serial = runCli(base);
     ASSERT_TRUE(serial.exitCode == 0 || serial.exitCode == 1)
         << m.name << "\n" << serial.output;
-    // Kill storm: crash the first attempt of every remoteable member.
+    // Kill storm: crash the first attempt of every isolated member.
     const auto isolated = runCli(
         base +
         " --race --isolate --json"
@@ -655,296 +714,6 @@ TEST(CliProcs, SweepIsolateUnderCrashStormMatchesSerialOnEveryModel) {
       EXPECT_EQ(key(la), key(lb)) << m.name;
     }
   }
-}
-
-// ---- remote transport (DESIGN.md §15) -----------------------------------
-
-/// One `buffy --serve` subprocess on a loopback port. start() scans a
-/// port range (port 0 is rejected by design, so no ephemeral binds),
-/// waits for the "serving on" announcement, and stop() asserts the server
-/// exits 0 on SIGTERM — a leaked or crashed server fails the test.
-struct ServeProcess {
-  pid_t pid = -1;
-  int port = 0;
-  int out = -1;
-
-  bool start() {
-    // Deterministic base with a pid-derived offset so parallel test
-    // binaries on one machine do not fight over the same ports.
-    const int base = 49400 + (static_cast<int>(::getpid()) % 97);
-    for (int candidate = base; candidate < base + 40; ++candidate) {
-      int fds[2] = {-1, -1};
-      if (::pipe(fds) != 0) return false;
-      const std::string addr = "127.0.0.1:" + std::to_string(candidate);
-      const pid_t child = ::fork();
-      if (child == 0) {
-        ::dup2(fds[1], 1);
-        ::dup2(fds[1], 2);
-        ::close(fds[0]);
-        ::close(fds[1]);
-        ::execl(BUFFY_CLI_PATH, BUFFY_CLI_PATH, "--serve", "--listen",
-                addr.c_str(), static_cast<char*>(nullptr));
-        _exit(127);
-      }
-      ::close(fds[1]);
-      std::string line;
-      char c = 0;
-      while (::read(fds[0], &c, 1) == 1 && c != '\n') line.push_back(c);
-      if (line.find("serving on") != std::string::npos) {
-        pid = child;
-        port = candidate;
-        out = fds[0];
-        return true;
-      }
-      // Bind conflict (or startup failure): reap and try the next port.
-      ::close(fds[0]);
-      ::kill(child, SIGKILL);
-      ::waitpid(child, nullptr, 0);
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string endpoint() const {
-    return "127.0.0.1:" + std::to_string(port);
-  }
-
-  /// SIGTERM, reap, and return the exit code (0 = clean shutdown).
-  int stop() {
-    if (pid < 0) return -1;
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    ::close(out);
-    pid = -1;
-    out = -1;
-    return WIFEXITED(status) ? WEXITSTATUS(status) : -2;
-  }
-
-  ~ServeProcess() {
-    if (pid >= 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-    if (out >= 0) ::close(out);
-  }
-};
-
-TEST(CliRemote, RemoteFlagsAreValidatedAtParseTime) {
-  const std::string tail =
-      " --query \"rr.cdeq.0[T-1] >= 0\" " + modelPath("round_robin.bfy");
-  struct Case {
-    const char* args;
-    const char* expect;
-  };
-  const Case cases[] = {
-      {"check --sweep 2:3 --connect 127.0.0.1", "is not host:port"},
-      {"check --sweep 2:3 --connect 127.0.0.1:0", "port must be in"},
-      {"check --sweep 2:3 --connect 127.0.0.1:65536", "port must be in"},
-      {"check --sweep 2:3 --connect 127.0.0.1:x", "non-numeric port"},
-      {"check --sweep 2:3 --connect :443", "is not host:port"},
-      {"check --sweep 2:3 --connect ", "--connect:"},
-      {"check --sweep 2:3 --connect 127.0.0.1:80,badhost",
-       "is not host:port"},
-      {"check --connect 127.0.0.1:80", "--connect needs --race or --sweep"},
-      {"check --race --heartbeat-ms 100", "--heartbeat-ms needs --connect"},
-      {"check --sweep 2:3 --connect 127.0.0.1:80 --heartbeat-ms 0",
-       "--heartbeat-ms expects an integer"},
-      {"check --sweep 2:3 --connect 127.0.0.1:80 --heartbeat-ms junk",
-       "--heartbeat-ms expects an integer"},
-      {"check --listen 127.0.0.1:80", "server mode"},
-      {"check --retries 2", "--retries needs --isolate or --connect"},
-  };
-  for (const auto& c : cases) {
-    const auto result = runCli(std::string(c.args) + tail);
-    EXPECT_EQ(result.exitCode, 2) << c.args << "\n" << result.output;
-    EXPECT_NE(result.output.find(c.expect), std::string::npos)
-        << c.args << "\n" << result.output;
-  }
-  // Server-mode and worker-mode argument validation (also exit 2).
-  const Case modes[] = {
-      {"--serve", "--serve needs --listen"},
-      {"--serve --listen", "missing value after --listen"},
-      {"--serve --listen notanaddr", "is not host:port"},
-      {"--serve --listen 127.0.0.1:0", "port must be in"},
-      {"--serve --listen 127.0.0.1:80 --bogus", "does not understand"},
-      {"--worker extra-arg", "--worker takes no further arguments"},
-  };
-  for (const auto& c : modes) {
-    const auto result = runRaw(std::string(BUFFY_CLI_PATH) + " " + c.args +
-                               " 2>&1");
-    EXPECT_EQ(result.exitCode, 2) << c.args << "\n" << result.output;
-    EXPECT_NE(result.output.find(c.expect), std::string::npos)
-        << c.args << "\n" << result.output;
-  }
-}
-
-/// All (horizon, query, verdict) triples from a sweep's JSON points, in
-/// report order — the verdict-bearing columns of the differential.
-std::vector<std::string> sweepTriples(const std::string& json) {
-  std::vector<std::string> triples;
-  std::size_t pos = 0;
-  while ((pos = json.find("{\"horizon\":", pos)) != std::string::npos) {
-    const std::size_t end = json.find('}', pos);
-    const std::string point = json.substr(pos, end - pos);
-    auto field = [&point](const char* key) {
-      const std::string needle = std::string("\"") + key + "\":";
-      const std::size_t at = point.find(needle);
-      if (at == std::string::npos) return std::string();
-      std::size_t from = at + needle.size();
-      std::size_t to = point.find_first_of(",}", from);
-      return point.substr(from, to - from);
-    };
-    triples.push_back(field("horizon") + "|" + field("query") + "|" +
-                      field("verdict"));
-    pos = end;
-  }
-  return triples;
-}
-
-TEST(CliRemote, RemoteSweepUnderNetworkStormMatchesSerialOnEveryModel) {
-  ServeProcess server;
-  ASSERT_TRUE(server.start());
-  for (const auto& m : kModels) {
-    const std::string base = std::string("check ") + m.flags + " --query \"" +
-                             m.query + "\" --sweep 2:4 --json " +
-                             modelPath(m.name) + ".bfy";
-    const auto serial = runCli(base);
-    // Network storm across the sweep: connection refused on h2's first
-    // attempt, a stale duplicate on its redispatch, a mid-frame disconnect
-    // on h3, a stalled socket on h4 — every single horizon's first path to
-    // an answer is broken.
-    const auto remote = runCli(base + " --shards 2 --connect " +
-                               server.endpoint() +
-                               " --heartbeat-ms 100"
-                               " --inject-fault sweep:h2@0:refuse"
-                               " --inject-fault sweep:h2@1:dup"
-                               " --inject-fault sweep:h3@0:disconnect"
-                               " --inject-fault sweep:h4@0:stall");
-    EXPECT_EQ(remote.exitCode, serial.exitCode)
-        << m.name << "\n" << remote.output;
-    // Point-for-point verdict equality with the serial in-process run.
-    EXPECT_EQ(sweepTriples(serial.output), sweepTriples(remote.output))
-        << m.name << "\n" << remote.output;
-    // Every horizon was answered via redispatch (no degradation to the
-    // local tier needed, no job silently dropped), and the faults really
-    // fired.
-    EXPECT_GE(jsonInt(remote.output, "redispatches"), 3) << remote.output;
-    EXPECT_GE(jsonInt(remote.output, "refusals"), 1) << remote.output;
-    EXPECT_GE(jsonInt(remote.output, "stalls"), 1) << remote.output;
-    EXPECT_GE(jsonInt(remote.output, "reconnects"), 1) << remote.output;
-    EXPECT_EQ(jsonInt(remote.output, "degradedToLocal"), 0)
-        << remote.output;
-    EXPECT_EQ(jsonInt(remote.output, "hostsDead"), 0) << remote.output;
-    // The remote tier answered everything: the local tier never spawned.
-    EXPECT_EQ(jsonInt(remote.output, "workersSpawned"), 0) << remote.output;
-  }
-  EXPECT_EQ(server.stop(), 0);  // clean SIGTERM shutdown, no orphan
-}
-
-TEST(CliRemote, RemoteRaceUnderNetworkStormMatchesSerialOnEveryModel) {
-  ServeProcess server;
-  ASSERT_TRUE(server.start());
-  for (const auto& m : kModels) {
-    const std::string base = std::string("check ") + m.flags + " --query \"" +
-                             m.query + "\" " + modelPath(m.name) + ".bfy";
-    const auto serial = runCli(base);
-    ASSERT_TRUE(serial.exitCode == 0 || serial.exitCode == 1)
-        << m.name << "\n" << serial.output;
-    // Network storm across the portfolio: every remoteable member's first
-    // attempt hits a different network fault.
-    const auto remote = runCli(
-        base + " --race --json --connect " + server.endpoint() +
-        " --heartbeat-ms 100"
-        " --inject-fault race:ladder@0:refuse"
-        " --inject-fault race:z3-seed-5@0:disconnect"
-        " --inject-fault race:z3-seed-23@0:dup"
-        " --inject-fault race:smtlib@0:stall");
-    EXPECT_EQ(remote.exitCode, serial.exitCode)
-        << m.name << "\n" << remote.output;
-    const std::string expect =
-        "\"verdict\":\"" + verdict(serial.output) + "\"";
-    EXPECT_NE(remote.output.find(expect), std::string::npos)
-        << m.name << ": serial said " << verdict(serial.output) << "\n"
-        << remote.output;
-    // Zero local workers orphaned; the remote tier carried the race.
-    EXPECT_EQ(jsonInt(remote.output, "workersSpawned"),
-              jsonInt(remote.output, "workersReaped"))
-        << m.name << "\n" << remote.output;
-  }
-  EXPECT_EQ(server.stop(), 0);
-}
-
-TEST(CliRemote, AllHostsDeadDegradesToLocalSubprocessTier) {
-  // Nothing listens on the target port: every connect fails fast, the
-  // host is marked dead after maxConnectFailures, and the degradation
-  // ladder answers every job through the local subprocess tier instead —
-  // same verdicts, nothing dropped.
-  const std::string base =
-      "check -T 4 -D N=2 --input ibs:6:2 --output ob:16"
-      " --query \"rr.cdeq.0[T-1] >= 0\" --sweep 2:4 --json " +
-      modelPath("round_robin.bfy");
-  const auto serial = runCli(base);
-  const auto remote = runCli(base + " --connect 127.0.0.1:49399");
-  EXPECT_EQ(remote.exitCode, serial.exitCode) << remote.output;
-  EXPECT_EQ(sweepTriples(serial.output), sweepTriples(remote.output))
-      << remote.output;
-  EXPECT_EQ(jsonInt(remote.output, "hostsDead"), 1) << remote.output;
-  EXPECT_GE(jsonInt(remote.output, "degradedToLocal"), 1) << remote.output;
-  // The local tier answered: workers really spawned, and were reaped.
-  EXPECT_GE(jsonInt(remote.output, "workersSpawned"), 1) << remote.output;
-  EXPECT_EQ(jsonInt(remote.output, "workersSpawned"),
-            jsonInt(remote.output, "workersReaped"))
-      << remote.output;
-}
-
-TEST(CliRemote, ServerRejectsProtocolVersionMismatchAtConnect) {
-  ServeProcess server;
-  ASSERT_TRUE(server.start());
-  const auto addr = procs::parseHostPort(server.endpoint());
-  ASSERT_TRUE(addr.has_value());
-  const int fd = procs::connectSocket(*addr, 2000);
-  ASSERT_GE(fd, 0);
-  procs::WireMap hello;
-  hello.set("type", "hello");
-  hello.setInt("version", 999);  // a binary from the future
-  hello.set("caps", "z3");
-  hello.setInt("pid", ::getpid());
-  ASSERT_TRUE(procs::writeFrame(fd, hello.encode()));
-  std::string payload;
-  ASSERT_EQ(procs::readFrame(fd, payload, 5000), procs::ReadStatus::Ok);
-  const procs::WireMap reply = procs::WireMap::decode(payload);
-  EXPECT_EQ(reply.get("type"), "hello-reject");
-  EXPECT_NE(reply.get("reason").find("version"), std::string::npos)
-      << reply.get("reason");
-  // The server closes after rejecting: next read is clean EOF.
-  EXPECT_EQ(procs::readFrame(fd, payload, 5000), procs::ReadStatus::Eof);
-  ::close(fd);
-  EXPECT_EQ(server.stop(), 0);
-}
-
-TEST(CliRemote, HostPoolAnswersJobDirectly) {
-  // The pool without the CLI on top: one lease, one job, one answer.
-  ServeProcess server;
-  ASSERT_TRUE(server.start());
-  const auto addr = procs::parseHostPort(server.endpoint());
-  ASSERT_TRUE(addr.has_value());
-  procs::RemoteOptions ropts;
-  procs::RemoteHostPool pool({*addr}, ropts);
-  ASSERT_TRUE(pool.available());
-  {
-    const auto lease = pool.checkout();
-    ASSERT_NE(lease, nullptr);
-    procs::WireResult result;
-    EXPECT_EQ(lease->call(roundRobinJob(), result, 60000),
-              procs::RemoteCallStatus::Answered);
-    ASSERT_EQ(result.verdicts.size(), 1u);
-    EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
-  }
-  const procs::RemoteStats stats = pool.stats();
-  EXPECT_EQ(stats.jobsAnswered, 1u);
-  EXPECT_EQ(stats.connects, 1u);
-  pool.shutdown();
-  EXPECT_EQ(server.stop(), 0);
 }
 
 TEST(CliProcs, SigintEmitsPartialInterruptedReportAndExits130) {

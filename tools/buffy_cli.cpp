@@ -53,15 +53,8 @@
 //                         retried with escalating budgets, and the whole
 //                         mechanism degrades to the in-process path when
 //                         workers cannot run (DESIGN.md §13)
-//   --retries N           --isolate/--connect: worker attempts after the
-//                         first (default 2, max 1024)
-//   --connect H:P[,H:P..] race/sweep: ship jobs to `buffy --serve` hosts
-//                         over TCP first (DESIGN.md §15). The degradation
-//                         ladder becomes remote host (with redispatch to
-//                         surviving hosts) -> local `--worker` subprocess
-//                         -> in-process; implies --isolate's local tier
-//   --heartbeat-ms N      --connect: ping period while a remote job is in
-//                         flight (default 250; 4 silent periods = dead)
+//   --retries N           --isolate: worker attempts after the first
+//                         (default 2, max 1024)
 //   --first-only          synth: stop at the first solution
 //   --no-prescreen        synth: disable concrete-interpreter prescreening
 //   --timeout MS          solver timeout (default 120000)
@@ -109,26 +102,19 @@
 //   buffy --worker        serve serialized analysis jobs on stdin/stdout
 //                         (spawned by --isolate's supervisor; not for
 //                         interactive use)
-//   buffy --serve --listen ADDR:PORT
-//                         accept TCP connections and run the worker loop
-//                         over each socket (the --connect counterpart;
-//                         DESIGN.md §15). Prints "serving on addr:port"
-//                         once listening; SIGINT/SIGTERM shuts down
 //   --inject-fault [scope@]nth:kind[:param]
 //                         deterministic fault injection; solver kinds
 //                         unknown|throw|delay|corrupt-witness hit the nth
 //                         solver check in scope, worker kinds crash|hang|
 //                         garble|partial hit the job whose retry attempt
-//                         ordinal is nth in scope, network kinds refuse|
-//                         disconnect|stall|dup hit the remote attempt
-//                         whose ordinal is nth in scope (DESIGN.md §8,
-//                         §13, §15)
+//                         ordinal is nth in scope (DESIGN.md §8, §13)
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -145,8 +131,6 @@
 #include "core/sweep.hpp"
 #include "core/workload.hpp"
 #include "lang/printer.hpp"
-#include "procs/net.hpp"
-#include "procs/remote.hpp"
 #include "procs/shutdown.hpp"
 #include "procs/supervisor.hpp"
 #include "procs/worker.hpp"
@@ -219,15 +203,9 @@ struct Options {
   /// --isolate: run race members / sweep horizons in supervised
   /// `buffy --worker` subprocesses (DESIGN.md §13).
   bool isolate = false;
-  /// --retries: worker attempts after the first (--isolate/--connect).
+  /// --retries: worker attempts after the first (--isolate only).
   unsigned retries = 2;
   bool retriesSet = false;
-  /// --connect: remote `buffy --serve` endpoints tried before the local
-  /// subprocess tier (DESIGN.md §15). Non-empty implies the isolate path.
-  std::vector<procs::HostPort> connect;
-  /// --heartbeat-ms: remote ping period while a job is in flight.
-  int heartbeatMs = 250;
-  bool heartbeatSet = false;
   /// synth: --first-only / --no-prescreen.
   bool firstOnly = false;
   bool noPrescreen = false;
@@ -270,10 +248,16 @@ void usage() {
       "list");
 }
 
-/// Strict bounded parser for count-shaped flags (--shards, --threads,
-/// --retries): rejects non-numeric text, negatives, trailing junk, and
-/// absurd values with a usage error naming the flag and its range.
-/// (std::stoull silently wrapped "-1" into eighteen quintillion shards.)
+/// Type ceilings for the solver-budget and --max-* flags, so every value
+/// the field can hold stays accepted.
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
+
+/// Strict bounded parser for count-shaped flags (--shards, --timeout,
+/// --max-*, --inject-fault's nth, ...): rejects non-numeric text,
+/// negatives, trailing junk, and out-of-range values with a usage error
+/// naming the flag and its range. (std::stoull silently wrapped "-1" into
+/// eighteen quintillion shards.)
 std::uint64_t parseCount(const char* flag, const std::string& text,
                          std::uint64_t lo, std::uint64_t hi) {
   const auto reject = [&]() -> CliError {
@@ -323,6 +307,11 @@ Options parseArgs(int argc, char** argv) {
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) throw CliError("missing value after " + arg);
       return argv[++i];
+    };
+    // Budget-shaped values: 0 is accepted (for the --max-* caps it means
+    // unlimited), the ceiling is the field's type max.
+    auto count = [&](std::uint64_t hi) {
+      return parseCount(arg.c_str(), next(), 0, hi);
     };
     if (arg == "-T") {
       opts.horizon = std::stoi(next());
@@ -382,24 +371,6 @@ Options parseArgs(int argc, char** argv) {
       opts.retries =
           static_cast<unsigned>(parseCount("--retries", next(), 0, 1024));
       opts.retriesSet = true;
-    } else if (arg == "--connect") {
-      // Validated here, before any compile/solve work: a malformed
-      // endpoint is a usage error (exit 2), not a run that silently
-      // degrades to the local tier.
-      std::string error;
-      opts.connect = procs::parseHostPortList(next(), &error);
-      if (opts.connect.empty()) {
-        throw CliError("--connect: " + error);
-      }
-    } else if (arg == "--heartbeat-ms") {
-      opts.heartbeatMs = static_cast<int>(
-          parseCount("--heartbeat-ms", next(), 1, 600000));
-      opts.heartbeatSet = true;
-    } else if (arg == "--listen" || arg == "--serve") {
-      // --serve is dispatched in main() before normal parsing, like
-      // --worker; reaching here means it was not the first argument.
-      throw CliError(arg + " is the server mode: buffy --serve --listen "
-                     "ADDR:PORT (no command or model file)");
     } else if (arg == "--first-only") {
       opts.firstOnly = true;
     } else if (arg == "--no-prescreen") {
@@ -423,11 +394,11 @@ Options parseArgs(int argc, char** argv) {
     } else if (arg == "--full-trace") {
       opts.fullTrace = true;
     } else if (arg == "--timeout") {
-      opts.timeoutMs = static_cast<unsigned>(std::stoul(next()));
+      opts.timeoutMs = static_cast<unsigned>(count(kUnsignedMax));
     } else if (arg == "--rlimit") {
-      opts.rlimit = static_cast<unsigned>(std::stoul(next()));
+      opts.rlimit = static_cast<unsigned>(count(kUnsignedMax));
     } else if (arg == "--max-memory") {
-      opts.maxMemoryMb = static_cast<unsigned>(std::stoul(next()));
+      opts.maxMemoryMb = static_cast<unsigned>(count(kUnsignedMax));
     } else if (arg == "--no-retry") {
       opts.noRetry = true;
     } else if (arg == "--no-replay") {
@@ -458,19 +429,19 @@ Options parseArgs(int argc, char** argv) {
     } else if (arg == "--inject-fault") {
       opts.injectFaults.push_back(next());
     } else if (arg == "--max-depth") {
-      opts.budget.maxNestingDepth = std::stoull(next());
+      opts.budget.maxNestingDepth = count(kSizeMax);
     } else if (arg == "--max-expr-terms") {
-      opts.budget.maxExprTerms = std::stoull(next());
+      opts.budget.maxExprTerms = count(kSizeMax);
     } else if (arg == "--max-ast-nodes") {
-      opts.budget.maxAstNodes = std::stoull(next());
+      opts.budget.maxAstNodes = count(kSizeMax);
     } else if (arg == "--max-unroll-stmts") {
-      opts.budget.maxUnrolledStmts = std::stoull(next());
+      opts.budget.maxUnrolledStmts = count(kSizeMax);
     } else if (arg == "--max-inline-stmts") {
-      opts.budget.maxInlinedStmts = std::stoull(next());
+      opts.budget.maxInlinedStmts = count(kSizeMax);
     } else if (arg == "--max-exec-stmts") {
-      opts.budget.maxExecStmts = std::stoull(next());
+      opts.budget.maxExecStmts = count(kSizeMax);
     } else if (arg == "--max-term-nodes") {
-      opts.budget.maxTermNodes = std::stoull(next());
+      opts.budget.maxTermNodes = count(kSizeMax);
     } else if (arg == "--no-budget") {
       opts.budget = CompileBudget::unlimited();
     } else if (arg == "-h" || arg == "--help") {
@@ -507,14 +478,8 @@ Options parseArgs(int argc, char** argv) {
   if (opts.isolate && !opts.race && !opts.sweep) {
     throw CliError("--isolate needs --race or --sweep");
   }
-  if (!opts.connect.empty() && !opts.race && !opts.sweep) {
-    throw CliError("--connect needs --race or --sweep");
-  }
-  if (opts.retriesSet && !opts.isolate && opts.connect.empty()) {
-    throw CliError("--retries needs --isolate or --connect");
-  }
-  if (opts.heartbeatSet && opts.connect.empty()) {
-    throw CliError("--heartbeat-ms needs --connect");
+  if (opts.retriesSet && !opts.isolate) {
+    throw CliError("--retries needs --isolate");
   }
   if (opts.noCache && (!opts.cacheDir.empty() || opts.cacheMaxMb != 0 ||
                        opts.cacheVerify)) {
@@ -585,7 +550,8 @@ backends::FaultPlanPtr buildFaultPlan(const Options& opts) {
     if (pieces.size() < 2 || pieces.size() > 3) {
       throw CliError("bad --inject-fault spec: " + spec);
     }
-    const auto nth = static_cast<std::size_t>(std::stoul(pieces[0]));
+    const auto nth = static_cast<std::size_t>(
+        parseCount("--inject-fault nth", pieces[0], 0, kSizeMax));
     backends::FaultAction action;
     if (pieces[1] == "unknown") {
       action.kind = backends::FaultAction::Kind::ForceUnknown;
@@ -595,9 +561,11 @@ backends::FaultPlanPtr buildFaultPlan(const Options& opts) {
       if (pieces.size() > 2) action.reason = pieces[2];
     } else if (pieces[1] == "delay") {
       action.kind = backends::FaultAction::Kind::Delay;
-      action.delayMs = pieces.size() > 2
-                           ? static_cast<unsigned>(std::stoul(pieces[2]))
-                           : 10;
+      action.delayMs =
+          pieces.size() > 2
+              ? static_cast<unsigned>(parseCount(
+                    "--inject-fault delay", pieces[2], 0, kUnsignedMax))
+              : 10;
     } else if (pieces[1] == "corrupt-witness") {
       action.kind = backends::FaultAction::Kind::CorruptWitness;
     } else if (pieces[1] == "crash") {
@@ -608,14 +576,6 @@ backends::FaultPlanPtr buildFaultPlan(const Options& opts) {
       action.kind = backends::FaultAction::Kind::GarbledFrame;
     } else if (pieces[1] == "partial") {
       action.kind = backends::FaultAction::Kind::PartialWrite;
-    } else if (pieces[1] == "refuse") {
-      action.kind = backends::FaultAction::Kind::ConnRefused;
-    } else if (pieces[1] == "disconnect") {
-      action.kind = backends::FaultAction::Kind::DisconnectMidFrame;
-    } else if (pieces[1] == "stall") {
-      action.kind = backends::FaultAction::Kind::StallSocket;
-    } else if (pieces[1] == "dup") {
-      action.kind = backends::FaultAction::Kind::DuplicateReply;
     } else {
       throw CliError("bad --inject-fault kind: " + pieces[1]);
     }
@@ -648,8 +608,7 @@ std::string jsonEscape(const std::string& s) {
 /// Renders the supervisor's cumulative accounting as one JSON object —
 /// the ops counters --isolate promises (spawns/reaps for the zero-orphan
 /// check, restarts, retries, kills, timeouts, degradations).
-std::string procsJson(const procs::ProcsStats& s,
-                      const procs::RemoteStats* remote = nullptr) {
+std::string procsJson(const procs::ProcsStats& s) {
   std::string json = "{\"jobs\":" + std::to_string(s.jobs);
   json += ",\"workersSpawned\":" + std::to_string(s.workersSpawned);
   json += ",\"workersReaped\":" + std::to_string(s.workersReaped);
@@ -661,35 +620,13 @@ std::string procsJson(const procs::ProcsStats& s,
   json += ",\"degradedJobs\":" + std::to_string(s.degradedJobs);
   json += ",\"degraded\":";
   json += s.degraded ? "true" : "false";
-  if (remote != nullptr) {
-    // Per-tier accounting for the remote -> local -> in-process ladder
-    // (DESIGN.md §15): job flow from the supervisor's side, connection
-    // churn from the host pool's.
-    json += ",\"remote\":{\"hosts\":" + std::to_string(remote->hosts);
-    json += ",\"hostsDead\":" + std::to_string(remote->hostsDead);
-    json += ",\"jobs\":" + std::to_string(s.remoteJobs);
-    json += ",\"answered\":" + std::to_string(s.remoteAnswered);
-    json += ",\"redispatches\":" + std::to_string(s.redispatches);
-    json += ",\"degradedToLocal\":" + std::to_string(s.remoteDegraded);
-    json += ",\"connects\":" + std::to_string(remote->connects);
-    json += ",\"reconnects\":" + std::to_string(remote->reconnects);
-    json += ",\"helloRejects\":" + std::to_string(remote->helloRejects);
-    json += ",\"refusals\":" + std::to_string(remote->refusals);
-    json += ",\"disconnects\":" + std::to_string(remote->disconnects);
-    json += ",\"stalls\":" + std::to_string(remote->stalls);
-    json += ",\"garbled\":" + std::to_string(remote->garbled);
-    json +=
-        ",\"duplicatesDropped\":" + std::to_string(remote->duplicatesDropped);
-    json += "}";
-  }
   json += "}";
   return json;
 }
 
 /// One human-readable supervision line for the text report (the
 /// --stage-timings table's process-level sibling).
-void printProcsStats(const procs::ProcsStats& s,
-                     const procs::RemoteStats* remote = nullptr) {
+void printProcsStats(const procs::ProcsStats& s) {
   std::printf("  procs: %llu job(s), %llu worker(s) spawned/%llu reaped, "
               "%llu restart(s), %llu retrie(s), %llu kill(s), "
               "%llu degraded%s\n",
@@ -701,18 +638,6 @@ void printProcsStats(const procs::ProcsStats& s,
               static_cast<unsigned long long>(s.kills),
               static_cast<unsigned long long>(s.degradedJobs),
               s.degraded ? " [supervisor degraded]" : "");
-  if (remote != nullptr) {
-    std::printf("  remote: %llu/%llu host(s) dead, %llu/%llu job(s) "
-                "answered, %llu redispatch(es), %llu reconnect(s), "
-                "%llu degraded to local\n",
-                static_cast<unsigned long long>(remote->hostsDead),
-                static_cast<unsigned long long>(remote->hosts),
-                static_cast<unsigned long long>(s.remoteAnswered),
-                static_cast<unsigned long long>(s.remoteJobs),
-                static_cast<unsigned long long>(s.redispatches),
-                static_cast<unsigned long long>(remote->reconnects),
-                static_cast<unsigned long long>(s.remoteDegraded));
-  }
 }
 
 /// Renders the verdict cache's cumulative counters as one JSON object —
@@ -758,8 +683,7 @@ void printCacheStats(const cache::CacheStats& s) {
 int reportResult(const Options& opts, const core::AnalysisResult& result,
                  const core::PortfolioResult* race = nullptr,
                  const procs::ProcsStats* stats = nullptr,
-                 const cache::VerdictCache* cache = nullptr,
-                 const procs::RemoteStats* remote = nullptr) {
+                 const cache::VerdictCache* cache = nullptr) {
   const int code = exitCodeFor(result.verdict);
   if (opts.format == "json") {
     std::string json = "{\"verdict\":\"";
@@ -838,7 +762,6 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
           json += ",\"retries\":" + std::to_string(m.retries);
           json += ",\"restarts\":" + std::to_string(m.restarts);
           json += ",\"kills\":" + std::to_string(m.kills);
-          json += ",\"redispatches\":" + std::to_string(m.redispatches);
           json += ",\"degraded\":";
           json += m.degraded ? "true" : "false";
         }
@@ -847,7 +770,7 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       json += "]}";
     }
     if (stats != nullptr) {
-      json += ",\"procs\":" + procsJson(*stats, remote);
+      json += ",\"procs\":" + procsJson(*stats);
     }
     if (cache != nullptr) {
       json += ",\"cache\":" + cacheJson(cache->stats());
@@ -908,7 +831,7 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
     }
   }
   if (stats != nullptr && (opts.stageTimings || stats->jobs > 0)) {
-    printProcsStats(*stats, remote);
+    printProcsStats(*stats);
   }
   if (cache != nullptr) {
     const cache::CacheStats cs = cache->stats();
@@ -950,8 +873,7 @@ int sweepPointCode(const std::string& verdict) {
 
 int reportSweep(const Options& opts, const core::SweepResult& result,
                 const procs::ProcsStats* stats = nullptr,
-                const cache::VerdictCache* cache = nullptr,
-                const procs::RemoteStats* remote = nullptr) {
+                const cache::VerdictCache* cache = nullptr) {
   int code = kExitOk;
   auto rank = [](int c) {  // severity order, not numeric order
     switch (c) {
@@ -979,7 +901,7 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
       json += ",\"status\":\"interrupted\"";
     }
     if (stats != nullptr) {
-      json += ",\"procs\":" + procsJson(*stats, remote);
+      json += ",\"procs\":" + procsJson(*stats);
     }
     if (cache != nullptr) {
       json += ",\"cache\":" + cacheJson(cache->stats());
@@ -1004,7 +926,6 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
         json += ",\"retries\":" + std::to_string(p.retries);
         json += ",\"restarts\":" + std::to_string(p.restarts);
         json += ",\"kills\":" + std::to_string(p.kills);
-        json += ",\"redispatches\":" + std::to_string(p.redispatches);
         json += ",\"degraded\":";
         json += p.degraded ? "true" : "false";
       }
@@ -1034,7 +955,7 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
                 p.cached ? " [cached]" : "", p.query.c_str());
   }
   if (stats != nullptr && (opts.stageTimings || stats->jobs > 0)) {
-    printProcsStats(*stats, remote);
+    printProcsStats(*stats);
   }
   if (cache != nullptr) {
     const cache::CacheStats cs = cache->stats();
@@ -1387,22 +1308,10 @@ int run(const Options& opts) {
       sopts.toHorizon = opts.sweep->second;
       sopts.shards = opts.shards;
       sopts.verify = opts.command == "verify";
-      std::unique_ptr<procs::RemoteHostPool> remotePool;
       std::unique_ptr<procs::Supervisor> supervisor;
-      if (opts.isolate || !opts.connect.empty()) {
+      if (opts.isolate) {
         procs::SupervisorOptions svopts;
         svopts.maxRetries = opts.retries;
-        if (!opts.connect.empty()) {
-          // --connect rides the isolate job path: the remote tier is
-          // tried first, the local subprocess tier is the middle rung
-          // of the ladder (DESIGN.md §15).
-          procs::RemoteOptions ropts;
-          ropts.heartbeatMs = opts.heartbeatMs;
-          ropts.faultPlan = aopts.faultPlan;
-          remotePool = std::make_unique<procs::RemoteHostPool>(
-              opts.connect, std::move(ropts));
-          svopts.remotePool = remotePool.get();
-        }
         supervisor = std::make_unique<procs::Supervisor>(svopts);
         sopts.isolate = true;
         sopts.supervisor = supervisor.get();
@@ -1412,18 +1321,12 @@ int run(const Options& opts) {
       const auto result = sweep.run(
           queries, [&opts](int h) { return buildWorkloadAt(opts, h); }, sopts);
       procs::ProcsStats stats;
-      procs::RemoteStats remoteStats;
       if (supervisor) {
         supervisor->shutdownWorkers();
         stats = supervisor->stats();
       }
-      if (remotePool) {
-        remotePool->shutdown();
-        remoteStats = remotePool->stats();
-      }
       const int code = reportSweep(opts, result, supervisor ? &stats : nullptr,
-                                   verdictCache.get(),
-                                   remotePool ? &remoteStats : nullptr);
+                                   verdictCache.get());
       return procs::shutdownRequested() ? kExitInterrupted : code;
     }
     if (opts.race) {
@@ -1432,19 +1335,10 @@ int run(const Options& opts) {
       core::PortfolioOptions popts2;
       popts2.threads =
           opts.threads > 0 ? static_cast<std::size_t>(opts.threads) : 0;
-      std::unique_ptr<procs::RemoteHostPool> remotePool;
       std::unique_ptr<procs::Supervisor> supervisor;
-      if (opts.isolate || !opts.connect.empty()) {
+      if (opts.isolate) {
         procs::SupervisorOptions svopts;
         svopts.maxRetries = opts.retries;
-        if (!opts.connect.empty()) {
-          procs::RemoteOptions ropts;
-          ropts.heartbeatMs = opts.heartbeatMs;
-          ropts.faultPlan = aopts.faultPlan;
-          remotePool = std::make_unique<procs::RemoteHostPool>(
-              opts.connect, std::move(ropts));
-          svopts.remotePool = remotePool.get();
-        }
         supervisor = std::make_unique<procs::Supervisor>(svopts);
         popts2.isolate = true;
         popts2.supervisor = supervisor.get();
@@ -1455,19 +1349,13 @@ int run(const Options& opts) {
           opts.command == "verify" ? portfolio.verify(query, workload, popts2)
                                    : portfolio.check(query, workload, popts2);
       procs::ProcsStats stats;
-      procs::RemoteStats remoteStats;
       if (supervisor) {
         supervisor->shutdownWorkers();
         stats = supervisor->stats();
       }
-      if (remotePool) {
-        remotePool->shutdown();
-        remoteStats = remotePool->stats();
-      }
       const int code = reportResult(opts, pr.result, &pr,
                                     supervisor ? &stats : nullptr,
-                                    verdictCache.get(),
-                                    remotePool ? &remoteStats : nullptr);
+                                    verdictCache.get());
       return procs::shutdownRequested() ? kExitInterrupted : code;
     }
     backends::SolverBackend& backend = backendFor(opts, "z3");
@@ -1501,45 +1389,6 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     return procs::runWorker();
-  }
-
-  // Server mode (DESIGN.md §15), dispatched the same way: runs the worker
-  // loop over TCP connections for --connect clients. Only --listen (one,
-  // required) is meaningful here; anything else is a usage error.
-  if (argc >= 2 && std::strcmp(argv[1], "--serve") == 0) {
-    procs::ServeOptions serve;
-    bool haveListen = false;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--listen") == 0) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "buffy: missing value after --listen\n");
-          return kExitUsage;
-        }
-        if (haveListen) {
-          std::fprintf(stderr, "buffy: --listen given twice\n");
-          return kExitUsage;
-        }
-        std::string error;
-        const auto addr = procs::parseHostPort(argv[++i], &error);
-        if (!addr) {
-          std::fprintf(stderr, "buffy: --listen: %s\n", error.c_str());
-          return kExitUsage;
-        }
-        serve.listen = *addr;
-        haveListen = true;
-      } else {
-        std::fprintf(stderr,
-                     "buffy: --serve does not understand '%s' "
-                     "(usage: buffy --serve --listen ADDR:PORT)\n", argv[i]);
-        return kExitUsage;
-      }
-    }
-    if (!haveListen) {
-      std::fprintf(stderr,
-                   "buffy: --serve needs --listen ADDR:PORT\n");
-      return kExitUsage;
-    }
-    return procs::runServer(serve);
   }
 
   Options opts;

@@ -2,8 +2,8 @@
 # Rebuilds the Release benchmark tree (opt-bench preset) and refreshes ALL
 # committed benchmark JSONs in one run on one host, so the numbers in
 # BENCH_incremental.json, BENCH_opt.json, BENCH_portfolio.json,
-# BENCH_isolation.json, BENCH_cache.json, BENCH_remote.json, and
-# BENCH_frontend.json are always comparable:
+# BENCH_isolation.json, BENCH_cache.json, and BENCH_frontend.json are
+# always comparable:
 #
 #   tools/run_benches.sh
 #
@@ -11,9 +11,8 @@
 # (incremental beats fresh; optimizer verdict identity + speedup/reduction
 # threshold; sharded sweep >= 1.3x and race never slower than the serial
 # ladder; isolation overhead <= 1.15x with 100% availability under crash
-# storms; warm cache >= 5x with <= 2% cold overhead; loopback remote
-# sweep answers every point fault-free within 1.5x of --isolate), which
-# this script propagates (micro_frontend is a google-benchmark binary with no pass
+# storms; warm cache >= 5x with <= 2% cold overhead), which this script
+# propagates (micro_frontend is a google-benchmark binary with no pass
 # criterion of its own — it fails only on crash). After refreshing, each
 # JSON is schema-validated by tools/validate_bench.py so a formatting
 # regression in a benchmark's hand-written writer cannot land silently.
@@ -27,14 +26,13 @@ cd "$(dirname "$0")/.."
 # someone else's buffy processes.
 cleanup() {
   pkill -KILL -P $$ -f -- '--worker' 2>/dev/null || true
-  pkill -KILL -P $$ -f -- '--serve' 2>/dev/null || true
 }
 trap cleanup EXIT INT TERM
 
 cmake --preset opt-bench
 cmake --build --preset opt-bench -j "$(nproc)" \
   --target bench_incremental bench_opt bench_portfolio bench_isolation \
-           bench_cache bench_remote micro_frontend
+           bench_cache micro_frontend
 
 cd build-bench
 ./bench/bench_incremental
@@ -42,16 +40,14 @@ cd build-bench
 ./bench/bench_portfolio
 ./bench/bench_isolation
 ./bench/bench_cache
-./bench/bench_remote
 ./bench/micro_frontend --benchmark_out=BENCH_frontend.json \
   --benchmark_out_format=json
 
 cp BENCH_incremental.json BENCH_opt.json BENCH_portfolio.json \
-   BENCH_isolation.json BENCH_cache.json BENCH_remote.json \
-   BENCH_frontend.json ..
+   BENCH_isolation.json BENCH_cache.json BENCH_frontend.json ..
 cd ..
 echo "validating refreshed benchmark JSONs"
 python3 tools/validate_bench.py
 echo "refreshed BENCH_incremental.json, BENCH_opt.json," \
      "BENCH_portfolio.json, BENCH_isolation.json, BENCH_cache.json," \
-     "BENCH_remote.json, BENCH_frontend.json"
+     "BENCH_frontend.json"

@@ -53,14 +53,6 @@ SCHEMAS = {
         "answered": INT,
         "restarts": INT,
     },
-    "BENCH_remote.json": {
-        "name": str,
-        "mode": str,
-        "seconds": NUM,
-        "points": INT,
-        "answered": INT,
-        "redispatches": INT,
-    },
     "BENCH_cache.json": {
         "name": str,
         "mode": str,
