@@ -509,18 +509,18 @@ struct Analysis::Impl {
     recordAttempt(attempts, "initial", budget, sr);
 
     if (retryable(sr)) {
-      budget.randomSeed = options.retry.reseedSeed;
+      budget.randomSeed = RetryPolicy::kReseedSeed;
       sr = session.check(delta, budget);
       recordAttempt(attempts, "reseed", budget, sr);
     }
     if (retryable(sr) && (budget.timeoutMs || budget.rlimit)) {
-      const unsigned factor = std::max(1u, options.retry.escalateFactor);
+      const unsigned factor = RetryPolicy::kEscalateFactor;
       if (budget.timeoutMs) budget.timeoutMs = *budget.timeoutMs * factor;
       if (budget.rlimit) budget.rlimit = *budget.rlimit * factor;
       sr = session.check(delta, budget);
       recordAttempt(attempts, "escalate", budget, sr);
     }
-    if (retryable(sr) && options.retry.smtlibFallback) {
+    if (retryable(sr)) {
       // Last rung: a structurally different solve — render the standalone
       // problem as SMT-LIB2 text and reparse it into a fresh one-shot
       // solver, sidestepping the incremental session's accumulated state.

@@ -36,19 +36,21 @@ namespace buffy::core {
 /// The ladder runs at most four attempts per query:
 ///   initial -> reseed (fresh random seed) -> escalate (scaled budget)
 ///           -> smtlib (emit + reparse through a fresh one-shot solver).
-/// Cancelled queries (Analysis::interrupt) are never retried.
+/// The smtlib rung re-renders the whole problem as SMT-LIB2 and solves the
+/// reparse through a fresh solver — a different preprocessing pipeline that
+/// sidesteps incremental-session state entirely. It keeps the escalated
+/// budget. Cancelled queries (Analysis::interrupt) are never retried.
 struct RetryPolicy {
   bool enabled = true;
   /// Random seed for the reseed attempt (Z3's default seed is 0).
-  unsigned reseedSeed = 17;
-  /// Timeout/rlimit multiplier for the escalate attempt. The escalate rung
-  /// is skipped when the budget has neither a timeout nor an rlimit (there
-  /// is nothing to escalate).
-  unsigned escalateFactor = 4;
-  /// Final rung: re-render the whole problem as SMT-LIB2 and solve the
-  /// reparse through a fresh solver — a different preprocessing pipeline
-  /// that sidesteps incremental-session state entirely.
-  bool smtlibFallback = true;
+  static constexpr unsigned kReseedSeed = 17;
+  /// Timeout/rlimit multiplier for the escalate and smtlib attempts. The
+  /// escalate rung is skipped when the budget has neither a timeout nor an
+  /// rlimit (there is nothing to escalate).
+  static constexpr unsigned kEscalateFactor = 4;
+  /// Worst-case ladder time in units of the base timeout, when every rung
+  /// runs to its budget: initial + reseed + escalate + smtlib.
+  static constexpr unsigned kLadderBudgets = 1 + 1 + 2 * kEscalateFactor;
 };
 
 struct AnalysisOptions {

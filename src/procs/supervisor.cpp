@@ -211,15 +211,17 @@ int Supervisor::deadlineFor(const WireJob& job, unsigned attempt) const {
         scalePow(static_cast<unsigned>(options_.jobDeadlineMs),
                  options_.escalateFactor, attempt));
   }
-  // Derived: per-query solver timeout x queries x in-engine retry-ladder
-  // headroom (initial + reseed + 4x escalate + smtlib ~= 7x) + compile
-  // slack. The escalation for retry attempts is already baked into
-  // job.timeoutMs by run().
-  const unsigned perQuery = job.timeoutMs.value_or(120000);
+  // A job without a solver timeout (unset, or 0, which Z3 reads as "no
+  // timeout") may run as long as it does in-process: no deadline.
+  if (!job.timeoutMs || *job.timeoutMs == 0) return -1;
+  // Derived: per-query solver timeout x queries x the in-engine retry
+  // ladder's worst case + compile slack. The escalation for retry attempts
+  // is already baked into job.timeoutMs by run().
   const std::uint64_t queries = std::max<std::size_t>(1, job.queries.size());
-  const std::uint64_t ladder = job.retryEnabled ? 7 : 1;
-  const std::uint64_t ms = static_cast<std::uint64_t>(perQuery) * queries *
-                               ladder +
+  const std::uint64_t ladder =
+      job.retryEnabled ? core::RetryPolicy::kLadderBudgets : 1;
+  const std::uint64_t ms = static_cast<std::uint64_t>(*job.timeoutMs) *
+                               queries * ladder +
                            static_cast<std::uint64_t>(options_.deadlineSlackMs);
   return static_cast<int>(std::min<std::uint64_t>(ms, 0x7fffffff));
 }

@@ -43,7 +43,8 @@ struct SupervisorOptions {
   /// Timeout/rlimit multiplier applied per retry (budget escalation).
   unsigned escalateFactor = 2;
   /// Per-attempt wall-clock deadline; 0 derives one from the job's solver
-  /// budget (timeout x queries x ladder headroom + slack).
+  /// budget (timeout x queries x retry-ladder worst case + slack), or none
+  /// when the job has no solver timeout.
   int jobDeadlineMs = 0;
   int deadlineSlackMs = 2000;
   /// Respawn backoff: min(backoffCapMs, backoffBaseMs << attempt).

@@ -56,8 +56,7 @@ struct SynthesisOptions {
   /// Reuse one compiled encoding + incremental solver session per worker,
   /// re-binding each candidate as a workload delta (the fast path). When
   /// false, every candidate rebuilds the full pipeline in a fresh engine —
-  /// the pre-incremental behavior, kept for differential testing and the
-  /// fresh-vs-incremental benchmark.
+  /// the pre-incremental behavior, kept for differential testing.
   bool incremental = true;
   /// Concrete-interpreter prescreening: before any SMT call, simulate a
   /// small batch of sampled traces conforming to the candidate's workload.

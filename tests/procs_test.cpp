@@ -387,6 +387,56 @@ TEST(Supervisor, HangIsKilledAtDeadlineAndRetried) {
   EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
 }
 
+// Z3 reads a timeout of 0 as "no timeout", and so does the in-process
+// path; the supervisor must not invent a deadline for such a job and kill
+// a worker that is merely slow.
+TEST(Supervisor, ZeroTimeoutJobHasNoDeadline) {
+  procs::SupervisorOptions opts = workerOptions();
+  opts.deadlineSlackMs = 500;
+  procs::Supervisor sup(opts);
+  procs::WireJob job = faultedJob(backends::FaultAction::Kind::Delay);
+  job.faults[0].delayMs = 1000;  // twice the slack
+  job.timeoutMs = 0;
+  const procs::WireResult result = runNoFallback(sup, std::move(job));
+  sup.shutdownWorkers();
+  const procs::ProcsStats stats = sup.stats();
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.kills, 0u);
+  EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
+  ASSERT_EQ(result.verdicts.size(), 1u);
+  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+}
+
+// The derived deadline covers the in-engine retry ladder at its worst:
+// every rung ends Unknown after exactly its own budget, T + T + 4T + 4T
+// (the smtlib rung keeps the escalated budget). The first worker must be
+// left to answer UNKNOWN, not killed and the whole ladder rerun.
+TEST(Supervisor, DeadlineCoversTheWholeRetryLadder) {
+  procs::Supervisor sup(workerOptions());
+  const unsigned base = 1000;
+  const unsigned escalated = base * core::RetryPolicy::kEscalateFactor;
+  // initial, reseed, escalate, smtlib
+  const unsigned rungMs[] = {base, base, escalated, escalated};
+  procs::WireJob job = faultedJob(backends::FaultAction::Kind::ForceUnknown);
+  job.timeoutMs = base;
+  const procs::WireFault unknown = job.faults[0];
+  job.faults.assign(std::size(rungMs), unknown);
+  for (std::size_t nth = 0; nth < job.faults.size(); ++nth) {
+    job.faults[nth].nth = nth;
+    job.faults[nth].delayMs = rungMs[nth];
+  }
+  const procs::WireResult result = runNoFallback(sup, std::move(job));
+  sup.shutdownWorkers();
+  const procs::ProcsStats stats = sup.stats();
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.kills, 0u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
+  ASSERT_EQ(result.verdicts.size(), 1u);
+  EXPECT_EQ(result.verdicts[0].verdict, "UNKNOWN");
+  EXPECT_EQ(result.verdicts[0].attempts.size(), 4u);
+}
+
 TEST(Supervisor, GarbledFrameIsKilledAndRetried) {
   procs::Supervisor sup(workerOptions());
   const procs::WireResult result = runNoFallback(

@@ -57,7 +57,8 @@
 //                         (default 2, max 1024)
 //   --first-only          synth: stop at the first solution
 //   --no-prescreen        synth: disable concrete-interpreter prescreening
-//   --timeout MS          solver timeout (default 120000)
+//   --timeout MS          solver timeout (default 120000; 0 means no
+//                         timeout, and no --isolate deadline)
 //   --rlimit N            Z3 resource limit per query (deterministic)
 //   --max-memory MB       solver memory cap
 //   --no-retry            disable the Unknown retry/escalation ladder
