@@ -131,8 +131,8 @@ int main() {
 
   // No-starvation sweep (fixed FQ) is bounded at every horizon, so it runs
   // through the sharded HorizonSweep (DESIGN.md §12): horizons claimed
-  // dynamically by workers, one compiled engine + incremental session per
-  // horizon shared by the queries there.
+  // dynamically by workers, one compiled engine per horizon shared by the
+  // queries there.
   {
     std::printf("property: no-starvation (fixed FQ), sharded sweep\n");
     core::AnalysisOptions opts;
@@ -155,8 +155,8 @@ int main() {
                   p.verdict.c_str(), p.solveSeconds, p.shard);
       shapeOk = shapeOk && p.verdict == "VERIFIED";
     }
-    std::printf("  (%zu shards, %zu incremental queries, %.3f s total)\n",
-                result.shards, result.incrementalQueries, result.seconds);
+    std::printf("  (%zu shards, %.3f s total)\n", result.shards,
+                result.seconds);
     std::printf("\n");
   }
 

@@ -28,18 +28,17 @@ core::Trace SolverBackend::simulate(core::Analysis&,
 
 namespace {
 
-/// The default engine: incremental Z3 session with the retry ladder and
+/// The default engine: one-shot native Z3 solves with the retry ladder and
 /// witness replay (DESIGN.md §8).
 class Z3RegistryBackend final : public SolverBackend {
  public:
   [[nodiscard]] const char* name() const override { return "z3"; }
   [[nodiscard]] const char* description() const override {
-    return "incremental Z3 session (retry ladder, witness replay)";
+    return "one-shot native Z3 solve (retry ladder, witness replay)";
   }
   [[nodiscard]] BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
     caps.solve = true;
-    caps.incrementalSessions = true;
     caps.witnessExtraction = true;
     return caps;
   }

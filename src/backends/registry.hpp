@@ -1,7 +1,7 @@
 // Backend registry (DESIGN.md §11): back-end selection as data.
 //
-// Every way Buffy can discharge (or render) an analysis problem — the Z3
-// incremental engine, the SMT-LIB2 emit+reparse path, the Dafny text
+// Every way Buffy can discharge (or render) an analysis problem — the
+// native Z3 engine, the SMT-LIB2 emit+reparse path, the Dafny text
 // emitter, and the concrete interpreter — registers a SolverBackend with
 // capability flags. Callers (the CLI's --backend flag, a future portfolio
 // mode) look backends up by name and validate capabilities instead of
@@ -21,8 +21,6 @@ namespace buffy::backends {
 struct BackendCapabilities {
   /// Answers check/verify queries with a Verdict.
   bool solve = false;
-  /// Keeps a persistent incremental solver session across queries.
-  bool incrementalSessions = false;
   /// Produces concrete witness/counterexample traces on Sat.
   bool witnessExtraction = false;
   /// Renders the problem as text (SMT-LIB2 script, Dafny method).

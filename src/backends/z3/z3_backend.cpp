@@ -27,7 +27,8 @@ void applyBudget(z3::solver& solver, const SolveBudget& budget) {
   solver.set(params);
 }
 
-/// Best-effort read of the solver's cumulative "rlimit count" statistic.
+/// Best-effort read of the "rlimit count" statistic: the running total of
+/// the solver's Z3 context, not of one check.
 std::uint64_t readRlimit(z3::solver& solver) {
   try {
     const z3::stats stats = solver.statistics();
@@ -44,9 +45,28 @@ std::uint64_t readRlimit(z3::solver& solver) {
   return 0;
 }
 
-bool reasonMeansCanceled(const std::string& reason) {
+/// Z3 reports a budget that runs out inside a preprocessing tactic or the
+/// smt kernel's search as "canceled". Only interrupt() cancels a query, so
+/// when the backend's own flag is clear such a reason means the budget was
+/// exhausted.
+bool saysCanceled(const std::string& reason) {
   return reason.find("cancel") != std::string::npos ||
          reason.find("interrupt") != std::string::npos;
+}
+
+/// The reason reported for an exhausted budget (Z3's own text for an
+/// rlimit).
+std::string exhaustedReason(const SolveBudget& budget) {
+  if (budget.rlimit) return "max. resource limit exceeded";
+  return budget.timeoutMs ? "timeout" : "resource limit exceeded";
+}
+
+/// A fresh solver running the one-shot preprocessing pipeline.
+z3::solver preprocessingSolver(z3::context& ctx) {
+  const z3::tactic pipeline =
+      z3::tactic(ctx, "simplify") & z3::tactic(ctx, "propagate-values") &
+      z3::tactic(ctx, "solve-eqs") & z3::tactic(ctx, "smt");
+  return pipeline.mk_solver();
 }
 
 SolveResult canceledResult() {
@@ -75,12 +95,6 @@ struct Z3Backend::Impl {
   FaultPlanPtr faultPlan;
   std::string faultScope;
   std::map<std::string, std::size_t> faultCounters;
-
-  /// Memoized lowering shared with the CHC backend.
-  z3::expr lower(ir::TermRef root,
-                 std::unordered_map<const ir::Term*, z3::expr>& memo) {
-    return lowerTerm(ctx, root, memo);
-  }
 
   /// Consumes the next fault slot for the current scope. Returns the
   /// injected action, if any. ForceUnknown and Throw are handled here;
@@ -125,9 +139,10 @@ struct Z3Backend::Impl {
 
   /// Runs solver.check() under the cancellation protocol and extracts the
   /// result. May be cancelled from another thread at any point.
-  SolveResult runSolver(z3::solver& solver, std::uint64_t rlimitBefore) {
+  SolveResult runSolver(z3::solver& solver, const SolveBudget& budget) {
     SolveResult result;
     if (cancelled.load()) return canceledResult();
+    const std::uint64_t rlimitBefore = readRlimit(solver);
 
     const auto start = std::chrono::steady_clock::now();
     z3::check_result status = z3::unknown;
@@ -144,7 +159,7 @@ struct Z3Backend::Impl {
         solving = false;
       }
       if (cancelled.load()) return canceledResult();
-      throw BackendError(std::string("z3: ") + e.msg());
+      throw;
     }
     {
       const std::lock_guard<std::mutex> lock(interruptMutex);
@@ -154,7 +169,7 @@ struct Z3Backend::Impl {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     // readRlimit returns 0 when the statistic is unavailable; clamp so the
-    // delta never wraps when rlimitBefore reflects earlier session queries.
+    // delta never wraps.
     const std::uint64_t rlimitNow = readRlimit(solver);
     result.rlimitUsed = rlimitNow > rlimitBefore ? rlimitNow - rlimitBefore : 0;
 
@@ -184,105 +199,47 @@ struct Z3Backend::Impl {
         break;
       case z3::unknown:
         result.status = SolveStatus::Unknown;
+        if (cancelled.load()) return canceledResult();
         result.reason = solver.reason_unknown();
-        if (cancelled.load() || reasonMeansCanceled(result.reason)) {
-          result.canceled = true;
+        if (saysCanceled(result.reason)) {
+          result.reason = exhaustedReason(budget);
         }
         break;
     }
     return result;
   }
-};
 
-// ---------------------------------------------------------------------------
-// Session
-// ---------------------------------------------------------------------------
-
-struct Z3Backend::Session::Impl {
-  Z3Backend::Impl* backend;
-  z3::solver solver;
-  SolveBudget defaultBudget;
-  /// Persists across queries: terms lowered for one query are reused by
-  /// every later query on the same arena.
-  std::unordered_map<const ir::Term*, z3::expr> memo;
-  std::size_t queries = 0;
-  /// Cumulative "rlimit count" after the previous query, for per-query
-  /// consumption deltas.
-  std::uint64_t rlimitSeen = 0;
-
-  explicit Impl(Z3Backend::Impl* b) : backend(b), solver(b->ctx) {}
-
-  void assertAll(std::span<const ir::TermRef> constraints) {
-    for (const ir::TermRef c : constraints) {
-      if (c->sort != ir::Sort::Bool) {
-        throw BackendError("constraint is not boolean");
-      }
-      solver.add(backend->lower(c, memo));
+  /// The query protocol shared by check and checkSmtLib: consumes the next
+  /// fault slot, then runs the solver `load` returns with the problem
+  /// asserted. A z3 exception that reports an exhausted budget is an
+  /// Unknown answer, not an error.
+  template <typename Load>
+  SolveResult oneShot(const SolveBudget& budget, const char* errorPrefix,
+                      const Load& load) {
+    if (cancelled.load()) return canceledResult();
+    SolveResult injected;
+    const auto fault = consumeFault(&injected);
+    if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
+      return injected;
     }
-  }
-};
-
-Z3Backend::Session::Session(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-
-Z3Backend::Session::~Session() = default;
-
-void Z3Backend::Session::assertBase(
-    std::span<const ir::TermRef> constraints) {
-  try {
-    impl_->assertAll(constraints);
-  } catch (const z3::exception& e) {
-    if (impl_->backend->cancelled.load()) return;  // engine is being torn down
-    throw BackendError(std::string("z3: ") + e.msg());
-  }
-}
-
-SolveResult Z3Backend::Session::check(
-    std::span<const ir::TermRef> extra,
-    const std::optional<SolveBudget>& budget) {
-  Z3Backend::Impl* backend = impl_->backend;
-  if (backend->cancelled.load()) return canceledResult();
-
-  SolveResult injected;
-  const auto fault = backend->consumeFault(&injected);
-  if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
-    ++impl_->queries;
-    return injected;
-  }
-
-  try {
-    applyBudget(impl_->solver, budget.value_or(impl_->defaultBudget));
-    impl_->solver.push();
-    SolveResult result;
     try {
-      impl_->assertAll(extra);
-      result = backend->runSolver(impl_->solver, impl_->rlimitSeen);
-    } catch (...) {
-      impl_->solver.pop();
-      throw;
+      z3::solver solver = load();
+      SolveResult result = runSolver(solver, budget);
+      if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
+        result.corruptWitness = true;
+      }
+      return result;
+    } catch (const z3::exception& e) {
+      if (cancelled.load()) return canceledResult();
+      if (!saysCanceled(e.msg())) {
+        throw BackendError(std::string(errorPrefix) + e.msg());
+      }
+      SolveResult result;
+      result.reason = exhaustedReason(budget);
+      return result;
     }
-    impl_->solver.pop();
-    impl_->rlimitSeen += result.rlimitUsed;
-    ++impl_->queries;
-    if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
-      result.corruptWitness = true;
-    }
-    return result;
-  } catch (const z3::exception& e) {
-    // A cancellation racing with lowering/push/pop surfaces as a z3
-    // "canceled" exception rather than an unknown check result.
-    if (backend->cancelled.load() || reasonMeansCanceled(e.msg())) {
-      return canceledResult();
-    }
-    throw BackendError(std::string("z3: ") + e.msg());
   }
-}
-
-std::size_t Z3Backend::Session::queryCount() const { return impl_->queries; }
-
-std::size_t Z3Backend::Session::loweredTermCount() const {
-  return impl_->memo.size();
-}
+};
 
 // ---------------------------------------------------------------------------
 // Backend
@@ -291,59 +248,25 @@ std::size_t Z3Backend::Session::loweredTermCount() const {
 Z3Backend::Z3Backend() : impl_(std::make_unique<Impl>()) {}
 Z3Backend::~Z3Backend() = default;
 
-std::unique_ptr<Z3Backend::Session> Z3Backend::openSession(
-    std::span<const ir::TermRef> base, SolveBudget budget) {
-  try {
-    auto impl = std::make_unique<Session::Impl>(impl_.get());
-    impl->defaultBudget = budget;
-    applyBudget(impl->solver, budget);
-    impl->assertAll(base);
-    return std::unique_ptr<Session>(new Session(std::move(impl)));
-  } catch (const z3::exception& e) {
-    throw BackendError(std::string("z3: ") + e.msg());
-  }
-}
-
 SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
                              SolveBudget budget) {
-  if (impl_->cancelled.load()) return canceledResult();
-  SolveResult injected;
-  const auto fault = impl_->consumeFault(&injected);
-  if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
-    return injected;
-  }
-  try {
-    z3::solver solver(impl_->ctx);
+  return impl_->oneShot(budget, "z3: ", [&] {
+    z3::solver solver = preprocessingSolver(impl_->ctx);
     applyBudget(solver, budget);
     std::unordered_map<const ir::Term*, z3::expr> memo;
     for (const ir::TermRef c : constraints) {
       if (c->sort != ir::Sort::Bool) {
         throw BackendError("constraint is not boolean");
       }
-      solver.add(impl_->lower(c, memo));
+      solver.add(lowerTerm(impl_->ctx, c, memo));
     }
-    SolveResult result = impl_->runSolver(solver, 0);
-    if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
-      result.corruptWitness = true;
-    }
-    return result;
-  } catch (const z3::exception& e) {
-    if (impl_->cancelled.load() || reasonMeansCanceled(e.msg())) {
-      return canceledResult();
-    }
-    throw BackendError(std::string("z3: ") + e.msg());
-  }
+    return solver;
+  });
 }
 
 SolveResult Z3Backend::checkSmtLib(const std::string& smtlib,
                                    SolveBudget budget) {
-  if (impl_->cancelled.load()) return canceledResult();
-  SolveResult injected;
-  const auto fault = impl_->consumeFault(&injected);
-  if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
-    return injected;
-  }
-  try {
+  return impl_->oneShot(budget, "z3 (smtlib parse): ", [&] {
     z3::solver solver(impl_->ctx);
     applyBudget(solver, budget);
     const z3::expr_vector assertions =
@@ -351,17 +274,8 @@ SolveResult Z3Backend::checkSmtLib(const std::string& smtlib,
     for (unsigned i = 0; i < assertions.size(); ++i) {
       solver.add(assertions[i]);
     }
-    SolveResult result = impl_->runSolver(solver, 0);
-    if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
-      result.corruptWitness = true;
-    }
-    return result;
-  } catch (const z3::exception& e) {
-    if (impl_->cancelled.load() || reasonMeansCanceled(e.msg())) {
-      return canceledResult();
-    }
-    throw BackendError(std::string("z3 (smtlib parse): ") + e.msg());
-  }
+    return solver;
+  });
 }
 
 void Z3Backend::interrupt() {

@@ -2,13 +2,12 @@
 // the native Z3 C++ API (the paper's primary backend, §4) and runs
 // satisfiability / verification queries.
 //
-// Two usage modes:
-//  * one-shot check() — lower + solve from scratch (ablations, simple uses);
-//  * a persistent Session — one z3::solver plus a lowering memo that live
-//    across queries. Base constraints (the encoding's assumptions and
-//    soundness conditions) are asserted once; each query is answered inside
-//    a push()/pop() frame, so the solver reuses both the lowered AST and
-//    the lemmas it learned from earlier queries on the same encoding.
+// Every query is a one-shot solve: check() lowers the constraints into a
+// fresh solver built from the tactic pipeline
+//   simplify -> propagate-values -> solve-eqs -> smt
+// so Z3's preprocessing runs over the whole (query-specialized) problem.
+// checkSmtLib() reparses SMT-LIB2 text into Z3's default solver — a
+// structurally different solve, used as the last rung of the retry ladder.
 //
 // Resilience (DESIGN.md §8): every query runs under a SolveBudget
 // (wall-clock timeout, Z3 rlimit, memory cap, random seed), queries can be
@@ -67,12 +66,13 @@ struct SolveResult {
   double seconds = 0.0;
   /// Z3's reason when status == Unknown (e.g. "timeout").
   std::string reason;
-  /// Z3 resource units consumed by this query (delta of the solver's
-  /// "rlimit count" statistic; best-effort, 0 when unavailable).
+  /// Z3 resource units consumed by this query alone (the context's
+  /// "rlimit count" statistic across the check; best-effort, 0 when
+  /// unavailable).
   std::uint64_t rlimitUsed = 0;
   /// True when status == Unknown because the query was cancelled via
-  /// interrupt() rather than because the solver gave up — retry ladders
-  /// must not re-run cancelled queries.
+  /// interrupt() rather than because the solver gave up or ran out of
+  /// budget — retry ladders must not re-run cancelled queries.
   bool canceled = false;
   /// Test-only fault-injection tag (FaultAction::Kind::CorruptWitness):
   /// instructs the analysis layer to perturb the extracted witness trace
@@ -82,54 +82,13 @@ struct SolveResult {
 
 class Z3Backend {
  public:
-  /// A persistent incremental solving session. Must not outlive the
-  /// Z3Backend that created it (it borrows the backend's z3::context), and
-  /// must not be used from a different thread than other sessions of the
-  /// same backend — Z3 contexts are not thread-safe. Use one Z3Backend per
-  /// thread for parallel solving. (interrupt() on the owning backend is the
-  /// one deliberate exception: it may be called from any thread.)
-  class Session {
-   public:
-    ~Session();
-    Session(const Session&) = delete;
-    Session& operator=(const Session&) = delete;
-
-    /// Asserts constraints permanently (for the lifetime of the session).
-    void assertBase(std::span<const ir::TermRef> constraints);
-
-    /// Checks base ∧ extra. The extra constraints are asserted inside a
-    /// push()/pop() frame and retracted before returning, so the next
-    /// query starts again from the base. `budget` overrides the session
-    /// default for this query only (the effective budget is re-applied on
-    /// every check, so an escalated timeout does not leak into the next
-    /// query).
-    SolveResult check(std::span<const ir::TermRef> extra,
-                      const std::optional<SolveBudget>& budget = std::nullopt);
-
-    /// Number of check() calls answered so far.
-    [[nodiscard]] std::size_t queryCount() const;
-    /// Number of terms lowered into this session's memo so far.
-    [[nodiscard]] std::size_t loweredTermCount() const;
-
-   private:
-    friend class Z3Backend;
-    struct Impl;
-    explicit Session(std::unique_ptr<Impl> impl);
-    std::unique_ptr<Impl> impl_;
-  };
-
   Z3Backend();
   ~Z3Backend();
   Z3Backend(const Z3Backend&) = delete;
   Z3Backend& operator=(const Z3Backend&) = delete;
 
-  /// Opens a persistent session. The budget (if any) is the default for
-  /// every query answered by the session.
-  std::unique_ptr<Session> openSession(std::span<const ir::TermRef> base = {},
-                                       SolveBudget budget = {});
-
   /// Checks satisfiability of the conjunction of `constraints` (one-shot:
-  /// fresh solver, fresh lowering).
+  /// fresh preprocessing solver, fresh lowering).
   SolveResult check(std::span<const ir::TermRef> constraints,
                     SolveBudget budget = {});
 
@@ -150,8 +109,8 @@ class Z3Backend {
   [[nodiscard]] bool interrupted() const;
 
   /// Installs the test-only fault-injection plan (see fault_plan.hpp).
-  /// Pass nullptr to clear. Faults are consumed by check / Session::check /
-  /// checkSmtLib in order, counted per scope.
+  /// Pass nullptr to clear. Faults are consumed by check / checkSmtLib in
+  /// order, counted per scope.
   void setFaultPlan(FaultPlanPtr plan);
   /// Names the scope for subsequent checks' fault lookups (default "").
   void setFaultScope(std::string scope);

@@ -84,7 +84,7 @@ struct CacheKeyParts {
   std::string query;
   int horizon = 0;
   bool forVerify = false;
-  std::string backend;  // "z3" (incremental session) or "smtlib"
+  std::string backend;  // "z3" (native one-shot) or "smtlib"
   int model = 0;        // static_cast<int>(buffers::ModelKind)
   bool symbolicInitialState = false;
 };

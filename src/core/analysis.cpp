@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ctime>
-#include <unordered_set>
 
 #include "ir/term_eval.hpp"
 #include "ir/term_hash.hpp"
@@ -74,20 +73,9 @@ struct Analysis::Impl {
   bool workloadLocked = false;
   backends::Z3Backend solver;
   std::unique_ptr<Encoding> encoding;
-  /// Persistent incremental solver session over the encoding's structural
-  /// constraints (assumptions + soundness). Each check/verify is answered
-  /// inside a push/pop frame carrying only the workload delta + query, so
-  /// the lowered AST and learned lemmas are shared across queries.
-  std::unique_ptr<backends::Z3Backend::Session> session;
   /// Encoding optimizer (DESIGN.md §9), built lazily from the encoding's
-  /// structural constraints. With the optimizer on, the session starts
-  /// empty and accumulates the union of the per-query slices — asserting a
-  /// superset of a slice is always sound (every piece is part of the
-  /// original problem), and the union grows monotonically as sessions
-  /// require.
+  /// structural constraints; it plans each query's specialized problem.
   std::unique_ptr<opt::Optimizer> optimizer;
-  /// Structural assertions already asserted into the session.
-  std::unordered_set<ir::TermRef> assertedStructural;
   /// Canonical structural hasher for cache keys. Memoizes per term, and
   /// every term this engine hashes lives in the one encoding arena, so
   /// one hasher per engine is sound.
@@ -143,21 +131,6 @@ struct Analysis::Impl {
     return budget;
   }
 
-  /// The persistent session carries the structural constraints; everything
-  /// per-query (workload delta + query term) travels through queryDelta.
-  /// With the optimizer enabled the base is asserted per query (only the
-  /// slice each query needs, newly-required pieces only).
-  backends::Z3Backend::Session& ensureSession(Encoding& enc) {
-    if (!session) {
-      session = solver.openSession({}, baseBudget());
-      if (!options.opt.enabled) {
-        session->assertBase(enc.assumptions);
-        session->assertBase(enc.soundness);
-      }
-    }
-    return *session;
-  }
-
   opt::Optimizer& ensureOptimizer(Encoding& enc) {
     if (!optimizer) {
       std::vector<ir::TermRef> structural = enc.assumptions;
@@ -202,9 +175,8 @@ struct Analysis::Impl {
   /// One query's solvable forms: the raw workload+query delta and the
   /// content-addressed cache key, derived first (planned=false), then —
   /// only when the cache does not answer — the optimizer plan and the
-  /// standalone constraint set the text-emission paths render
-  /// (finishKeyed). The key is empty when no cache is configured or no
-  /// backend id was given.
+  /// standalone constraint set every solve path runs (finishKeyed). The
+  /// key is empty when no cache is configured or no backend id was given.
   struct Keyed {
     std::vector<ir::TermRef> delta;
     std::optional<opt::Optimizer::Plan> plan;
@@ -213,8 +185,8 @@ struct Analysis::Impl {
     bool planned = false;
   };
 
-  /// `backend` names the solve path for key derivation ("z3" incremental
-  /// session / "smtlib" emission+reparse); nullptr skips key derivation
+  /// `backend` names the solve path for key derivation ("z3" native
+  /// one-shot / "smtlib" emission+reparse); nullptr skips key derivation
   /// (pure problem construction, e.g. toSmtLib export).
   ///
   /// The key hashes the PRE-optimizer problem (encoding structural sets +
@@ -480,50 +452,35 @@ struct Analysis::Impl {
   AnalysisResult solveQuery(const Query& query, bool forVerify) {
     Encoding& enc = ensureEncoding();
     Keyed keyed = keyedProblem(query, forVerify, enc, "z3");
-    // The cache is consulted before any solver session exists AND before
-    // the optimizer plans: a warm process answers without lowering terms
-    // into Z3 or planning a slice.
+    // The cache is consulted before any solver runs AND before the
+    // optimizer plans: a warm process answers without lowering terms into
+    // Z3 or planning a slice.
     if (auto hit = tryCacheHit(keyed.key, enc, forVerify)) return *hit;
     finishKeyed(keyed, enc);
 
-    auto& session = ensureSession(enc);
-    std::vector<ir::TermRef> delta = keyed.delta;
-    std::optional<opt::Optimizer::Plan>& planned = keyed.plan;
-    if (planned) {
-      // Assert the structural constraints this query's slice needs and the
-      // session does not hold yet (the session's base is the monotone
-      // union of the query slices). The session-safe set is used — never
-      // the query-specialized one, which is only valid under this query's
-      // delta bounds.
-      std::vector<ir::TermRef> fresh;
-      for (const ir::TermRef t : planned->sessionStructural) {
-        if (assertedStructural.insert(t).second) fresh.push_back(t);
-      }
-      if (!fresh.empty()) session.assertBase(fresh);
-      delta = planned->delta;
-    }
-
+    // Every native rung is a one-shot solve of the query-specialized
+    // problem.
     std::vector<SolveAttempt> attempts;
     backends::SolveBudget budget = baseBudget();
-    backends::SolveResult sr = session.check(delta, budget);
+    backends::SolveResult sr = solver.check(keyed.standalone, budget);
     recordAttempt(attempts, "initial", budget, sr);
 
     if (retryable(sr)) {
       budget.randomSeed = RetryPolicy::kReseedSeed;
-      sr = session.check(delta, budget);
+      sr = solver.check(keyed.standalone, budget);
       recordAttempt(attempts, "reseed", budget, sr);
     }
     if (retryable(sr) && (budget.timeoutMs || budget.rlimit)) {
       const unsigned factor = RetryPolicy::kEscalateFactor;
       if (budget.timeoutMs) budget.timeoutMs = *budget.timeoutMs * factor;
       if (budget.rlimit) budget.rlimit = *budget.rlimit * factor;
-      sr = session.check(delta, budget);
+      sr = solver.check(keyed.standalone, budget);
       recordAttempt(attempts, "escalate", budget, sr);
     }
     if (retryable(sr)) {
       // Last rung: a structurally different solve — render the standalone
-      // problem as SMT-LIB2 text and reparse it into a fresh one-shot
-      // solver, sidestepping the incremental session's accumulated state.
+      // problem as SMT-LIB2 text and reparse it into Z3's default solver
+      // instead of the preprocessing pipeline.
       backends::SmtLibOptions sopts;
       sopts.checkSat = false;  // the reparsing solver issues its own check
       const std::string text = backends::emitSmtLib(keyed.standalone, sopts);
@@ -531,9 +488,9 @@ struct Analysis::Impl {
       recordAttempt(attempts, "smtlib", budget, sr);
     }
 
-    if (planned) completeModel(sr, *planned);
+    if (keyed.plan) completeModel(sr, *keyed.plan);
     AnalysisResult result = finish(enc, sr, forVerify);
-    if (planned) result.opt = std::move(planned->stats);
+    if (keyed.plan) result.opt = std::move(keyed.plan->stats);
     result.attempts = std::move(attempts);
     result.solveSeconds = 0.0;
     for (const auto& attempt : result.attempts) {
@@ -702,10 +659,6 @@ std::optional<AnalysisResult> Analysis::probeCache(const Query& query,
     if (auto hit = impl_->tryCacheHit(keyed.key, enc, forVerify)) return hit;
   }
   return std::nullopt;
-}
-
-std::size_t Analysis::incrementalQueries() const {
-  return impl_->session ? impl_->session->queryCount() : 0;
 }
 
 void Analysis::interrupt() { impl_->solver.interrupt(); }

@@ -35,11 +35,13 @@ namespace buffy::core {
 /// What the engine does when the solver returns Unknown (DESIGN.md §8).
 /// The ladder runs at most four attempts per query:
 ///   initial -> reseed (fresh random seed) -> escalate (scaled budget)
-///           -> smtlib (emit + reparse through a fresh one-shot solver).
-/// The smtlib rung re-renders the whole problem as SMT-LIB2 and solves the
-/// reparse through a fresh solver — a different preprocessing pipeline that
-/// sidesteps incremental-session state entirely. It keeps the escalated
-/// budget. Cancelled queries (Analysis::interrupt) are never retried.
+///           -> smtlib (emit + reparse through Z3's default solver).
+/// The first three rungs are one-shot solves of the query-specialized
+/// problem through the preprocessing solver (Z3Backend::check). The smtlib
+/// rung re-renders that problem as SMT-LIB2 and solves the reparse through
+/// Z3's default solver — a structurally different solve. It keeps the
+/// escalated budget. Cancelled queries (Analysis::interrupt) are never
+/// retried.
 struct RetryPolicy {
   bool enabled = true;
   /// Random seed for the reseed attempt (Z3's default seed is 0).
@@ -103,8 +105,8 @@ struct AnalysisOptions {
   CompileBudget budget;
   /// Content-addressed verdict cache (DESIGN.md §14). When set, every
   /// check/verify/solveViaSmtLib derives a canonical key from the
-  /// post-optimizer constraint set and consults the cache before opening a
-  /// solver session; conclusive, non-canceled verdicts are stored back.
+  /// pre-optimizer constraint set and consults the cache before running
+  /// the solver; conclusive, non-canceled verdicts are stored back.
   /// Shared (it is thread-safe) across every engine of a run — sweep
   /// points, race members, synth workers — and, via its disk tier, across
   /// processes. Null disables caching entirely.
@@ -179,7 +181,7 @@ struct AnalysisResult {
   /// rows, snapshotted when the query finished.
   pipeline::PipelineStats pipeline;
   /// True when this result was answered from the verdict cache (no solver
-  /// session was opened; solveSeconds is 0 and attempts is empty).
+  /// ran; solveSeconds is 0 and attempts is empty).
   bool cached = false;
   /// The content-addressed cache key this query mapped to (set whenever a
   /// cache is configured, hit or miss). Workers report it so the
@@ -219,11 +221,11 @@ class Analysis {
 
   /// Re-binds the traffic assumptions on an already-built encoding as a
   /// *delta*: the compiled instances, the unrolled term arena, and the
-  /// incremental solver session are all kept; only the workload constraint
-  /// set is recomputed against the existing arrival variables. This is
-  /// what makes candidate enumeration (synth) O(candidates × solve)
-  /// instead of O(candidates × full pipeline). Builds the encoding if it
-  /// does not exist yet.
+  /// optimizer's shared interval and rewrite memos are all kept; only the
+  /// workload constraint set is recomputed against the existing arrival
+  /// variables. This is what makes candidate enumeration (synth)
+  /// O(candidates × solve) instead of O(candidates × full pipeline).
+  /// Builds the encoding if it does not exist yet.
   void rebindWorkload(Workload workload);
 
   /// FPerf-style: find a trace satisfying assumptions ∧ query.
@@ -232,16 +234,12 @@ class Analysis {
   AnalysisResult verify(const Query& query);
 
   /// Cache-only probe: derives the query's cache key (building the
-  /// encoding and optimizer plan if needed) and returns the cached result
-  /// on a hit, nullopt on a miss — without ever opening a solver session.
+  /// encoding if needed) and returns the cached result on a hit, nullopt on
+  /// a miss — without ever running the solver.
   /// The portfolio uses this to short-circuit a whole race. Nullopt when
   /// no cache is configured.
   std::optional<AnalysisResult> probeCache(const Query& query,
                                            bool forVerify);
-
-  /// Number of queries answered by the persistent incremental solver
-  /// session (0 until the first check/verify).
-  [[nodiscard]] std::size_t incrementalQueries() const;
 
   /// Cooperative cancellation, callable from ANY thread (the engine's only
   /// thread-safe entry point). Cancels the in-flight solver query and

@@ -32,7 +32,7 @@ class Encoding {
   std::vector<ir::TermRef> soundness;
   /// Workload constraints, kept apart from the structural `assumptions` so
   /// a new workload can be re-bound onto this encoding as a delta (the
-  /// compiled instances, term arena, and solver session all survive).
+  /// compiled instances and term arena survive).
   std::vector<ir::TermRef> workloadTerms;
   std::map<std::string, std::vector<ArrivalVars>> arrivalVars;
   std::map<std::string, std::vector<ir::TermRef>> series;

@@ -1,6 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -30,7 +29,6 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
   SweepResult result;
   result.shards = opts.shards == 0 ? 1 : opts.shards;
   result.points.resize(horizons * q);
-  std::atomic<std::size_t> incremental{0};
 
   const auto start = std::chrono::steady_clock::now();
 
@@ -73,8 +71,8 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
     try {
       if (isolate) {
         // Ship the horizon's whole query batch to one worker: the worker
-        // builds one engine + one incremental session per horizon, the
-        // same amortization as the in-process body below.
+        // builds one engine per horizon, the same amortization as the
+        // in-process body below.
         const procs::Supervisor::JobPtr handle =
             opts.supervisor->createJob();
         const jobs::ScopedInterrupt guard(ctx,
@@ -125,7 +123,6 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
             procs::populateCache(*options_.cache, wv);
           }
         }
-        incremental.fetch_add(reply.incrementalQueries);
       } else {
         AnalysisOptions o = options_;
         o.horizon = horizon;
@@ -148,7 +145,6 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
           points[i].canceled = r.canceled;
           points[i].cached = r.cached;
         }
-        incremental.fetch_add(engine.incrementalQueries());
       }
     } catch (const std::exception& e) {
       // Per-horizon fault isolation: the shard records the error on every
@@ -162,7 +158,6 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
   };
   pool.run(spec);
 
-  result.incrementalQueries = incremental.load();
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -3,9 +3,9 @@
 // `shards` workers. Horizons are the job index space (dynamic claiming, so
 // a slow horizon does not stall the others); within one horizon the worker
 // compiles the network once, builds one engine, and answers every query
-// through that engine's incremental session — the per-query pipeline and
-// session setup is paid once per horizon instead of once per (horizon,
-// query) as the serial fresh-engine baseline pays it.
+// through it — compilation, encoding and the optimizer's shared memos are
+// paid once per horizon instead of once per (horizon, query) as the serial
+// fresh-engine baseline pays them.
 //
 // Results are keyed (horizon, query) and returned in that order, so the
 // sweep report is identical under any shard count.
@@ -29,11 +29,11 @@ struct SweepOptions {
   /// Query discipline: verify (∀) instead of check (∃).
   bool verify = false;
   /// Crash isolation (DESIGN.md §13): each horizon's whole query batch
-  /// runs in a supervised `buffy --worker` subprocess (one engine + one
-  /// incremental session per horizon, exactly like the in-process shard
-  /// body). Requires `supervisor`; horizons degrade to in-process when
-  /// the problem is not describable or the supervisor gives up. The
-  /// fault scope of horizon H's job is "sweep:h<H>".
+  /// runs in a supervised `buffy --worker` subprocess (one engine per
+  /// horizon, exactly like the in-process shard body). Requires
+  /// `supervisor`; horizons degrade to in-process when the problem is not
+  /// describable or the supervisor gives up. The fault scope of horizon
+  /// H's job is "sweep:h<H>".
   bool isolate = false;
   procs::Supervisor* supervisor = nullptr;
   /// CLI-format workload specs equivalent to the workload builder —
@@ -52,7 +52,7 @@ struct SweepPoint {
   /// is shard-invariant).
   std::size_t shard = 0;
   /// True when the point was answered from the verdict cache (in-process
-  /// or inside the isolated worker) instead of a solver session.
+  /// or inside the isolated worker) instead of the solver.
   bool cached = false;
   /// Crash-isolation accounting for the point's horizon job (zero / false
   /// on the in-process path; identical for every point of one horizon).
@@ -67,9 +67,6 @@ struct SweepResult {
   /// One point per (horizon, query), ordered by horizon then query index.
   std::vector<SweepPoint> points;
   std::size_t shards = 1;
-  /// Queries answered through reused incremental sessions, summed over all
-  /// horizons — the reuse the sharded sweep exists to exploit.
-  std::size_t incrementalQueries = 0;
   double seconds = 0.0;
 };
 

@@ -739,7 +739,6 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
 
   if (!options_.enabled) {
     p.structural = structural_;
-    p.sessionStructural = structural_;
     p.delta.assign(delta.begin(), delta.end());
     st.assertionsAfter = st.assertionsBefore;
     st.nodesAfter = st.nodesBefore;
@@ -749,7 +748,6 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
   if (structuralUnsat_) {
     // The unit bounds contradict on their own: every query is UNSAT.
     p.structural = {arena_.falseTerm()};
-    p.sessionStructural = p.structural;
     st.assertionsAfter = 1;
     st.nodesAfter = 1;
     return p;
@@ -785,48 +783,19 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
   const auto rewriteStart = std::chrono::steady_clock::now();
   const std::size_t cmpBefore = comparisonsDecided_;
   const std::size_t iteBefore = itesCollapsed_;
-  // One kept structural assertion, rewritten under the current mode's
-  // seed facts. Returns nullptr when the assertion simplified to `true`
-  // (safe to drop). Seed assertions are the facts the rewriter assumes;
-  // they must not simplify under themselves and are kept verbatim. A
-  // constant-pinned variable is the one exception: it is inlined
-  // everywhere and restored by the witness, so its bounds carry no
-  // further information.
-  auto structuralRewritten = [&](TermRef s) -> TermRef {
-    const auto seeded = seedVar_.find(s);
-    if (seeded != seedVar_.end()) {
-      if (pinnedWitness_.count(seeded->second->name) != 0) return nullptr;
-      return s;
-    }
-    if (!options_.rewrite) return s;
-    const TermRef r = rewritten(s);
-    return r->isTrue() ? nullptr : r;
-  };
-
-  bool rewroteFalse = false;
-  for (std::size_t i = 0; i < structural_.size(); ++i) {
-    if (keepAssert[i] == 0) continue;
-    const TermRef r = structuralRewritten(structural_[i]);
-    if (r == nullptr) continue;
-    if (r->isFalse()) {
-      rewroteFalse = true;
-      break;
-    }
-    p.sessionStructural.push_back(r);
-  }
   // Query-local seeding: unit bounds in this delta (workload pins such as
   // "no arrivals after step 0", query side conditions) tighten the seed
   // intervals for this plan only. The delta seed assertions are kept
   // verbatim below — they still constrain the solver — so rewriting the
-  // rest of the delta under them is an equivalence, and the scratch
-  // memos keep one query's facts away from the shared caches whose
-  // results incremental sessions assert persistently.
+  // rest of the problem under them is an equivalence, and the scratch
+  // memos keep one query's facts away from the caches shared by every
+  // plan of this engine.
   qseed_.clear();
   qival_.clear();
   qrw_.clear();
   std::unordered_set<TermRef> deltaSeeds;
   bool deltaUnsat = false;
-  if (options_.rewrite && !rewroteFalse) {
+  if (options_.rewrite) {
     for (const TermRef d : delta) {
       const auto shape = seedShape(d);
       if (!shape) continue;
@@ -845,53 +814,49 @@ Optimizer::Plan Optimizer::plan(std::span<const ir::TermRef> delta) {
     }
   }
 
+  // The kept structural slice, rewritten under the seed facts — and, when
+  // the delta is consistent, further specialized under its bounds (the
+  // soundness side conditions share the per-step state terms with the
+  // query, so this is where most of the node reduction happens). Seed
+  // assertions are the facts the rewriter assumes; they must not simplify
+  // under themselves and are kept verbatim. A constant-pinned variable is
+  // the one exception: it is inlined everywhere and restored by the
+  // witness, so its bounds carry no further information.
+  queryMode_ = !deltaUnsat && !qseed_.empty();
+  bool rewroteFalse = false;
+  for (std::size_t i = 0; i < structural_.size(); ++i) {
+    if (keepAssert[i] == 0) continue;
+    TermRef r = structural_[i];
+    const auto seeded = seedVar_.find(r);
+    if (seeded != seedVar_.end()) {
+      if (pinnedWitness_.count(seeded->second->name) != 0) continue;
+    } else if (options_.rewrite) {
+      r = rewritten(r);
+      if (r->isTrue()) continue;
+    }
+    if (r->isFalse()) {
+      rewroteFalse = true;
+      break;
+    }
+    p.structural.push_back(r);
+  }
+
   if (rewroteFalse) {
     p.structural = {arena_.falseTerm()};
-    p.sessionStructural = p.structural;
-    p.delta.clear();
   } else if (deltaUnsat) {
     // The delta's unit bounds contradict the structural seeds (or each
-    // other): this query is UNSAT on its own. The structural set stays
-    // usable for session reuse; the delta collapses to `false`.
-    p.structural = p.sessionStructural;
+    // other): this query is UNSAT on its own.
     p.delta = {arena_.falseTerm()};
   } else {
-    queryMode_ = !qseed_.empty();
-    // The standalone structural set: the same slice, further specialized
-    // under the delta bounds (the soundness side conditions share the
-    // per-step state terms with the query, so this is where most of the
-    // node reduction happens). When an assertion specializes to `false`,
-    // the combined problem is UNSAT: the session path must learn that
-    // through its delta, so `false` goes there too.
-    bool specializedFalse = false;
-    if (queryMode_) {
-      for (std::size_t i = 0; i < structural_.size(); ++i) {
-        if (keepAssert[i] == 0) continue;
-        const TermRef r = structuralRewritten(structural_[i]);
-        if (r == nullptr) continue;
-        if (r->isFalse()) {
-          specializedFalse = true;
-          break;
-        }
-        p.structural.push_back(r);
-      }
-    } else {
-      p.structural = p.sessionStructural;
+    for (const TermRef d : delta) {
+      const TermRef r = options_.rewrite && deltaSeeds.count(d) == 0
+                            ? rewritten(d)
+                            : d;
+      if (r->isTrue()) continue;
+      p.delta.push_back(r);
     }
-    if (specializedFalse) {
-      p.structural = {arena_.falseTerm()};
-      p.delta = {arena_.falseTerm()};
-    } else {
-      for (const TermRef d : delta) {
-        const TermRef r = options_.rewrite && deltaSeeds.count(d) == 0
-                              ? rewritten(d)
-                              : d;
-        if (r->isTrue()) continue;
-        p.delta.push_back(r);
-      }
-    }
-    queryMode_ = false;
   }
+  queryMode_ = false;
   st.comparisonsDecided = comparisonsDecided_ - cmpBefore;
   st.itesCollapsed = itesCollapsed_ - iteBefore;
   st.passes.push_back({"rewrite", secondsSince(rewriteStart)});

@@ -21,14 +21,14 @@
 //
 // The optimizer is built once per Encoding from the *structural*
 // constraint set (assumptions + soundness) and then plans each query's
-// delta. Structural rewriting only ever uses structural seed facts, so the
-// planned structural set stays valid across rebindWorkload and shared
-// incremental sessions. Unit bounds found in one query's delta (workload
-// pins like "no arrivals after step 0", query side conditions)
-// additionally specialize that plan's *delta*: they tighten the seed
+// delta. Its shared interval and rewrite memos only ever hold results
+// under structural seed facts, so they stay valid across rebindWorkload
+// and across every query one engine plans. Unit bounds found in one
+// query's delta (workload pins like "no arrivals after step 0", query side
+// conditions) additionally specialize that plan: they tighten the seed
 // intervals in scratch memos scoped to the plan, and the delta seed
 // assertions are kept verbatim, so the specialization is an equivalence
-// and nothing query-local ever reaches the shared caches.
+// and nothing query-local ever reaches the shared memos.
 #pragma once
 
 #include <cstdint>
@@ -97,13 +97,9 @@ class Optimizer {
   struct Plan {
     /// Sliced + rewritten structural assertions (in original order),
     /// additionally specialized under this query's delta bounds. Together
-    /// with `delta` this is the standalone problem: one-shot solves, text
-    /// emission, and the before/after stats all use it.
+    /// with `delta` this is the standalone problem: every solve path, text
+    /// emission, and the before/after stats use it.
     std::vector<ir::TermRef> structural;
-    /// The same slice rewritten under structural seed facts only — never
-    /// under one query's delta bounds. This is what an incremental
-    /// session may assert persistently and keep across queries.
-    std::vector<ir::TermRef> sessionStructural;
     /// Rewritten per-query constraints (workload delta + query),
     /// specialized under the delta's own unit bounds (which are kept
     /// verbatim here, so the specialization is an equivalence).
@@ -175,10 +171,8 @@ class Optimizer {
   // Query-local rewriting state. Unit bounds found in one plan's delta
   // tighten the seed intervals for that plan only; while `queryMode_` is
   // set, interval and rewrite lookups go through these scratch memos
-  // instead of the shared caches above. Incremental sessions assert
-  // structural pieces persistently, so those must never be rewritten
-  // under one query's facts — keeping the scratch state separate is what
-  // makes the specialization safe to share a session across queries.
+  // instead of the shared caches above, so one query's facts never leak
+  // into the next query's plan.
   std::unordered_map<ir::TermRef, Interval> qseed_;
   std::unordered_map<ir::TermRef, Interval> qival_;
   std::unordered_map<ir::TermRef, ir::TermRef> qrw_;

@@ -411,7 +411,6 @@ std::string encodeResult(const WireResult& result) {
   for (std::size_t i = 0; i < result.verdicts.size(); ++i) {
     map.set(indexed("verdict", i), encodeVerdict(result.verdicts[i]));
   }
-  map.setUint("incrementalQueries", result.incrementalQueries);
   if (!result.error.empty()) map.set("error", result.error);
   return map.encode();
 }
@@ -422,7 +421,6 @@ WireResult decodeResult(const WireMap& map) {
   for (std::size_t i = 0; i < verdicts; ++i) {
     result.verdicts.push_back(decodeVerdict(map.get(indexed("verdict", i))));
   }
-  result.incrementalQueries = map.getUint("incrementalQueries");
   if (const auto error = map.maybe("error")) result.error = *error;
   return result;
 }

@@ -46,7 +46,7 @@ struct WireJob {
   int horizon = 4;
   buffers::ModelKind model = buffers::ModelKind::List;
   bool verify = false;
-  /// Solve through SMT-LIB emission + reparse instead of the incremental
+  /// Solve through SMT-LIB emission + reparse instead of the native
   /// engine (the portfolio's "smtlib" member).
   bool viaSmtLib = false;
 
@@ -113,9 +113,6 @@ struct WireVerdict {
 struct WireResult {
   /// One verdict per job query, in query order. Empty iff `error` is set.
   std::vector<WireVerdict> verdicts;
-  /// Incremental-session queries the worker's engine answered (sweep
-  /// accounting).
-  std::uint64_t incrementalQueries = 0;
   /// A clean in-worker failure (compile error, budget exceeded). The job
   /// was *answered* — with a failure — so the supervisor does not retry.
   std::string error;

@@ -49,7 +49,6 @@ WireResult serveJob(const WireJob& job) {
                         : engine.check(query);
       result.verdicts.push_back(wireFromAnalysis(r));
     }
-    result.incrementalQueries = engine.incrementalQueries();
   } catch (const std::exception& e) {
     // A clean in-worker failure: the job was *answered*, with a failure —
     // the supervisor reports it instead of retrying.

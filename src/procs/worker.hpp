@@ -2,8 +2,8 @@
 // on stdin/stdout until the parent closes the pipe or sends a shutdown
 // frame. Each job is self-contained (procs/wire.hpp) — the worker
 // recompiles from source, builds one engine, answers every query through
-// it (incremental session amortization, same as the in-process sweep
-// shard body), and replies with the full verdict record including the
+// it (one compile and encoding per job, same as the in-process sweep shard
+// body), and replies with the full verdict record including the
 // witness trace and the witness-replay cross-check outcome.
 //
 // Worker-kind fault actions (FaultPlan) are interpreted here, keyed on

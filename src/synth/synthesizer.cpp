@@ -403,7 +403,7 @@ SynthesisResult Synthesizer::run(const core::Query& query,
 
     // The fresh path rebuilds the entire pipeline per candidate; the
     // incremental path re-binds the workload delta onto the worker's
-    // already-built encoding and queries its persistent session. The
+    // already-built encoding and queries the same engine. The
     // ScopedInterrupt publishes the per-candidate fresh engine so firstOnly
     // cancellation interrupts the query actually in flight (and restores
     // the persistent engine's hook before `fresh` dies, so no interrupt

@@ -53,10 +53,10 @@ struct SynthesisOptions {
   /// thread-safe), then pulls candidates from a shared queue. The solution
   /// set and its order are identical for any thread count.
   int threads = 1;
-  /// Reuse one compiled encoding + incremental solver session per worker,
+  /// Reuse one engine (compiled encoding + optimizer memos) per worker,
   /// re-binding each candidate as a workload delta (the fast path). When
   /// false, every candidate rebuilds the full pipeline in a fresh engine —
-  /// the pre-incremental behavior, kept for differential testing.
+  /// kept for differential testing.
   bool incremental = true;
   /// Concrete-interpreter prescreening: before any SMT call, simulate a
   /// small batch of sampled traces conforming to the candidate's workload.

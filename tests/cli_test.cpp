@@ -234,6 +234,13 @@ const char* kCheckArgs =
     "--workload rr.ibs.0:1:1 --workload rr.ibs.1:0:1 "
     "--query \"rr.cdeq.0[T-1] >= 1\" ";
 
+/// The §6.1 starvation counterexample at T=10: queue 0 is silent after
+/// step 0, so "queue 0 is served at least once" is VIOLATED.
+const char* kStarvationVerifyArgs =
+    "verify -T 10 -D N=2 --input ibs:6:3 --output ob:32 "
+    "--workload fq.ibs.0:0:1 --no-cache "
+    "--query \"fq.cdeq.0[T-1] >= 1\" ";
+
 }  // namespace resilience
 
 TEST(Cli, ExitCodeUnknownAfterLadderExhaustion) {
@@ -253,6 +260,43 @@ TEST(Cli, ExitCodeUnknownAfterLadderExhaustion) {
   EXPECT_NE(result.output.find("escalate"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("smtlib"), std::string::npos) << result.output;
+}
+
+TEST(Cli, ExhaustedRlimitEscalatesInsteadOfCanceling) {
+  // The first two rungs run out of rlimit. Z3 words that as "canceled",
+  // but nothing interrupted the query, so the ladder must escalate and
+  // answer rather than stop at a cancellation (exit 3).
+  const auto result = runCli(std::string(resilience::kStarvationVerifyArgs) +
+                             "--json --rlimit 300000 " +
+                             model("fq_buggy.bfy"));
+  EXPECT_EQ(result.exitCode, 1) << result.output;
+  EXPECT_NE(result.output.find("\"verdict\":\"VIOLATED\""), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("\"stage\":\"escalate\",\"outcome\":\"sat\""),
+            std::string::npos)
+      << result.output;
+  // "canceled":false is the only mention of cancellation: no attempt
+  // reason may say it.
+  std::string rest = result.output;
+  const std::string flag = "\"canceled\":false";
+  ASSERT_NE(rest.find(flag), std::string::npos) << result.output;
+  for (std::size_t at = rest.find(flag); at != std::string::npos;
+       at = rest.find(flag)) {
+    rest.erase(at, flag.size());
+  }
+  EXPECT_EQ(rest.find("cancel"), std::string::npos) << result.output;
+}
+
+TEST(Cli, StarvationViolationFitsDeterministicRlimit) {
+  // A guard against a slow native solve path that does not depend on host
+  // speed: rlimit counts solver work, and the one-shot path needs ~0.42M
+  // units here.
+  const auto result = runCli(std::string(resilience::kStarvationVerifyArgs) +
+                             "--rlimit 3000000 --no-retry " +
+                             model("fq_buggy.bfy"));
+  EXPECT_EQ(result.exitCode, 1) << result.output;
+  EXPECT_NE(result.output.find("VIOLATED"), std::string::npos)
+      << result.output;
 }
 
 TEST(Cli, RetryLadderRecoversFromTransientUnknown) {
@@ -562,14 +606,13 @@ TEST(Cli, RaceRequiresSolveCapability) {
 }
 
 TEST(Cli, RaceRequiresIncrementalSessions) {
-  // smtlib solves one-shot only: missing `incrementalSessions` is a usage
-  // error naming the capability.
+  // A race runs the z3 engine (plus its own smtlib and CHC members): any
+  // other --backend is a usage error naming the z3 requirement.
   const auto result = runCli(std::string(resilience::kCheckArgs) +
                              "--race --backend smtlib " +
                              model("round_robin.bfy"));
   EXPECT_EQ(result.exitCode, 2) << result.output;
-  EXPECT_NE(result.output.find("lacks incremental sessions"),
-            std::string::npos)
+  EXPECT_NE(result.output.find("runs the z3 engine only"), std::string::npos)
       << result.output;
 }
 
@@ -578,8 +621,7 @@ TEST(Cli, SweepRequiresIncrementalSessions) {
                              "--sweep 1:3 --backend smtlib " +
                              model("round_robin.bfy"));
   EXPECT_EQ(result.exitCode, 2) << result.output;
-  EXPECT_NE(result.output.find("lacks incremental sessions"),
-            std::string::npos)
+  EXPECT_NE(result.output.find("runs the z3 engine only"), std::string::npos)
       << result.output;
 }
 
@@ -620,7 +662,6 @@ TEST(Cli, SweepAnswersEveryHorizonForEveryQuery) {
   EXPECT_EQ(result.output.find("\"verdict\":\"VIOLATED\""),
             std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("\"incrementalQueries\":"), std::string::npos);
 }
 
 TEST(Cli, SweepExitCodeIsWorstPoint) {

@@ -1,5 +1,6 @@
 // Exhaustive differential testing: for every concrete workload in a small
-// space, the interpreter's trace and the Z3 backend must agree exactly.
+// space, the interpreter's trace and both Z3 solve paths (native one-shot
+// and SMT-LIB emit+reparse) must agree exactly, under check and verify.
 // This closes the loop between the two consumers of the symbolic
 // evaluator — constant folding (simulation) and solving — and between the
 // Buffy pipeline and the hand-written FPerf baseline.
@@ -65,7 +66,10 @@ TEST_P(ExhaustiveDifferential, SolverMatchesInterpreterExactly) {
   const Trace truth = sim.simulate(arrivals);
 
   // 2. The solver, constrained to the same workload, must consider the
-  //    exact monitor sequence reachable...
+  //    exact monitor sequence reachable and any deviation in the final
+  //    counters unreachable (the workload is deterministic): ∃ through
+  //    check, ∀ through verify, each on the native one-shot path and on
+  //    the SMT-LIB emit+reparse path.
   std::string exactQuery;
   for (int t = 0; t < horizon; ++t) {
     for (int q = 0; q < 2; ++q) {
@@ -76,25 +80,32 @@ TEST_P(ExhaustiveDifferential, SolverMatchesInterpreterExactly) {
                     "] == " + std::to_string(truth.at(series, t));
     }
   }
-  Analysis positive(net, opts);
-  positive.setWorkload(exactWorkload(sc.inst, sc.q0, sc.q1));
-  EXPECT_EQ(positive.check(Query::expr(exactQuery)).verdict,
-            Verdict::Satisfiable)
-      << exactQuery;
-
-  // 3. ...and any deviation in the final counters unreachable
-  //    (the workload is deterministic).
   const std::string series0 = std::string(sc.inst) + ".cdeq.0";
-  const std::string wrong =
-      series0 + "[T-1] != " +
-      std::to_string(truth.at(series0, horizon - 1));
-  Analysis negative(net, opts);
-  negative.setWorkload(exactWorkload(sc.inst, sc.q0, sc.q1));
-  EXPECT_EQ(negative.check(Query::expr(wrong)).verdict,
-            Verdict::Unsatisfiable)
-      << wrong;
+  const std::string final0 = series0 + "[T-1]";
+  const std::string truth0 = std::to_string(truth.at(series0, horizon - 1));
+  struct Case {
+    std::string query;
+    bool forVerify;
+    Verdict expected;
+  };
+  const std::vector<Case> cases = {
+      {exactQuery, false, Verdict::Satisfiable},
+      {final0 + " != " + truth0, false, Verdict::Unsatisfiable},
+      {final0 + " == " + truth0, true, Verdict::Verified},
+      {final0 + " != " + truth0, true, Verdict::Violated},
+  };
+  Analysis engine(net, opts);
+  engine.setWorkload(exactWorkload(sc.inst, sc.q0, sc.q1));
+  for (const Case& c : cases) {
+    const Query query = Query::expr(c.query);
+    const AnalysisResult native =
+        c.forVerify ? engine.verify(query) : engine.check(query);
+    EXPECT_EQ(native.verdict, c.expected) << "native: " << c.query;
+    EXPECT_EQ(engine.solveViaSmtLib(query, c.forVerify).verdict, c.expected)
+        << "smtlib: " << c.query;
+  }
 
-  // 4. The FPerf baseline agrees on the final cdeq0 (FQ scenarios only).
+  // 3. The FPerf baseline agrees on the final cdeq0 (FQ scenarios only).
   if (std::string(sc.source) == models::kFairQueueBuggy) {
     fperf::Params params;
     params.N = 2;

@@ -255,7 +255,7 @@ TEST(BackendRegistry, BuiltinsRegisteredWithCapabilities) {
   EXPECT_EQ(names[3], "interp");
 
   EXPECT_TRUE(reg.get("z3").capabilities().solve);
-  EXPECT_TRUE(reg.get("z3").capabilities().incrementalSessions);
+  EXPECT_TRUE(reg.get("z3").capabilities().witnessExtraction);
   EXPECT_TRUE(reg.get("smtlib").capabilities().solve);
   EXPECT_TRUE(reg.get("smtlib").capabilities().emitText);
   EXPECT_FALSE(reg.get("dafny").capabilities().solve);

@@ -276,8 +276,8 @@ TEST_F(OptTest, ContradictoryDeltaBoundsCollapseTheDelta) {
                                         arena.le(n, arena.intConst(3))};
   auto opt = make(structural);
   // n <= -1 contradicts the structural 0 <= n: the query is UNSAT on its
-  // own, and the delta collapses to `false` while the structural set stays
-  // usable for session reuse.
+  // own, and the delta collapses to `false` while the structural set is
+  // rewritten under the structural facts only.
   const std::vector<TermRef> delta{arena.le(n, arena.intConst(-1)),
                                    arena.le(y, arena.intConst(7))};
   const auto plan = opt.plan(delta);

@@ -118,8 +118,8 @@ TEST(Synthesizer, EmptyGrammarRejected) {
 }
 
 TEST(Synthesizer, FreshAndIncrementalModesAgree) {
-  // The incremental engine (one encoding + session per worker, workload
-  // re-bound as a delta per candidate) must produce the identical solution
+  // The incremental engine (one engine per worker, workload re-bound as a
+  // delta per candidate) must produce the identical solution
   // set as the fresh-pipeline-per-candidate path.
   core::AnalysisOptions opts;
   opts.horizon = 4;

@@ -109,62 +109,6 @@ TEST_F(Z3Test, SmtLibParseErrorThrows) {
   EXPECT_THROW(backend.checkSmtLib("(assert (nonsense"), BackendError);
 }
 
-TEST_F(Z3Test, SessionBasePersistsAndExtrasRetract) {
-  const ir::TermRef x = arena.var("x", ir::Sort::Int);
-  const std::vector<ir::TermRef> base = {arena.ge(x, arena.intConst(0))};
-  const auto session = backend.openSession(base);
-
-  // base ∧ x<0 is unsat...
-  const std::vector<ir::TermRef> neg = {arena.lt(x, arena.intConst(0))};
-  EXPECT_EQ(session->check(neg).status, SolveStatus::Unsat);
-  // ...and retracted: base ∧ x==7 is sat again on the same session.
-  const std::vector<ir::TermRef> eq7 = {arena.eq(x, arena.intConst(7))};
-  const auto sat = session->check(eq7);
-  ASSERT_EQ(sat.status, SolveStatus::Sat);
-  EXPECT_EQ(sat.model.at("x"), 7);
-  EXPECT_EQ(session->queryCount(), 2u);
-  // The lowering memo persisted across the queries.
-  EXPECT_GT(session->loweredTermCount(), 0u);
-}
-
-TEST_F(Z3Test, SessionAssertBaseAccumulates) {
-  const ir::TermRef x = arena.var("x", ir::Sort::Int);
-  const auto session = backend.openSession();
-  const std::vector<ir::TermRef> ge0 = {arena.ge(x, arena.intConst(0))};
-  session->assertBase(ge0);
-  EXPECT_EQ(session->check({}).status, SolveStatus::Sat);
-  const std::vector<ir::TermRef> lt0 = {arena.lt(x, arena.intConst(0))};
-  session->assertBase(lt0);
-  EXPECT_EQ(session->check({}).status, SolveStatus::Unsat);
-}
-
-TEST_F(Z3Test, SessionMatchesOneShotOnQuerySequence) {
-  // Differential: 8 queries through one session == 8 one-shot solves.
-  const ir::TermRef x = arena.var("x", ir::Sort::Int);
-  const ir::TermRef y = arena.var("y", ir::Sort::Int);
-  const std::vector<ir::TermRef> base = {
-      arena.ge(x, arena.intConst(0)), arena.le(x, arena.intConst(10)),
-      arena.eq(y, arena.add(x, arena.intConst(1)))};
-  const auto session = backend.openSession(base);
-  for (int k = 0; k < 8; ++k) {
-    const std::vector<ir::TermRef> extra = {
-        arena.eq(arena.mod(x, arena.intConst(3)), arena.intConst(k % 3)),
-        arena.ge(y, arena.intConst(k))};
-    std::vector<ir::TermRef> oneShot = base;
-    oneShot.insert(oneShot.end(), extra.begin(), extra.end());
-    const auto viaSession = session->check(extra);
-    const auto viaFresh = backend.check(oneShot);
-    EXPECT_EQ(viaSession.status, viaFresh.status) << "query " << k;
-    if (viaSession.status == SolveStatus::Sat) {
-      // Models may differ; both must satisfy the constraints.
-      for (const ir::TermRef c : oneShot) {
-        EXPECT_EQ(ir::evalTerm(c, viaSession.model), 1) << "query " << k;
-        EXPECT_EQ(ir::evalTerm(c, viaFresh.model), 1) << "query " << k;
-      }
-    }
-  }
-}
-
 TEST_F(Z3Test, ModelOverflowRecordedNotDropped) {
   // A model value that does not fit int64 must be reported, not silently
   // skipped (it would otherwise surface as a stale/absent trace entry).
@@ -213,6 +157,48 @@ TEST_F(Z3Test, TinyRlimitYieldsUnknownNotCrash) {
   EXPECT_FALSE(result.reason.empty());
 }
 
+TEST_F(Z3Test, ExhaustedRlimitIsUnknownNotCanceled) {
+  // The same cubic problem through the preprocessing solver. Z3 says
+  // "canceled" when the rlimit runs out inside a tactic; only interrupt()
+  // cancels, so this must read as an exhausted budget the retry ladder may
+  // escalate.
+  const ir::TermRef a = arena.var("a", ir::Sort::Int);
+  const ir::TermRef b = arena.var("b", ir::Sort::Int);
+  const ir::TermRef c = arena.var("c", ir::Sort::Int);
+  const ir::TermRef one = arena.intConst(1);
+  const auto cube = [&](ir::TermRef v) {
+    return arena.mul(v, arena.mul(v, v));
+  };
+  const std::vector<ir::TermRef> cs = {
+      arena.gt(a, one), arena.gt(b, one), arena.gt(c, one),
+      arena.eq(cube(a), arena.add(cube(b), cube(c)))};
+  SolveBudget budget;
+  budget.rlimit = 1000;
+  const auto result = backend.check(cs, budget);
+  EXPECT_EQ(result.status, SolveStatus::Unknown);
+  EXPECT_FALSE(result.canceled);
+  EXPECT_EQ(result.reason.find("cancel"), std::string::npos) << result.reason;
+  EXPECT_FALSE(backend.interrupted());
+}
+
+TEST_F(Z3Test, RlimitUsedCountsOneCheckNotTheContext) {
+  // The context's rlimit counter keeps running across checks; each result
+  // must report only its own use.
+  const ir::TermRef x = arena.var("x", ir::Sort::Int);
+  const ir::TermRef y = arena.var("y", ir::Sort::Int);
+  const std::vector<ir::TermRef> cs = {
+      arena.eq(arena.add(x, y), arena.intConst(10)), arena.lt(x, y),
+      arena.ge(x, arena.intConst(0))};
+  const auto first = backend.check(cs);
+  ASSERT_EQ(first.status, SolveStatus::Sat);
+  EXPECT_GT(first.rlimitUsed, 0u);
+  for (int i = 0; i < 2; ++i) {
+    const auto again = backend.check(cs);
+    ASSERT_EQ(again.status, SolveStatus::Sat);
+    EXPECT_EQ(again.rlimitUsed, first.rlimitUsed) << "check " << i + 2;
+  }
+}
+
 TEST_F(Z3Test, RandomSeedIsAccepted) {
   const ir::TermRef x = arena.var("x", ir::Sort::Int);
   const std::vector<ir::TermRef> cs = {arena.gt(x, arena.intConst(0))};
@@ -229,23 +215,9 @@ TEST_F(Z3Test, InterruptIsPermanentAndCanceledResultsSayWhy) {
   const auto result = backend.check(cs);
   EXPECT_EQ(result.status, SolveStatus::Unknown);
   EXPECT_TRUE(result.canceled);
-  // Still cancelled on the next query, and on sessions.
+  // Still cancelled on the next query, on either solve path.
   EXPECT_TRUE(backend.check(cs).canceled);
-  auto session = backend.openSession();
-  EXPECT_TRUE(session->check(cs).canceled);
-}
-
-TEST_F(Z3Test, SessionBudgetOverridePerQuery) {
-  const ir::TermRef x = arena.var("x", ir::Sort::Int);
-  const std::vector<ir::TermRef> cs = {arena.gt(x, arena.intConst(3))};
-  SolveBudget tight;
-  tight.rlimit = 100000000;
-  auto session = backend.openSession({}, tight);
-  const auto r1 = session->check(cs);
-  ASSERT_EQ(r1.status, SolveStatus::Sat);
-  SolveBudget seeded = tight;
-  seeded.randomSeed = 99;
-  EXPECT_EQ(session->check(cs, seeded).status, SolveStatus::Sat);
+  EXPECT_TRUE(backend.checkSmtLib("(assert true)").canceled);
 }
 
 TEST_F(Z3Test, FaultPlanForcesUnknownAtScopedOrdinal) {

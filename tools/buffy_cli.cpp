@@ -40,7 +40,7 @@
 //   --sweep LO:HI         check/verify: answer every --query at every
 //                         horizon in [LO, HI] (repeat --query to batch)
 //   --shards N            worker shards for --sweep (default 1, max 1024);
-//                         each shard reuses one engine/session per horizon
+//                         each shard reuses one engine per horizon
 //   --threads N           worker threads for --race (0 = one per member)
 //                         and synth (default 1); max 1024
 //   --jobs N              print/lint: compile the given model files over N
@@ -892,8 +892,6 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
   if (opts.format == "json") {
     char secs[32];
     std::string json = "{\"sweep\":{\"shards\":" + std::to_string(result.shards);
-    json +=
-        ",\"incrementalQueries\":" + std::to_string(result.incrementalQueries);
     std::snprintf(secs, sizeof secs, "%.6f", result.seconds);
     json += ",\"seconds\":";
     json += secs;
@@ -945,10 +943,8 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
     }
     return code;
   }
-  std::printf("sweep: %zu points, %zu shard(s), %zu incremental queries"
-              " (%.3f s)%s\n",
-              result.points.size(), result.shards, result.incrementalQueries,
-              result.seconds,
+  std::printf("sweep: %zu points, %zu shard(s) (%.3f s)%s\n",
+              result.points.size(), result.shards, result.seconds,
               procs::shutdownRequested() ? " [interrupted]" : "");
   for (const auto& p : result.points) {
     std::printf("  T=%-3d %-16s (%.3f s)%s  %s\n", p.horizon,
@@ -1051,22 +1047,21 @@ backends::SolverBackend& backendFor(const Options& opts,
   return *backend;
 }
 
-/// --race and --sweep both need a backend that can solve AND reuse
-/// incremental sessions (a race interrupts losers mid-solve; a sweep
-/// shard answers every query at its horizon through one session). The
-/// missing capability is named so the exit-2 diagnostic is actionable.
-void requireIncrementalSolver(const Options& opts, const char* flag) {
+/// --race and --sweep both run the z3 engine (a race adds its own smtlib
+/// and CHC members; a sweep shard answers every query at its horizon
+/// through one engine), so any other --backend is a usage error rather
+/// than silently ignored. The reason is named so the exit-2 diagnostic is
+/// actionable.
+void requireZ3Engine(const Options& opts, const char* flag) {
   const backends::SolverBackend& backend = backendFor(opts, "z3");
-  const auto caps = backend.capabilities();
-  if (!caps.solve) {
-    throw CliError(std::string(flag) + ": backend '" +
-                   std::string(backend.name()) +
+  const std::string name = backend.name();
+  if (!backend.capabilities().solve) {
+    throw CliError(std::string(flag) + ": backend '" + name +
                    "' cannot solve queries (use z3)");
   }
-  if (!caps.incrementalSessions) {
-    throw CliError(std::string(flag) + ": backend '" +
-                   std::string(backend.name()) +
-                   "' lacks incremental sessions (use z3)");
+  if (name != "z3") {
+    throw CliError(std::string(flag) + ": runs the z3 engine only, not '" +
+                   name + "' (use z3)");
   }
 }
 
@@ -1298,7 +1293,7 @@ int run(const Options& opts) {
   }
   if (opts.command == "check" || opts.command == "verify") {
     if (opts.sweep) {
-      requireIncrementalSolver(opts, "--sweep");
+      requireZ3Engine(opts, "--sweep");
       std::vector<core::Query> queries;
       for (const auto& text : opts.queries) {
         queries.push_back(core::Query::expr(text));
@@ -1331,7 +1326,7 @@ int run(const Options& opts) {
       return procs::shutdownRequested() ? kExitInterrupted : code;
     }
     if (opts.race) {
-      requireIncrementalSolver(opts, "--race");
+      requireZ3Engine(opts, "--race");
       core::Portfolio portfolio(unit, aopts);
       core::PortfolioOptions popts2;
       popts2.threads =
