@@ -1,7 +1,10 @@
 // Fuzz target: the whole front half of the pipeline — recovery parse,
 // elaboration, typecheck, semantic passes, transforms, and one symbolic
 // step of relation extraction (buildTransitionSystem), all under a tiny
-// CompileBudget. No solver is invoked.
+// CompileBudget. Each input is also read as `--query` text over one fixed
+// library model (round robin, two queues) and rendered through
+// Analysis::toSmtLib: query parse, encoding, optimizer and emitter. No
+// solver is invoked.
 //
 // Invariant: the only exceptions that may escape any stage are
 // buffy::Error subclasses (structured input/analysis failures) — anything
@@ -9,6 +12,7 @@
 // sanitizer report) is a bug.
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "core/analysis.hpp"
@@ -16,6 +20,8 @@
 #include "core/transition.hpp"
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
+#include "models/library.hpp"
+#include "pipeline/driver.hpp"
 #include "sem/passes.hpp"
 #include "support/budget.hpp"
 #include "support/diagnostics.hpp"
@@ -35,6 +41,49 @@ buffy::CompileBudget fuzzBudget() {
   return b;
 }
 
+/// The query half's engine options: the harness budget, horizon 3.
+buffy::core::AnalysisOptions queryOptions() {
+  buffy::core::AnalysisOptions options;
+  options.horizon = 3;
+  options.budget = fuzzBudget();
+  return options;
+}
+
+/// The round-robin library model, compiled once for every input.
+const buffy::pipeline::CompilationUnitPtr& queryUnit() {
+  static const buffy::pipeline::CompilationUnitPtr unit = [] {
+    buffy::core::ProgramSpec spec;
+    spec.instance = "rr";
+    spec.source = buffy::models::kRoundRobin;
+    spec.compile.constants["N"] = 2;
+    buffy::core::BufferSpec in;
+    in.param = "ibs";
+    in.capacity = 4;
+    buffy::core::BufferSpec out;
+    out.param = "ob";
+    out.role = buffy::core::BufferSpec::Role::Output;
+    spec.buffers = {in, out};
+    buffy::core::Network net;
+    net.add(spec);
+    return buffy::pipeline::CompilerDriver(
+               buffy::core::pipelineOptionsFor(queryOptions()))
+        .compile(net);
+  }();
+  return unit;
+}
+
+/// One engine renders every input's query: building one per input would
+/// spend nearly all the run setting up Z3. Reset whenever an input trips
+/// the harness budget, so a full term arena cannot reject later inputs.
+std::unique_ptr<buffy::core::Analysis>& queryEngine() {
+  static std::unique_ptr<buffy::core::Analysis> engine;
+  if (!engine) {
+    engine = std::make_unique<buffy::core::Analysis>(queryUnit(),
+                                                     queryOptions());
+  }
+  return engine;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -42,6 +91,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size > 16384) return 0;  // keep single runs fast
   const std::string src(reinterpret_cast<const char*>(data), size);
   const buffy::CompileBudget budget = fuzzBudget();
+
+  try {
+    (void)queryEngine()->toSmtLib(buffy::core::Query::expr(src),
+                                  /*forVerify=*/false);
+  } catch (const buffy::BudgetExceeded&) {
+    queryEngine().reset();
+  } catch (const buffy::Error&) {
+    // Malformed or unknown-series query: expected.
+  }
 
   try {
     // Batched front half, exactly as the CLI drives it.

@@ -6,22 +6,36 @@
 // input; readFrame itself faces arbitrary headers (magic, forged lengths,
 // bad checksums).
 //
-// Invariant: the only exception that may escape is ProtocolError (a
+// decodeJob builds the engine's own records (Network, AnalysisOptions and
+// its FaultPlan, the cache's settings but never a VerdictCache), and
+// decodeResult builds AnalysisResults. Raw inputs rarely get past the
+// outer WireMap, so each input is also spliced into a valid encoded job
+// and a valid encoded result: the record decoders then see well-formed
+// payloads with one hostile region.
+//
+// Invariants: the only exception a decoder may throw is ProtocolError (a
 // buffy::Error subclass) — anything else (std::bad_alloc from a forged
 // entry count, std::out_of_range, length overflow, sanitizer report) is a
 // bug in the decoder, and would take the supervising process down with
-// the worker.
+// the worker. Whatever a decoder accepts, its encoder must write back in a
+// form the decoder accepts again.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "procs/protocol.hpp"
 #include "procs/wire.hpp"
 
 namespace {
+
+using namespace buffy;
 
 /// Feeds raw bytes through a pipe into readFrame, exactly as a worker's
 /// stdout would deliver them: a closed write end is the EOF/torn-frame
@@ -41,8 +55,80 @@ void fuzzReadFrame(const std::uint8_t* data, std::size_t size) {
   // buffered bytes and then sees EOF — no deadline needed, no hang
   // possible. Forged lengths above kMaxFramePayload must be Garbled, not
   // allocated.
-  (void)buffy::procs::readFrame(fds[0], payload, /*deadlineMs=*/-1);
+  (void)procs::readFrame(fds[0], payload, /*deadlineMs=*/-1);
   ::close(fds[0]);
+}
+
+/// Decodes `bytes` as a job and as a result; whatever decodes must survive
+/// its encoder and decode again.
+void fuzzRecords(std::string_view bytes) {
+  std::optional<procs::WireJob> job;
+  std::optional<procs::WireResult> result;
+  try {
+    const procs::WireMap map = procs::WireMap::decode(bytes);
+    try {
+      job = procs::decodeJob(map);
+    } catch (const procs::ProtocolError&) {
+    }
+    try {
+      result = procs::decodeResult(map);
+    } catch (const procs::ProtocolError&) {
+    }
+  } catch (const procs::ProtocolError&) {
+    // Malformed payload rejected with a structured error: expected.
+  }
+  // Round trips run outside every handler: a throw here is a finding.
+  if (job) {
+    (void)procs::decodeJob(procs::WireMap::decode(procs::encodeJob(*job)));
+  }
+  if (result) {
+    (void)procs::decodeResult(
+        procs::WireMap::decode(procs::encodeResult(*result)));
+  }
+}
+
+/// One valid encoded job and one valid encoded result, with every
+/// optional part present.
+const std::vector<std::string>& validPayloads() {
+  static const std::vector<std::string> payloads = [] {
+    core::ProgramSpec spec;
+    spec.instance = "p";
+    spec.source = "p(buffer ib, buffer ob) { move-p(ib, ob, 1); }";
+    spec.compile.constants["N"] = 2;
+    core::BufferSpec in;
+    in.param = "ib";
+    in.modelOverride = buffers::ModelKind::Counter;
+    core::BufferSpec out;
+    out.param = "ob";
+    out.role = core::BufferSpec::Role::Output;
+    spec.buffers = {in, out};
+    procs::WireJob job;
+    job.network.add(spec);
+    job.network.connect("p", "ob", "p", "ib");
+    job.options.rlimit = 1000;
+    auto plan = std::make_shared<backends::FaultPlan>();
+    plan->at("s", 1, {backends::FaultAction::Kind::Hang});
+    job.options.faultPlan = plan;
+    job.cache = cache::VerdictCacheOptions{};
+    job.queries = {"p.ob.dropped[T-1] >= 0"};
+    job.workloadSpecs = {"p.ib:0:1"};
+
+    core::AnalysisResult answer;
+    answer.verdict = core::Verdict::Satisfiable;
+    core::SolveAttempt attempt;
+    attempt.stage = "initial";
+    attempt.seed = 17;
+    attempt.timeoutMs = 100;
+    answer.attempts = {attempt};
+    answer.trace = core::Trace{};
+    answer.trace->horizon = 2;
+    answer.trace->series["p.ob.dropped"] = {0, -1};
+    procs::WireResult result;
+    result.verdicts = {answer};
+    return std::vector<std::string>{procs::encodeJob(job),
+                                    procs::encodeResult(result)};
+  }();
+  return payloads;
 }
 
 }  // namespace
@@ -51,22 +137,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size > 65536) return 0;  // pipe capacity; keeps single runs fast
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
+  fuzzRecords(bytes);
 
-  try {
-    const buffy::procs::WireMap map = buffy::procs::WireMap::decode(bytes);
-    // A structurally valid WireMap is what the worker loop and the
-    // supervisor feed into the record codecs; both must reject ill-typed
-    // fields cleanly.
-    try {
-      (void)buffy::procs::decodeJob(map);
-    } catch (const buffy::procs::ProtocolError&) {
+  // The first two bytes pick where the rest overwrites a valid payload.
+  if (size > 2) {
+    for (std::string payload : validPayloads()) {
+      const std::size_t at = (data[0] | data[1] << 8) % payload.size();
+      const std::size_t n = std::min(size - 2, payload.size() - at);
+      payload.replace(at, n, bytes.substr(2, n));
+      fuzzRecords(payload);
     }
-    try {
-      (void)buffy::procs::decodeResult(map);
-    } catch (const buffy::procs::ProtocolError&) {
-    }
-  } catch (const buffy::procs::ProtocolError&) {
-    // Malformed payload rejected with a structured error: expected.
   }
 
   fuzzReadFrame(data, size);

@@ -170,7 +170,8 @@ ChcResult proveSafety(const core::TransitionSystem& system,
 
 UnboundedAnalysis::UnboundedAnalysis(core::Network network,
                                      core::TransitionOptions options)
-    : system_(core::buildTransitionSystem(network, options)) {
+    : system_(core::buildTransitionSystem(network, options)),
+      budget_(options.budget) {
   for (const auto& sv : system_->state) {
     stateSeries_[sv.name] = {sv.pre};
   }
@@ -184,7 +185,7 @@ ChcResult UnboundedAnalysis::prove(const std::string& propertyExpr,
 ChcResult UnboundedAnalysis::prove(const core::Query& property,
                                    std::optional<unsigned> timeoutMs) {
   const core::SeriesView view(&stateSeries_, 1);
-  const ir::TermRef prop = property.build(view, system_->arena);
+  const ir::TermRef prop = property.build(view, system_->arena, budget_);
   return proveSafety(*system_, prop, timeoutMs, &interrupt_);
 }
 

@@ -113,6 +113,8 @@ class UnboundedAnalysis {
 
  private:
   std::unique_ptr<core::TransitionSystem> system_;
+  /// Caps the property text's nesting like the model's (DESIGN.md §10).
+  CompileBudget budget_;
   std::map<std::string, std::vector<ir::TermRef>> stateSeries_;
   ChcInterruptHandle interrupt_;
 };

@@ -33,6 +33,24 @@ std::optional<Verdict> parseVerdictName(const std::string& name) {
   return std::nullopt;
 }
 
+void storeVerdict(cache::VerdictCache& cache, const AnalysisResult& result) {
+  if (result.cacheKey.empty() || result.canceled) return;
+  switch (result.verdict) {
+    case Verdict::Satisfiable:
+    case Verdict::Unsatisfiable:
+    case Verdict::Verified:
+    case Verdict::Violated: break;
+    default: return;
+  }
+  cache::CachedVerdict value;
+  value.verdict = verdictName(result.verdict);
+  value.detail = result.detail;
+  value.solveSeconds = result.solveSeconds;
+  value.witnessChecked = result.witnessChecked;
+  value.trace = result.trace;
+  cache.store(result.cacheKey, value);
+}
+
 pipeline::PipelineOptions pipelineOptionsFor(const AnalysisOptions& options) {
   pipeline::PipelineOptions p;
   p.horizon = options.horizon;
@@ -159,7 +177,8 @@ struct Analysis::Impl {
   std::vector<ir::TermRef> queryDelta(const Query& query, bool forVerify,
                                       Encoding& enc) {
     std::vector<ir::TermRef> cs = enc.workloadTerms;
-    const ir::TermRef q = query.build(enc.seriesView(), enc.arena);
+    const ir::TermRef q =
+        query.build(enc.seriesView(), enc.arena, options.budget);
     if (forVerify) {
       ir::TermRef all = q;
       for (const auto& obl : enc.obligations) {
@@ -311,28 +330,6 @@ struct Analysis::Impl {
     }
     result.pipeline = stats;
     return result;
-  }
-
-  /// Stores a finished query back. Only conclusive, non-canceled verdicts
-  /// are cached: Unknown depends on budgets/seeds (not part of the key)
-  /// and WitnessMismatch marks an untrustworthy model — neither may be
-  /// replayed onto a later run.
-  void maybeStore(const std::string& key, const AnalysisResult& result) {
-    if (!options.cache || key.empty() || result.canceled) return;
-    switch (result.verdict) {
-      case Verdict::Satisfiable:
-      case Verdict::Unsatisfiable:
-      case Verdict::Verified:
-      case Verdict::Violated: break;
-      default: return;
-    }
-    cache::CachedVerdict value;
-    value.verdict = verdictName(result.verdict);
-    value.detail = result.detail;
-    value.solveSeconds = result.solveSeconds;
-    value.witnessChecked = result.witnessChecked;
-    value.trace = result.trace;
-    options.cache->store(key, value);
   }
 
   /// Completes a Sat model with the plan's certified values for variables
@@ -498,7 +495,7 @@ struct Analysis::Impl {
     }
     crossCheckWitness(result);
     result.cacheKey = keyed.key;
-    maybeStore(keyed.key, result);
+    if (options.cache) storeVerdict(*options.cache, result);
     finishPipeline(result, result.attempts.size());
     return result;
   }
@@ -519,7 +516,7 @@ struct Analysis::Impl {
     AnalysisResult result = finish(enc, sr, forVerify);
     if (keyed.plan) result.opt = keyed.plan->stats;
     result.cacheKey = keyed.key;
-    maybeStore(keyed.key, result);
+    if (options.cache) storeVerdict(*options.cache, result);
     finishPipeline(result, 1);
     return result;
   }

@@ -185,7 +185,7 @@ struct AnalysisResult {
   bool cached = false;
   /// The content-addressed cache key this query mapped to (set whenever a
   /// cache is configured, hit or miss). Workers report it so the
-  /// supervisor can populate the parent's cache.
+  /// isolated path can populate the parent's cache.
   std::string cacheKey;
 
   [[nodiscard]] bool sat() const { return verdict == Verdict::Satisfiable; }
@@ -194,6 +194,13 @@ struct AnalysisResult {
     return verdict == Verdict::Unknown;
   }
 };
+
+/// Stores `result` under its cacheKey when it may be replayed onto a later
+/// run. Only conclusive, non-canceled verdicts qualify: Unknown depends on
+/// budgets and seeds (not part of the key) and WitnessMismatch marks an
+/// untrustworthy model. The engine stores its own answers through this;
+/// the isolated path replays a worker's answers into the parent's cache.
+void storeVerdict(cache::VerdictCache& cache, const AnalysisResult& result);
 
 /// Concrete traffic for simulation: qualified buffer name ->
 /// per-step list of packets (each a field->value map).

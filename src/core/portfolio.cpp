@@ -7,18 +7,10 @@
 #include "backends/chc/chc_backend.hpp"
 #include "jobs/race.hpp"
 #include "procs/shutdown.hpp"
-#include "procs/worker.hpp"
 
 namespace buffy::core {
 
 namespace {
-
-/// Per-member crash-isolation accounting, filled in by isolated members
-/// (indexed writes from distinct members never alias).
-struct MemberIsolation {
-  bool isolated = false;
-  procs::JobStats stats;
-};
 
 /// Conclusive, trustworthy verdicts — the only results allowed to win a
 /// race. Unknown, WitnessMismatch, and canceled answers never beat a
@@ -109,23 +101,19 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
   // members never alias.
   auto verdicts = std::make_shared<std::vector<std::string>>();
   auto cachedFlags = std::make_shared<std::vector<char>>();
-  auto isolation = std::make_shared<std::vector<MemberIsolation>>();
+  auto isolation =
+      std::make_shared<std::vector<std::optional<procs::JobStats>>>();
 
-  // Isolation eligibility is a property of the whole problem: the query
-  // must survive as text ("true" is Query::always's description) and the
-  // network/workload must be describable on the wire.
   const bool isolate =
-      opts.isolate && opts.supervisor != nullptr &&
-      opts.supervisor->available() &&
-      (query.textual() || query.description() == "true") &&
-      procs::describable(unit_->network(), workload, opts.workloadSpecs);
+      opts.supervisor != nullptr && opts.supervisor->available() &&
+      procs::describable(unit_->network(), workload, opts.workloadSpecs,
+                         {query});
 
   /// A member that solves through a full Analysis engine built from
   /// `memberOptions` on the shared unit. The ScopedInterrupt publishes the
   /// engine while the member runs, so a sibling's win interrupts the query
   /// actually in flight; it is retracted before the engine dies. Isolated
-  /// members ship the same problem to a supervised worker subprocess and
-  /// publish the job handle's cancel instead (SIGKILL escalation).
+  /// members ship the same problem to a supervised worker subprocess.
   auto engineMember = [&](std::string name, AnalysisOptions memberOptions,
                           bool viaSmtLib) {
     const std::string scope = opts.faultScopePrefix + name;
@@ -137,40 +125,18 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
          &workload](jobs::JobContext& ctx) {
           AnalysisResult result;
           if (isolate) {
-            (*isolation)[idx].isolated = true;
-            const procs::Supervisor::JobPtr handle =
-                opts.supervisor->createJob();
-            const jobs::ScopedInterrupt guard(
-                ctx, [handle] { handle->cancel(); });
-            const procs::ShutdownToken stopToken(
-                [handle] { handle->cancel(); });
-            procs::WireJob wire;
-            wire.programs = unit_->network().instances();
-            wire.connections = unit_->network().connections();
-            procs::applyOptionsToJob(memberOptions, wire);
-            wire.verify = forVerify;
-            wire.viaSmtLib = viaSmtLib;
-            if (query.textual()) wire.queries.push_back(query.description());
-            wire.workloadSpecs = opts.workloadSpecs;
-            wire.faultScope = scope;
-            const procs::WireResult reply = handle->run(
-                wire,
-                [](const procs::WireJob& job) { return procs::serveJob(job); });
-            (*isolation)[idx].stats = handle->stats();
-            if (!reply.error.empty()) {
-              throw AnalysisError("worker: " + reply.error);
-            }
-            if (reply.verdicts.empty()) {
-              throw AnalysisError("worker returned no verdict");
-            }
-            result = procs::analysisFromWire(reply.verdicts.front());
-            if (memberOptions.cache) {
-              // The worker reported its cache key: feed the parent's
-              // memory tier so sibling members (and the next run) hit
-              // without a disk round-trip.
-              procs::populateCache(*memberOptions.cache,
-                                   reply.verdicts.front());
-            }
+            procs::WireJob job;
+            job.network = unit_->network();
+            job.options = memberOptions;
+            job.verify = forVerify;
+            job.viaSmtLib = viaSmtLib;
+            job.queries = {query.description()};
+            job.workloadSpecs = opts.workloadSpecs;
+            job.faultScope = scope;
+            auto results =
+                procs::solveIsolated(*opts.supervisor, ctx, std::move(job),
+                                     (*isolation)[idx].emplace());
+            result = std::move(results.front());
           } else {
             Analysis engine(unit_, memberOptions);
             const jobs::ScopedInterrupt guard(
@@ -264,11 +230,7 @@ PortfolioResult Portfolio::race(const Query& query, const Workload& workload,
     report.error = m.error;
     report.seconds = m.seconds;
     report.cached = (*cachedFlags)[i] != 0;
-    report.isolated = (*isolation)[i].isolated;
-    report.retries = (*isolation)[i].stats.retries;
-    report.restarts = (*isolation)[i].stats.restarts;
-    report.kills = (*isolation)[i].stats.kills;
-    report.degraded = (*isolation)[i].stats.degraded;
+    report.isolation = (*isolation)[i];
     result.members.push_back(std::move(report));
   }
   if (outcome.result) {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,13 +50,12 @@ struct PortfolioOptions {
   /// Fault-scope prefix for deterministic test injection: each member's
   /// engine runs under scope "<prefix><member name>".
   std::string faultScopePrefix = "race:";
-  /// Crash isolation (DESIGN.md §13): ship each member's solve
-  /// to a supervised `buffy --worker` subprocess instead of running it on
-  /// the racing thread. Requires `supervisor`; silently stays in-process
-  /// when the problem is not describable (contract networks, programmatic
-  /// workloads without matching specs, non-textual queries) or the
-  /// supervisor has degraded. The CHC member always runs in-process.
-  bool isolate = false;
+  /// Crash isolation (DESIGN.md §13): when set, each member's solve runs
+  /// in a supervised `buffy --worker` subprocess instead of on the racing
+  /// thread. Members silently stay in-process when the problem is not
+  /// describable (contract networks, programmatic workloads without
+  /// matching specs, non-textual queries) or the supervisor has degraded.
+  /// The CHC member always runs in-process.
   procs::Supervisor* supervisor = nullptr;
   /// CLI-format workload specs equivalent to the Workload argument —
   /// workloads cross the process boundary only as re-parseable text.
@@ -77,14 +77,8 @@ struct PortfolioMemberReport {
   /// the synthetic "cache" member a pre-race hit reports as the sole
   /// winner (the hit short-circuits the whole race).
   bool cached = false;
-  /// Crash-isolation accounting (zero / false on the in-process path).
-  bool isolated = false;
-  unsigned retries = 0;
-  unsigned restarts = 0;
-  unsigned kills = 0;
-  /// The member's job fell back to the in-process engine after its worker
-  /// attempts were exhausted.
-  bool degraded = false;
+  /// Crash-isolation accounting; empty on the in-process path.
+  std::optional<procs::JobStats> isolation;
 };
 
 struct PortfolioResult {

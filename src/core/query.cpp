@@ -2,6 +2,7 @@
 
 #include "ir/term_printer.hpp"
 #include "lang/lexer.hpp"
+#include "support/budget.hpp"
 #include "support/error.hpp"
 
 namespace buffy::core {
@@ -30,8 +31,11 @@ namespace {
 class QueryParser {
  public:
   QueryParser(std::vector<Token> tokens, const SeriesView& view,
-              ir::TermArena& arena)
-      : tokens_(std::move(tokens)), view_(view), arena_(arena) {}
+              ir::TermArena& arena, std::size_t maxDepth)
+      : tokens_(std::move(tokens)),
+        view_(view),
+        arena_(arena),
+        maxDepth_(maxDepth) {}
 
   ir::TermRef parse() {
     const ir::TermRef result = parseOr();
@@ -126,9 +130,19 @@ class QueryParser {
     }
   }
   ir::TermRef parseUnary() {
-    if (match(TokenKind::Bang)) return arena_.mkNot(parseUnary());
-    if (match(TokenKind::Minus)) return arena_.neg(parseUnary());
-    return parsePrimary();
+    // Every recursion through the grammar passes here, so one level per
+    // call bounds the parser's stack (CompileBudget::maxNestingDepth). An
+    // exception abandons the whole parse: the count needs no unwinding.
+    if (maxDepth_ != 0 && depth_ == maxDepth_) {
+      throw BudgetExceeded("nesting-depth", maxDepth_, peek().loc);
+    }
+    ++depth_;
+    const ir::TermRef term =
+        match(TokenKind::Bang)    ? arena_.mkNot(parseUnary())
+        : match(TokenKind::Minus) ? arena_.neg(parseUnary())
+                                  : parsePrimary();
+    --depth_;
+    return term;
   }
 
   std::string parseDottedName() {
@@ -281,6 +295,8 @@ class QueryParser {
   std::vector<Token> tokens_;
   const SeriesView& view_;
   ir::TermArena& arena_;
+  std::size_t maxDepth_;
+  std::size_t depth_ = 0;
   std::size_t pos_ = 0;
 };
 
@@ -288,11 +304,8 @@ class QueryParser {
 
 Query Query::expr(std::string text) {
   Query q;
-  q.text_ = text;
+  q.text_ = std::move(text);
   q.textual_ = true;
-  q.build_ = [text](const SeriesView& view, ir::TermArena& arena) {
-    return QueryParser(lang::lex(text), view, arena).parse();
-  };
   return q;
 }
 
@@ -311,7 +324,12 @@ Query Query::always() {
   });
 }
 
-ir::TermRef Query::build(const SeriesView& view, ir::TermArena& arena) const {
+ir::TermRef Query::build(const SeriesView& view, ir::TermArena& arena,
+                         const CompileBudget& budget) const {
+  if (textual_) {
+    return QueryParser(lang::lex(text_), view, arena, budget.maxNestingDepth)
+        .parse();
+  }
   if (!build_) throw AnalysisError("empty query");
   return build_(view, arena);
 }

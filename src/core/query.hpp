@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "ir/term.hpp"
+#include "support/budget.hpp"
 
 namespace buffy::core {
 
@@ -57,9 +58,12 @@ class Query {
   static Query always();
 
   /// Builds the boolean term for this query. Throws AnalysisError on
-  /// unknown series or malformed text.
-  [[nodiscard]] ir::TermRef build(const SeriesView& view,
-                                  ir::TermArena& arena) const;
+  /// unknown series or malformed text, and BudgetExceeded
+  /// ("nesting-depth") when query text nests deeper than
+  /// `budget.maxNestingDepth` (0 lifts the cap).
+  [[nodiscard]] ir::TermRef build(
+      const SeriesView& view, ir::TermArena& arena,
+      const CompileBudget& budget = CompileBudget::defaults()) const;
   [[nodiscard]] const std::string& description() const { return text_; }
   /// True for Query::expr queries: the text IS the query, so it can be
   /// re-parsed against a different series universe (the CHC backend builds

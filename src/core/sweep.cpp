@@ -7,7 +7,6 @@
 #include "jobs/job.hpp"
 #include "pipeline/driver.hpp"
 #include "procs/shutdown.hpp"
-#include "procs/worker.hpp"
 #include "support/error.hpp"
 
 namespace buffy::core {
@@ -32,20 +31,19 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
 
   const auto start = std::chrono::steady_clock::now();
 
-  // Isolation eligibility is a property of the whole sweep: every query
-  // must survive as text and the network/workload must be describable on
-  // the wire ("true" is Query::always's description, and parses).
-  bool isolate = opts.isolate && opts.supervisor != nullptr &&
-                 opts.supervisor->available();
-  for (const auto& query : queries) {
-    isolate = isolate &&
-              (query.textual() || query.description() == "true");
-  }
-  isolate = isolate &&
-            procs::describable(
-                network_, workloadFor ? workloadFor(opts.fromHorizon)
-                                      : Workload{},
-                opts.workloadSpecs);
+  const bool isolate =
+      opts.supervisor != nullptr && opts.supervisor->available() &&
+      procs::describable(
+          network_,
+          workloadFor ? workloadFor(opts.fromHorizon) : Workload{},
+          opts.workloadSpecs, queries);
+
+  auto record = [](SweepPoint& point, const AnalysisResult& r) {
+    point.verdict = verdictName(r.verdict);
+    point.solveSeconds = r.solveSeconds;
+    point.canceled = r.canceled;
+    point.cached = r.cached;
+  };
 
   jobs::JobPool pool;
   jobs::JobPool::RunSpec spec;
@@ -68,64 +66,27 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
       }
       return;
     }
+    AnalysisOptions o = options_;
+    o.horizon = horizon;
     try {
       if (isolate) {
         // Ship the horizon's whole query batch to one worker: the worker
         // builds one engine per horizon, the same amortization as the
         // in-process body below.
-        const procs::Supervisor::JobPtr handle =
-            opts.supervisor->createJob();
-        const jobs::ScopedInterrupt guard(ctx,
-                                          [handle] { handle->cancel(); });
-        const procs::ShutdownToken stopToken([handle] { handle->cancel(); });
-        procs::WireJob wire;
-        wire.programs = network_.instances();
-        wire.connections = network_.connections();
-        AnalysisOptions o = options_;
-        o.horizon = horizon;
-        procs::applyOptionsToJob(o, wire);
-        wire.verify = opts.verify;
+        procs::WireJob job;
+        job.network = network_;
+        job.options = o;
+        job.verify = opts.verify;
         for (const auto& query : queries) {
-          wire.queries.push_back(query.description());
+          job.queries.push_back(query.description());
         }
-        wire.workloadSpecs = opts.workloadSpecs;
-        wire.faultScope = "sweep:h" + std::to_string(horizon);
-        const procs::WireResult reply = handle->run(
-            wire,
-            [](const procs::WireJob& job) { return procs::serveJob(job); });
-        const procs::JobStats js = handle->stats();
-        for (std::size_t i = 0; i < q; ++i) {
-          points[i].isolated = true;
-          points[i].retries = js.retries;
-          points[i].restarts = js.restarts;
-          points[i].kills = js.kills;
-          points[i].degraded = js.degraded;
-        }
-        if (!reply.error.empty()) {
-          throw AnalysisError("worker: " + reply.error);
-        }
-        if (reply.verdicts.size() != q) {
-          throw AnalysisError("worker answered " +
-                              std::to_string(reply.verdicts.size()) +
-                              " of " + std::to_string(q) + " queries");
-        }
-        for (std::size_t i = 0; i < q; ++i) {
-          points[i].verdict = reply.verdicts[i].verdict;
-          points[i].solveSeconds = reply.verdicts[i].solveSeconds;
-          points[i].canceled = reply.verdicts[i].canceled;
-          points[i].cached = reply.verdicts[i].cached;
-        }
-        if (options_.cache) {
-          // The worker reported each verdict with its cache key; replay
-          // the conclusive ones into the parent's cache so later points
-          // (and later runs) hit in memory, not just via the disk tier.
-          for (const auto& wv : reply.verdicts) {
-            procs::populateCache(*options_.cache, wv);
-          }
-        }
+        job.workloadSpecs = opts.workloadSpecs;
+        job.faultScope = "sweep:h" + std::to_string(horizon);
+        const std::vector<AnalysisResult> results = procs::solveIsolated(
+            *opts.supervisor, ctx, std::move(job),
+            points[0].isolation.emplace());
+        for (std::size_t i = 0; i < q; ++i) record(points[i], results[i]);
       } else {
-        AnalysisOptions o = options_;
-        o.horizon = horizon;
         // One front-half compile + one engine per horizon, shared by every
         // query at that horizon (the sharded sweep's whole advantage over a
         // fresh engine per point).
@@ -138,12 +99,8 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
             [&engine] { engine.interrupt(); });
         engine.setWorkload(workloadFor ? workloadFor(horizon) : Workload{});
         for (std::size_t i = 0; i < q; ++i) {
-          const AnalysisResult r = opts.verify ? engine.verify(queries[i])
-                                               : engine.check(queries[i]);
-          points[i].verdict = verdictName(r.verdict);
-          points[i].solveSeconds = r.solveSeconds;
-          points[i].canceled = r.canceled;
-          points[i].cached = r.cached;
+          record(points[i], opts.verify ? engine.verify(queries[i])
+                                        : engine.check(queries[i]));
         }
       }
     } catch (const std::exception& e) {
@@ -154,6 +111,10 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
           points[i].verdict = std::string("error: ") + e.what();
         }
       }
+    }
+    // One job per horizon: its points share the job's counters.
+    for (std::size_t i = 1; i < q; ++i) {
+      points[i].isolation = points[0].isolation;
     }
   };
   pool.run(spec);

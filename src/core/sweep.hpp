@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,12 @@ struct SweepOptions {
   std::size_t shards = 1;
   /// Query discipline: verify (∀) instead of check (∃).
   bool verify = false;
-  /// Crash isolation (DESIGN.md §13): each horizon's whole query batch
-  /// runs in a supervised `buffy --worker` subprocess (one engine per
-  /// horizon, exactly like the in-process shard body). Requires
-  /// `supervisor`; horizons degrade to in-process when the problem is not
-  /// describable or the supervisor gives up. The fault scope of horizon
-  /// H's job is "sweep:h<H>".
-  bool isolate = false;
+  /// Crash isolation (DESIGN.md §13): when set, each horizon's whole
+  /// query batch runs in a supervised `buffy --worker` subprocess (one
+  /// engine per horizon, exactly like the in-process shard body). Horizons
+  /// stay in-process when the problem is not describable or the
+  /// supervisor has degraded. The fault scope of horizon H's job is
+  /// "sweep:h<H>".
   procs::Supervisor* supervisor = nullptr;
   /// CLI-format workload specs equivalent to the workload builder —
   /// workloads cross the process boundary only as re-parseable text.
@@ -54,13 +54,9 @@ struct SweepPoint {
   /// True when the point was answered from the verdict cache (in-process
   /// or inside the isolated worker) instead of the solver.
   bool cached = false;
-  /// Crash-isolation accounting for the point's horizon job (zero / false
-  /// on the in-process path; identical for every point of one horizon).
-  bool isolated = false;
-  unsigned retries = 0;
-  unsigned restarts = 0;
-  unsigned kills = 0;
-  bool degraded = false;
+  /// Crash-isolation accounting for the point's horizon job (identical
+  /// for every point of one horizon); empty on the in-process path.
+  std::optional<procs::JobStats> isolation;
 };
 
 struct SweepResult {

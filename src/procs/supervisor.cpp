@@ -2,61 +2,55 @@
 
 #include <algorithm>
 #include <csignal>
-#include <ctime>
 
 #include <unistd.h>
+
+#include "procs/shutdown.hpp"
+#include "procs/worker.hpp"
 
 namespace buffy::procs {
 
 namespace {
 
-void sleepMs(int ms) {
-  if (ms <= 0) return;
-  timespec ts{};
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = static_cast<long>(ms % 1000) * 1'000'000L;
-  nanosleep(&ts, nullptr);
-}
+/// SIGTERM -> SIGKILL escalation grace.
+constexpr int kTermGraceMs = 200;
+/// Consecutive spawn failures before the supervisor degrades permanently
+/// (every later job goes straight to the fallback).
+constexpr unsigned kMaxSpawnFailures = 3;
+/// Idle workers kept warm for reuse.
+constexpr std::size_t kMaxIdleWorkers = 8;
 
 /// Canceled Unknown verdicts, one per query (matching what an in-process
 /// engine returns after Analysis::interrupt).
 WireResult canceledResult(const WireJob& job) {
   WireResult result;
-  const std::size_t n = std::max<std::size_t>(1, job.queries.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    WireVerdict v;
-    v.verdict = "UNKNOWN";
-    v.detail = "canceled";
-    v.canceled = true;
-    result.verdicts.push_back(std::move(v));
+  for (std::size_t i = 0; i < job.queries.size(); ++i) {
+    core::AnalysisResult r;
+    r.detail = "canceled";
+    r.canceled = true;
+    result.verdicts.push_back(std::move(r));
   }
   return result;
 }
 
-unsigned scalePow(unsigned base, unsigned factor, unsigned power) {
-  std::uint64_t value = base;
-  for (unsigned i = 0; i < power; ++i) {
-    value *= std::max(1u, factor);
-    if (value > 0x7fffffffu) return 0x7fffffffu;
-  }
-  return static_cast<unsigned>(value);
+/// Wall-clock deadline for one attempt, -1 for none.
+int deadlineFor(const WireJob& job) {
+  // A job without a solver timeout (unset, or 0, which Z3 reads as "no
+  // timeout") may run as long as it does in-process: no deadline.
+  const std::optional<unsigned>& timeoutMs = job.options.timeoutMs;
+  if (!timeoutMs || *timeoutMs == 0) return -1;
+  // Per-query solver timeout x queries x the in-engine retry ladder's
+  // worst case + compile slack.
+  const std::uint64_t queries = std::max<std::size_t>(1, job.queries.size());
+  const std::uint64_t ladder =
+      job.options.retry.enabled ? core::RetryPolicy::kLadderBudgets : 1;
+  const std::uint64_t ms =
+      static_cast<std::uint64_t>(*timeoutMs) * queries * ladder +
+      static_cast<std::uint64_t>(Supervisor::kDeadlineSlackMs);
+  return static_cast<int>(std::min<std::uint64_t>(ms, 0x7fffffff));
 }
 
 }  // namespace
-
-ProcsStats& ProcsStats::operator+=(const ProcsStats& other) {
-  jobs += other.jobs;
-  workersSpawned += other.workersSpawned;
-  workersReaped += other.workersReaped;
-  restarts += other.restarts;
-  retries += other.retries;
-  kills += other.kills;
-  timeouts += other.timeouts;
-  protocolErrors += other.protocolErrors;
-  degradedJobs += other.degradedJobs;
-  degraded = degraded || other.degraded;
-  return *this;
-}
 
 Supervisor::Supervisor(SupervisorOptions options)
     : options_(std::move(options)) {
@@ -103,7 +97,7 @@ void Supervisor::shutdownWorkers() {
     workers.swap(idle_);
   }
   for (auto& worker : workers) {
-    worker->shutdown(options_.termGraceMs);
+    worker->shutdown(kTermGraceMs);
   }
   if (!workers.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -133,7 +127,7 @@ std::unique_ptr<WorkerProcess> Supervisor::checkout() {
   auto worker = spawnWorker();
   std::lock_guard<std::mutex> lock(mutex_);
   if (!worker) {
-    if (++spawnFailures_ >= options_.maxSpawnFailures) {
+    if (++spawnFailures_ >= kMaxSpawnFailures) {
       degraded_ = true;
       stats_.degraded = true;
     }
@@ -183,13 +177,13 @@ void Supervisor::checkin(std::unique_ptr<WorkerProcess> worker) {
   if (!worker || !worker->alive()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (idle_.size() < options_.maxIdleWorkers) {
+    if (idle_.size() < kMaxIdleWorkers) {
       idle_.push_back(std::move(worker));
       return;
     }
   }
   // Pool full: clean shutdown outside the lock.
-  worker->shutdown(options_.termGraceMs);
+  worker->shutdown(kTermGraceMs);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.workersReaped;
 }
@@ -197,7 +191,7 @@ void Supervisor::checkin(std::unique_ptr<WorkerProcess> worker) {
 void Supervisor::discard(std::unique_ptr<WorkerProcess> worker, bool viaKill) {
   if (!worker) return;
   if (viaKill) {
-    worker->terminate(options_.termGraceMs);
+    worker->terminate(kTermGraceMs);
   } else {
     worker->kill();  // already dead: reap without grace
   }
@@ -205,68 +199,36 @@ void Supervisor::discard(std::unique_ptr<WorkerProcess> worker, bool viaKill) {
   ++stats_.workersReaped;
 }
 
-int Supervisor::deadlineFor(const WireJob& job, unsigned attempt) const {
-  if (options_.jobDeadlineMs > 0) {
-    return static_cast<int>(
-        scalePow(static_cast<unsigned>(options_.jobDeadlineMs),
-                 options_.escalateFactor, attempt));
-  }
-  // A job without a solver timeout (unset, or 0, which Z3 reads as "no
-  // timeout") may run as long as it does in-process: no deadline.
-  if (!job.timeoutMs || *job.timeoutMs == 0) return -1;
-  // Derived: per-query solver timeout x queries x the in-engine retry
-  // ladder's worst case + compile slack. The escalation for retry attempts
-  // is already baked into job.timeoutMs by run().
-  const std::uint64_t queries = std::max<std::size_t>(1, job.queries.size());
-  const std::uint64_t ladder =
-      job.retryEnabled ? core::RetryPolicy::kLadderBudgets : 1;
-  const std::uint64_t ms = static_cast<std::uint64_t>(*job.timeoutMs) *
-                               queries * ladder +
-                           static_cast<std::uint64_t>(options_.deadlineSlackMs);
-  return static_cast<int>(std::min<std::uint64_t>(ms, 0x7fffffff));
+void Supervisor::count(std::uint64_t ProcsStats::*counter) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(stats_.*counter);
+}
+
+void Supervisor::Job::count(unsigned JobStats::*counter) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(stats_.*counter);
 }
 
 WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
   Supervisor& sup = *owner_;
-  {
-    std::lock_guard<std::mutex> lock(sup.mutex_);
-    ++sup.stats_.jobs;
-  }
+  sup.count(&ProcsStats::jobs);
 
-  const std::optional<unsigned> baseTimeout = job.timeoutMs;
-  const std::optional<unsigned> baseRlimit = job.rlimit;
-
+  // How the last attempt that reached a worker ended; empty while none has.
+  std::string failure;
+  unsigned attempts = 0;
   for (unsigned attempt = 0; attempt <= sup.options_.maxRetries; ++attempt) {
     if (canceled()) return canceledResult(job);
     if (attempt > 0) {
-      {
-        std::lock_guard<std::mutex> lock(sup.mutex_);
-        ++sup.stats_.retries;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.retries;
-      }
-      sleepMs(std::min(sup.options_.backoffCapMs,
-                       sup.options_.backoffBaseMs << (attempt - 1)));
+      sup.count(&ProcsStats::retries);
+      count(&JobStats::retries);
     }
 
     auto worker = sup.checkout();
-    if (!worker) break;  // spawn failed / degraded: fall through
+    if (!worker) break;  // spawn failed / degraded
+    ++attempts;
 
-    // Escalate the solver budget with each retry (the process-level twin
-    // of the in-engine escalate rung), and stamp the attempt ordinal that
-    // keys deterministic worker-fault injection.
+    // The attempt ordinal keys deterministic worker-fault injection.
     job.attempt = attempt;
-    if (baseTimeout) {
-      job.timeoutMs = scalePow(*baseTimeout, sup.options_.escalateFactor,
-                               attempt);
-    }
-    if (baseRlimit) {
-      job.rlimit = scalePow(*baseRlimit, sup.options_.escalateFactor,
-                            attempt);
-    }
-
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (canceled_.load(std::memory_order_acquire)) {
@@ -284,9 +246,7 @@ WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
 
     std::string payload;
     ReadStatus status = ReadStatus::Eof;
-    if (sent) {
-      status = worker->read(payload, sup.deadlineFor(job, attempt));
-    }
+    if (sent) status = worker->read(payload, deadlineFor(job));
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -311,40 +271,25 @@ WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
       case ReadStatus::Eof:
         // Worker died before (or instead of) answering: crash.
         sup.discard(std::move(worker), false);
-        {
-          std::lock_guard<std::mutex> lock(sup.mutex_);
-          ++sup.stats_.restarts;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.restarts;
-        }
+        sup.count(&ProcsStats::restarts);
+        count(&JobStats::restarts);
+        failure = "crash";
         break;
       case ReadStatus::Timeout:
         // Hung worker: deadline kill.
         sup.discard(std::move(worker), true);
-        {
-          std::lock_guard<std::mutex> lock(sup.mutex_);
-          ++sup.stats_.timeouts;
-          ++sup.stats_.kills;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.kills;
-        }
+        sup.count(&ProcsStats::timeouts);
+        sup.count(&ProcsStats::kills);
+        count(&JobStats::kills);
+        failure = "deadline kill";
         break;
       case ReadStatus::Garbled:
         // Torn or corrupt frame: the worker's stream state is untrusted.
         sup.discard(std::move(worker), true);
-        {
-          std::lock_guard<std::mutex> lock(sup.mutex_);
-          ++sup.stats_.protocolErrors;
-          ++sup.stats_.kills;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.kills;
-        }
+        sup.count(&ProcsStats::protocolErrors);
+        sup.count(&ProcsStats::kills);
+        count(&JobStats::kills);
+        failure = "garbled reply";
         break;
       case ReadStatus::Ok:
         break;  // unreachable: handled above
@@ -353,18 +298,23 @@ WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
 
   if (canceled()) return canceledResult(job);
 
-  // Retries exhausted or no worker available: degrade to in-process.
-  {
-    std::lock_guard<std::mutex> lock(sup.mutex_);
-    ++sup.stats_.degradedJobs;
+  WireResult result;
+  if (!failure.empty()) {
+    // The job took down every worker it reached: rerunning it in this
+    // process could take the caller down the same way.
+    result.error = "no answer after " + std::to_string(attempts) +
+                   " attempt(s) (last: " + failure + ")";
+    return result;
   }
+
+  // No worker could be obtained: degrade to in-process.
+  sup.count(&ProcsStats::degradedJobs);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.degraded = true;
   }
   if (fallback) return fallback(job);
-  WireResult result;
-  result.error = "worker attempts exhausted and no in-process fallback";
+  result.error = "no worker could be spawned and no in-process fallback";
   return result;
 }
 
@@ -382,6 +332,40 @@ void Supervisor::Job::cancel() {
 JobStats Supervisor::Job::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+std::vector<core::AnalysisResult> solveIsolated(Supervisor& supervisor,
+                                                jobs::JobContext& ctx,
+                                                WireJob job, JobStats& stats) {
+  // The caller's cache stays here; the worker builds its own from the
+  // settings.
+  const std::shared_ptr<cache::VerdictCache> cache =
+      std::move(job.options.cache);
+  if (cache) job.cache = cache->options();
+  const std::size_t queries = job.queries.size();
+
+  const Supervisor::JobPtr handle = supervisor.createJob();
+  WireResult reply;
+  {
+    const jobs::ScopedInterrupt guard(ctx, [handle] { handle->cancel(); });
+    const ShutdownToken stopToken([handle] { handle->cancel(); });
+    reply = handle->run(std::move(job), serveJob);
+  }
+  stats = handle->stats();
+  if (!reply.error.empty()) throw AnalysisError("worker: " + reply.error);
+  if (reply.verdicts.size() != queries) {
+    throw AnalysisError("worker answered " +
+                        std::to_string(reply.verdicts.size()) + " of " +
+                        std::to_string(queries) + " queries");
+  }
+  if (cache) {
+    // Feed the caller's memory tier, so sibling members and later points
+    // hit without a disk round-trip.
+    for (const auto& result : reply.verdicts) {
+      core::storeVerdict(*cache, result);
+    }
+  }
+  return std::move(reply.verdicts);
 }
 
 }  // namespace buffy::procs

@@ -1,21 +1,24 @@
 // Worker supervision (DESIGN.md §13): owns a pool of `buffy --worker`
 // subprocesses, ships them serialized jobs, and turns every way a worker
-// can fail into either a retry or a clean degradation:
+// can fail into either a retry or an error result:
 //
 //   * reply Ok            -> answer (worker goes back to the idle pool);
 //   * reply Ok but error  -> clean in-worker failure, NO retry (the job
 //                            itself is broken, not the worker);
-//   * Eof (worker died)   -> restart + retry with escalated budget;
+//   * Eof (worker died)   -> restart + retry;
 //   * Timeout (hang)      -> SIGTERM->SIGKILL + retry;
 //   * Garbled (torn/corrupt frame) -> kill + retry;
-//   * retries exhausted / spawn keeps failing / binary missing
-//                         -> run the caller's in-process fallback.
+//   * every attempt failed one of these ways -> an error result: a job
+//                            that kills workers is never rerun in the
+//                            parent;
+//   * no worker can be spawned (binary missing, spawning fails)
+//                         -> the caller's in-process fallback.
 //
-// Retry budgets escalate by escalateFactor^attempt (mirroring the
-// in-engine Unknown-retry ladder), respawn backoff is capped exponential,
-// and every transition is counted in ProcsStats for the CLI's --json
-// report. Jobs are handed out as shared Job handles whose cancel() is
-// thread-safe (kills the attached worker) — the process-level twin of
+// A retry re-sends the job unchanged: the worker's own §8 ladder already
+// escalates within an attempt, so a worker crash cannot change a verdict.
+// Every transition is counted in ProcsStats for the CLI's --json report.
+// Jobs are handed out as shared Job handles whose cancel() is thread-safe
+// (kills the attached worker) — the process-level twin of
 // Analysis::interrupt, driven by the same ScopedInterrupt hooks.
 #pragma once
 
@@ -30,6 +33,7 @@
 #include <string>
 #include <thread>
 
+#include "jobs/job.hpp"
 #include "procs/process.hpp"
 #include "procs/wire.hpp"
 
@@ -40,23 +44,6 @@ struct SupervisorOptions {
   std::string workerBinary;
   /// Retries after the first attempt (attempts = 1 + maxRetries).
   unsigned maxRetries = 2;
-  /// Timeout/rlimit multiplier applied per retry (budget escalation).
-  unsigned escalateFactor = 2;
-  /// Per-attempt wall-clock deadline; 0 derives one from the job's solver
-  /// budget (timeout x queries x retry-ladder worst case + slack), or none
-  /// when the job has no solver timeout.
-  int jobDeadlineMs = 0;
-  int deadlineSlackMs = 2000;
-  /// Respawn backoff: min(backoffCapMs, backoffBaseMs << attempt).
-  int backoffBaseMs = 10;
-  int backoffCapMs = 500;
-  /// SIGTERM -> SIGKILL escalation grace.
-  int termGraceMs = 200;
-  /// Consecutive spawn failures before the supervisor degrades
-  /// permanently (every later job goes straight to the fallback).
-  unsigned maxSpawnFailures = 3;
-  /// Idle workers kept warm for reuse.
-  std::size_t maxIdleWorkers = 8;
 };
 
 /// Supervision counters, aggregated across jobs (CLI --json "procs").
@@ -71,8 +58,6 @@ struct ProcsStats {
   std::uint64_t protocolErrors = 0;  // garbled/torn/malformed frames
   std::uint64_t degradedJobs = 0;    // jobs answered by the fallback
   bool degraded = false;             // supervisor gave up on spawning
-
-  ProcsStats& operator+=(const ProcsStats& other);
 };
 
 /// Per-job supervision counters (portfolio member / sweep point reports).
@@ -80,13 +65,17 @@ struct JobStats {
   unsigned retries = 0;
   unsigned restarts = 0;
   unsigned kills = 0;
+  /// No worker could be spawned: the in-process fallback answered.
   bool degraded = false;
 };
 
 class Supervisor {
  public:
-  /// In-process fallback: runs the job when isolation is unavailable.
+  /// In-process fallback: runs the job when no worker can be spawned.
   using Fallback = std::function<WireResult(const WireJob&)>;
+
+  /// Compile/encode allowance added to a job's derived deadline.
+  static constexpr int kDeadlineSlackMs = 2000;
 
   explicit Supervisor(SupervisorOptions options);
   /// Shuts every idle worker down (EOF, then SIGTERM->SIGKILL).
@@ -98,10 +87,12 @@ class Supervisor {
   /// thread, before or during run().
   class Job {
    public:
-    /// Runs `job` through a worker with retries; on exhaustion or
-    /// degradation answers via `fallback` (or an error result when no
-    /// fallback is given). A canceled job returns one canceled Unknown
-    /// verdict per query, matching in-process interrupt semantics.
+    /// Runs `job` through a worker with retries. When every attempt's
+    /// worker died, hung or garbled its reply, returns an error result.
+    /// Only when no worker could be spawned at all does `fallback` answer
+    /// (or an error result when no fallback is given). A canceled job
+    /// returns one canceled Unknown verdict per query, matching in-process
+    /// interrupt semantics.
     WireResult run(WireJob job, const Fallback& fallback);
     /// Thread-safe: kills the attached worker (if any) and makes run()
     /// return canceled verdicts instead of starting new attempts.
@@ -114,6 +105,8 @@ class Supervisor {
    private:
     friend class Supervisor;
     explicit Job(Supervisor* owner) : owner_(owner) {}
+
+    void count(unsigned JobStats::*counter);
 
     Supervisor* owner_;
     std::atomic<bool> canceled_{false};
@@ -134,13 +127,11 @@ class Supervisor {
   /// Graceful shutdown of the idle pool (also run by the destructor).
   void shutdownWorkers();
 
-  [[nodiscard]] const SupervisorOptions& options() const { return options_; }
-
  private:
   std::unique_ptr<WorkerProcess> checkout();
   void checkin(std::unique_ptr<WorkerProcess> worker);
   void discard(std::unique_ptr<WorkerProcess> worker, bool viaKill);
-  [[nodiscard]] int deadlineFor(const WireJob& job, unsigned attempt) const;
+  void count(std::uint64_t ProcsStats::*counter);
 
   /// Forks a worker on the dedicated spawner thread (lazily started).
   /// PR_SET_PDEATHSIG binds a child's lifetime to the thread that forked
@@ -167,5 +158,17 @@ class Supervisor {
   bool spawnerExit_ = false;
   std::thread spawner_;
 };
+
+/// The isolated solve shared by `--race` members and `--sweep` horizons
+/// (DESIGN.md §12, §13). Runs `job` through `supervisor` while `ctx` and
+/// the shutdown watcher can cancel it; the in-process fallback (serveJob)
+/// runs only when no worker can be spawned. `job.options.cache` is the
+/// caller's cache: its settings travel with the job, and the worker's
+/// conclusive answers are stored back into it. Returns one result per
+/// query and records the job's counters in `stats`; throws AnalysisError
+/// ("worker: ...") when the job came back without an answer per query.
+std::vector<core::AnalysisResult> solveIsolated(Supervisor& supervisor,
+                                                jobs::JobContext& ctx,
+                                                WireJob job, JobStats& stats);
 
 }  // namespace buffy::procs

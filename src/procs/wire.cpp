@@ -1,6 +1,7 @@
 #include "procs/wire.hpp"
 
-#include <sstream>
+#include <memory>
+#include <utility>
 
 namespace buffy::procs {
 
@@ -194,32 +195,6 @@ core::Connection decodeConnection(const std::string& bytes) {
   return conn;
 }
 
-std::string encodeFault(const WireFault& fault) {
-  WireMap map;
-  map.set("scope", fault.scope);
-  map.setUint("nth", fault.nth);
-  map.setInt("kind", fault.kind);
-  map.set("reason", fault.reason);
-  map.setUint("delayMs", fault.delayMs);
-  return map.encode();
-}
-
-WireFault decodeFault(const std::string& bytes) {
-  const WireMap map = WireMap::decode(bytes);
-  WireFault fault;
-  fault.scope = map.get("scope");
-  fault.nth = map.getUint("nth");
-  const std::int64_t kind = map.getInt("kind");
-  if (kind < 0 ||
-      kind > static_cast<int>(backends::FaultAction::Kind::PartialWrite)) {
-    throw ProtocolError("unknown fault kind " + std::to_string(kind));
-  }
-  fault.kind = static_cast<int>(kind);
-  fault.reason = map.get("reason");
-  fault.delayMs = static_cast<unsigned>(map.getUint("delayMs"));
-  return fault;
-}
-
 std::string encodeAttempt(const core::SolveAttempt& attempt) {
   WireMap map;
   map.set("stage", attempt.stage);
@@ -270,42 +245,140 @@ core::Trace decodeTrace(const std::string& bytes) {
   return trace;
 }
 
-std::string encodeVerdict(const WireVerdict& verdict) {
+std::string encodeFaultPlan(const backends::FaultPlan& plan) {
   WireMap map;
-  map.set("verdict", verdict.verdict);
-  map.set("detail", verdict.detail);
-  map.setDouble("solveSeconds", verdict.solveSeconds);
-  map.setBool("canceled", verdict.canceled);
-  map.setBool("witnessChecked", verdict.witnessChecked);
-  map.set("cacheKey", verdict.cacheKey);
-  map.setBool("cached", verdict.cached);
-  map.setUint("attempt.count", verdict.attempts.size());
-  for (std::size_t i = 0; i < verdict.attempts.size(); ++i) {
-    map.set(indexed("attempt", i), encodeAttempt(verdict.attempts[i]));
+  map.setUint("count", plan.actions().size());
+  std::size_t i = 0;
+  for (const auto& [key, action] : plan.actions()) {
+    map.set(indexed("scope", i), key.first);
+    map.setUint(indexed("nth", i), key.second);
+    map.setInt(indexed("kind", i), static_cast<int>(action.kind));
+    map.set(indexed("reason", i), action.reason);
+    map.setUint(indexed("delayMs", i), action.delayMs);
+    ++i;
   }
-  if (verdict.trace) map.set("trace", encodeTrace(*verdict.trace));
   return map.encode();
 }
 
-WireVerdict decodeVerdict(const std::string& bytes) {
+backends::FaultPlanPtr decodeFaultPlan(const std::string& bytes) {
   const WireMap map = WireMap::decode(bytes);
-  WireVerdict verdict;
-  verdict.verdict = map.get("verdict");
-  // Reject unknown names right here: a garbled-but-checksummed reply must
-  // not travel further as if it answered the query.
-  (void)verdictFromName(verdict.verdict);
-  verdict.detail = map.get("detail");
-  verdict.solveSeconds = map.getDouble("solveSeconds");
-  verdict.canceled = map.getBool("canceled");
-  verdict.witnessChecked = map.getBool("witnessChecked");
-  verdict.cacheKey = map.get("cacheKey");
-  verdict.cached = map.getBool("cached");
+  auto plan = std::make_shared<backends::FaultPlan>();
+  const std::uint64_t count = map.getUint("count");
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::int64_t kind = map.getInt(indexed("kind", i));
+    if (kind < 0 ||
+        kind > static_cast<int>(backends::FaultAction::Kind::PartialWrite)) {
+      throw ProtocolError("unknown fault kind " + std::to_string(kind));
+    }
+    backends::FaultAction action;
+    action.kind = static_cast<backends::FaultAction::Kind>(kind);
+    action.reason = map.get(indexed("reason", i));
+    action.delayMs = static_cast<unsigned>(map.getUint(indexed("delayMs", i)));
+    plan->at(map.get(indexed("scope", i)),
+             static_cast<std::size_t>(map.getUint(indexed("nth", i))),
+             std::move(action));
+  }
+  return plan;
+}
+
+/// CompileBudget's caps, one wire key each.
+using BudgetCap = std::size_t CompileBudget::*;
+constexpr std::pair<const char*, BudgetCap> kBudgetCaps[] = {
+    {"budget.maxNestingDepth", &CompileBudget::maxNestingDepth},
+    {"budget.maxExprTerms", &CompileBudget::maxExprTerms},
+    {"budget.maxAstNodes", &CompileBudget::maxAstNodes},
+    {"budget.maxUnrolledStmts", &CompileBudget::maxUnrolledStmts},
+    {"budget.maxInlinedStmts", &CompileBudget::maxInlinedStmts},
+    {"budget.maxExecStmts", &CompileBudget::maxExecStmts},
+    {"budget.maxTermNodes", &CompileBudget::maxTermNodes},
+};
+
+/// Every AnalysisOptions field but `cache`, which stays in the process
+/// that owns it.
+void encodeOptions(const core::AnalysisOptions& options, WireMap& map) {
+  map.setInt("horizon", options.horizon);
+  map.setInt("model", static_cast<int>(options.model));
+  setMaybeUint(map, "timeoutMs", options.timeoutMs);
+  setMaybeUint(map, "rlimit", options.rlimit);
+  setMaybeUint(map, "maxMemoryMb", options.maxMemoryMb);
+  setMaybeUint(map, "randomSeed", options.randomSeed);
+  map.setBool("retry.enabled", options.retry.enabled);
+  map.setBool("replayWitness", options.replayWitness);
+  if (options.faultPlan) {
+    map.set("faultPlan", encodeFaultPlan(*options.faultPlan));
+  }
+  map.setBool("unrollLoops", options.unrollLoops);
+  map.setBool("symbolicInitialState", options.symbolicInitialState);
+  map.setBool("opt.enabled", options.opt.enabled);
+  map.setBool("opt.slice", options.opt.slice);
+  map.setBool("opt.rewrite", options.opt.rewrite);
+  for (const auto& [key, cap] : kBudgetCaps) {
+    map.setUint(key, options.budget.*cap);
+  }
+  map.setBool("cacheVerify", options.cacheVerify);
+}
+
+core::AnalysisOptions decodeOptions(const WireMap& map) {
+  core::AnalysisOptions options;
+  options.horizon = static_cast<int>(map.getInt("horizon"));
+  options.model = modelKindFromInt(map.getInt("model"));
+  options.timeoutMs = getMaybeUint(map, "timeoutMs");
+  options.rlimit = getMaybeUint(map, "rlimit");
+  options.maxMemoryMb = getMaybeUint(map, "maxMemoryMb");
+  options.randomSeed = getMaybeUint(map, "randomSeed");
+  options.retry.enabled = map.getBool("retry.enabled");
+  options.replayWitness = map.getBool("replayWitness");
+  if (const auto plan = map.maybe("faultPlan")) {
+    options.faultPlan = decodeFaultPlan(*plan);
+  }
+  options.unrollLoops = map.getBool("unrollLoops");
+  options.symbolicInitialState = map.getBool("symbolicInitialState");
+  options.opt.enabled = map.getBool("opt.enabled");
+  options.opt.slice = map.getBool("opt.slice");
+  options.opt.rewrite = map.getBool("opt.rewrite");
+  for (const auto& [key, cap] : kBudgetCaps) {
+    options.budget.*cap = map.getUint(key);
+  }
+  options.cacheVerify = map.getBool("cacheVerify");
+  return options;
+}
+
+std::string encodeVerdict(const core::AnalysisResult& result) {
+  WireMap map;
+  map.set("verdict", core::verdictName(result.verdict));
+  map.set("detail", result.detail);
+  map.setDouble("solveSeconds", result.solveSeconds);
+  map.setBool("canceled", result.canceled);
+  map.setBool("witnessChecked", result.witnessChecked);
+  map.set("cacheKey", result.cacheKey);
+  map.setBool("cached", result.cached);
+  map.setUint("attempt.count", result.attempts.size());
+  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
+    map.set(indexed("attempt", i), encodeAttempt(result.attempts[i]));
+  }
+  if (result.trace) map.set("trace", encodeTrace(*result.trace));
+  return map.encode();
+}
+
+core::AnalysisResult decodeVerdict(const std::string& bytes) {
+  const WireMap map = WireMap::decode(bytes);
+  core::AnalysisResult result;
+  const std::string& name = map.get("verdict");
+  const auto verdict = core::parseVerdictName(name);
+  if (!verdict) throw ProtocolError("unknown verdict name '" + name + "'");
+  result.verdict = *verdict;
+  result.detail = map.get("detail");
+  result.solveSeconds = map.getDouble("solveSeconds");
+  result.canceled = map.getBool("canceled");
+  result.witnessChecked = map.getBool("witnessChecked");
+  result.cacheKey = map.get("cacheKey");
+  result.cached = map.getBool("cached");
   const std::uint64_t attempts = map.getUint("attempt.count");
   for (std::size_t i = 0; i < attempts; ++i) {
-    verdict.attempts.push_back(decodeAttempt(map.get(indexed("attempt", i))));
+    result.attempts.push_back(decodeAttempt(map.get(indexed("attempt", i))));
   }
-  if (map.has("trace")) verdict.trace = decodeTrace(map.get("trace"));
-  return verdict;
+  if (map.has("trace")) result.trace = decodeTrace(map.get("trace"));
+  return result;
 }
 
 }  // namespace
@@ -314,45 +387,27 @@ WireVerdict decodeVerdict(const std::string& bytes) {
 
 std::string encodeJob(const WireJob& job) {
   WireMap map;
-  map.setUint("program.count", job.programs.size());
-  for (std::size_t i = 0; i < job.programs.size(); ++i) {
-    map.set(indexed("program", i), encodeProgram(job.programs[i]));
+  const auto& programs = job.network.instances();
+  map.setUint("program.count", programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    map.set(indexed("program", i), encodeProgram(programs[i]));
   }
-  map.setUint("connection.count", job.connections.size());
-  for (std::size_t i = 0; i < job.connections.size(); ++i) {
-    map.set(indexed("connection", i), encodeConnection(job.connections[i]));
+  const auto& connections = job.network.connections();
+  map.setUint("connection.count", connections.size());
+  for (std::size_t i = 0; i < connections.size(); ++i) {
+    map.set(indexed("connection", i), encodeConnection(connections[i]));
   }
-  map.setInt("horizon", job.horizon);
-  map.setInt("model", static_cast<int>(job.model));
+  encodeOptions(job.options, map);
+  if (job.cache) {
+    map.set("cache.dir", job.cache->dir);
+    map.setUint("cache.maxMemoryEntries", job.cache->maxMemoryEntries);
+    map.setUint("cache.maxDiskBytes", job.cache->maxDiskBytes);
+  }
   map.setBool("verify", job.verify);
   map.setBool("viaSmtLib", job.viaSmtLib);
   setStringList(map, "query", job.queries);
   setStringList(map, "workload", job.workloadSpecs);
-  setMaybeUint(map, "timeoutMs", job.timeoutMs);
-  setMaybeUint(map, "rlimit", job.rlimit);
-  setMaybeUint(map, "maxMemoryMb", job.maxMemoryMb);
-  setMaybeUint(map, "randomSeed", job.randomSeed);
-  map.setBool("retryEnabled", job.retryEnabled);
-  map.setBool("replayWitness", job.replayWitness);
-  map.setBool("optEnabled", job.optEnabled);
-  map.setBool("unrollLoops", job.unrollLoops);
-  map.setBool("symbolicInitialState", job.symbolicInitialState);
-  map.setBool("cacheEnabled", job.cacheEnabled);
-  map.set("cacheDir", job.cacheDir);
-  map.setUint("cacheMaxDiskBytes", job.cacheMaxDiskBytes);
-  map.setBool("cacheVerify", job.cacheVerify);
-  map.setUint("budget.maxNestingDepth", job.budget.maxNestingDepth);
-  map.setUint("budget.maxExprTerms", job.budget.maxExprTerms);
-  map.setUint("budget.maxAstNodes", job.budget.maxAstNodes);
-  map.setUint("budget.maxUnrolledStmts", job.budget.maxUnrolledStmts);
-  map.setUint("budget.maxInlinedStmts", job.budget.maxInlinedStmts);
-  map.setUint("budget.maxExecStmts", job.budget.maxExecStmts);
-  map.setUint("budget.maxTermNodes", job.budget.maxTermNodes);
   map.set("faultScope", job.faultScope);
-  map.setUint("fault.count", job.faults.size());
-  for (std::size_t i = 0; i < job.faults.size(); ++i) {
-    map.set(indexed("fault", i), encodeFault(job.faults[i]));
-  }
   map.setUint("attempt", job.attempt);
   return map.encode();
 }
@@ -361,44 +416,28 @@ WireJob decodeJob(const WireMap& map) {
   WireJob job;
   const std::uint64_t programs = map.getUint("program.count");
   for (std::size_t i = 0; i < programs; ++i) {
-    job.programs.push_back(decodeProgram(map.get(indexed("program", i))));
+    job.network.add(decodeProgram(map.get(indexed("program", i))));
   }
   const std::uint64_t connections = map.getUint("connection.count");
   for (std::size_t i = 0; i < connections; ++i) {
-    job.connections.push_back(
-        decodeConnection(map.get(indexed("connection", i))));
+    core::Connection c = decodeConnection(map.get(indexed("connection", i)));
+    job.network.connect(std::move(c.fromInstance), std::move(c.fromParam),
+                        c.fromIndex, std::move(c.toInstance),
+                        std::move(c.toParam), c.toIndex);
   }
-  job.horizon = static_cast<int>(map.getInt("horizon"));
-  job.model = modelKindFromInt(map.getInt("model"));
+  job.options = decodeOptions(map);
+  if (const auto dir = map.maybe("cache.dir")) {
+    cache::VerdictCacheOptions settings;
+    settings.dir = *dir;
+    settings.maxMemoryEntries = map.getUint("cache.maxMemoryEntries");
+    settings.maxDiskBytes = map.getUint("cache.maxDiskBytes");
+    job.cache = std::move(settings);
+  }
   job.verify = map.getBool("verify");
   job.viaSmtLib = map.getBool("viaSmtLib");
   job.queries = getStringList(map, "query");
   job.workloadSpecs = getStringList(map, "workload");
-  job.timeoutMs = getMaybeUint(map, "timeoutMs");
-  job.rlimit = getMaybeUint(map, "rlimit");
-  job.maxMemoryMb = getMaybeUint(map, "maxMemoryMb");
-  job.randomSeed = getMaybeUint(map, "randomSeed");
-  job.retryEnabled = map.getBool("retryEnabled");
-  job.replayWitness = map.getBool("replayWitness");
-  job.optEnabled = map.getBool("optEnabled");
-  job.unrollLoops = map.getBool("unrollLoops");
-  job.symbolicInitialState = map.getBool("symbolicInitialState");
-  job.cacheEnabled = map.getBool("cacheEnabled");
-  job.cacheDir = map.get("cacheDir");
-  job.cacheMaxDiskBytes = map.getUint("cacheMaxDiskBytes");
-  job.cacheVerify = map.getBool("cacheVerify");
-  job.budget.maxNestingDepth = map.getUint("budget.maxNestingDepth");
-  job.budget.maxExprTerms = map.getUint("budget.maxExprTerms");
-  job.budget.maxAstNodes = map.getUint("budget.maxAstNodes");
-  job.budget.maxUnrolledStmts = map.getUint("budget.maxUnrolledStmts");
-  job.budget.maxInlinedStmts = map.getUint("budget.maxInlinedStmts");
-  job.budget.maxExecStmts = map.getUint("budget.maxExecStmts");
-  job.budget.maxTermNodes = map.getUint("budget.maxTermNodes");
   job.faultScope = map.get("faultScope");
-  const std::uint64_t faults = map.getUint("fault.count");
-  for (std::size_t i = 0; i < faults; ++i) {
-    job.faults.push_back(decodeFault(map.get(indexed("fault", i))));
-  }
   job.attempt = static_cast<unsigned>(map.getUint("attempt"));
   return job;
 }
@@ -425,172 +464,19 @@ WireResult decodeResult(const WireMap& map) {
   return result;
 }
 
-// ---- fault plan ---------------------------------------------------------
-
-bool isWorkerFaultKind(backends::FaultAction::Kind kind) {
-  switch (kind) {
-    case backends::FaultAction::Kind::CrashBeforeReply:
-    case backends::FaultAction::Kind::Hang:
-    case backends::FaultAction::Kind::GarbledFrame:
-    case backends::FaultAction::Kind::PartialWrite:
-      return true;
-    case backends::FaultAction::Kind::ForceUnknown:
-    case backends::FaultAction::Kind::Throw:
-    case backends::FaultAction::Kind::Delay:
-    case backends::FaultAction::Kind::CorruptWitness:
-      return false;
-  }
-  return false;
-}
-
-backends::FaultPlanPtr faultPlanFromWire(
-    const std::vector<WireFault>& faults) {
-  if (faults.empty()) return nullptr;
-  auto plan = std::make_shared<backends::FaultPlan>();
-  for (const auto& fault : faults) {
-    backends::FaultAction action;
-    action.kind = static_cast<backends::FaultAction::Kind>(fault.kind);
-    action.reason = fault.reason;
-    action.delayMs = fault.delayMs;
-    plan->at(fault.scope, static_cast<std::size_t>(fault.nth),
-             std::move(action));
-  }
-  return plan;
-}
-
-std::vector<WireFault> faultsToWire(const backends::FaultPlanPtr& plan) {
-  std::vector<WireFault> faults;
-  if (!plan) return faults;
-  for (const auto& [key, action] : plan->actions()) {
-    WireFault fault;
-    fault.scope = key.first;
-    fault.nth = key.second;
-    fault.kind = static_cast<int>(action.kind);
-    fault.reason = action.reason;
-    fault.delayMs = action.delayMs;
-    faults.push_back(std::move(fault));
-  }
-  return faults;
-}
-
-// ---- describability + option plumbing -----------------------------------
+// ---- describability -----------------------------------------------------
 
 bool describable(const core::Network& network, const core::Workload& workload,
-                 const std::vector<std::string>& workloadSpecs) {
-  // Contracts carry invariant closures; programmatic workload rules are
-  // opaque std::function values. Only spec-string workloads survive the
-  // wire (the worker re-parses them at its own horizon).
+                 const std::vector<std::string>& workloadSpecs,
+                 const std::vector<core::Query>& queries) {
+  // Contracts carry invariant closures; programmatic workload rules and
+  // custom queries are opaque std::function values. Only spec-string
+  // workloads and query text survive the wire.
   if (!network.contracts().empty()) return false;
+  for (const auto& query : queries) {
+    if (!query.textual() && query.description() != "true") return false;
+  }
   return workload.ruleCount() == 0 || !workloadSpecs.empty();
-}
-
-void applyOptionsToJob(const core::AnalysisOptions& options, WireJob& job) {
-  job.horizon = options.horizon;
-  job.model = options.model;
-  job.timeoutMs = options.timeoutMs;
-  job.rlimit = options.rlimit;
-  job.maxMemoryMb = options.maxMemoryMb;
-  job.randomSeed = options.randomSeed;
-  job.retryEnabled = options.retry.enabled;
-  job.replayWitness = options.replayWitness;
-  job.optEnabled = options.opt.enabled;
-  job.unrollLoops = options.unrollLoops;
-  job.symbolicInitialState = options.symbolicInitialState;
-  job.budget = options.budget;
-  if (options.cache) {
-    job.cacheEnabled = true;
-    job.cacheDir = options.cache->options().dir;
-    job.cacheMaxDiskBytes = options.cache->options().maxDiskBytes;
-  }
-  job.cacheVerify = options.cacheVerify;
-  job.faults = faultsToWire(options.faultPlan);
-}
-
-core::AnalysisOptions optionsFromJob(const WireJob& job) {
-  core::AnalysisOptions options;
-  options.horizon = job.horizon;
-  options.model = job.model;
-  options.timeoutMs = job.timeoutMs;
-  options.rlimit = job.rlimit;
-  options.maxMemoryMb = job.maxMemoryMb;
-  options.randomSeed = job.randomSeed;
-  options.retry.enabled = job.retryEnabled;
-  options.replayWitness = job.replayWitness;
-  options.opt.enabled = job.optEnabled;
-  options.unrollLoops = job.unrollLoops;
-  options.symbolicInitialState = job.symbolicInitialState;
-  options.budget = job.budget;
-  if (job.cacheEnabled) {
-    cache::VerdictCacheOptions copts;
-    copts.dir = job.cacheDir;
-    copts.maxDiskBytes = job.cacheMaxDiskBytes;
-    options.cache = std::make_shared<cache::VerdictCache>(std::move(copts));
-    options.cacheVerify = job.cacheVerify;
-  }
-  options.faultPlan = faultPlanFromWire(job.faults);
-  return options;
-}
-
-// ---- AnalysisResult <-> wire --------------------------------------------
-
-WireVerdict wireFromAnalysis(const core::AnalysisResult& result) {
-  WireVerdict wire;
-  wire.verdict = core::verdictName(result.verdict);
-  wire.detail = result.detail;
-  wire.solveSeconds = result.solveSeconds;
-  wire.canceled = result.canceled;
-  wire.witnessChecked = result.witnessChecked;
-  wire.attempts = result.attempts;
-  wire.trace = result.trace;
-  wire.cacheKey = result.cacheKey;
-  wire.cached = result.cached;
-  return wire;
-}
-
-core::AnalysisResult analysisFromWire(const WireVerdict& wire) {
-  core::AnalysisResult result;
-  result.verdict = verdictFromName(wire.verdict);
-  result.detail = wire.detail;
-  result.solveSeconds = wire.solveSeconds;
-  result.canceled = wire.canceled;
-  result.witnessChecked = wire.witnessChecked;
-  result.attempts = wire.attempts;
-  result.trace = wire.trace;
-  result.cacheKey = wire.cacheKey;
-  result.cached = wire.cached;
-  return result;
-}
-
-core::Verdict verdictFromName(const std::string& name) {
-  static constexpr core::Verdict kAll[] = {
-      core::Verdict::Satisfiable,     core::Verdict::Unsatisfiable,
-      core::Verdict::Verified,        core::Verdict::Violated,
-      core::Verdict::WitnessMismatch, core::Verdict::Unknown,
-  };
-  for (const core::Verdict v : kAll) {
-    if (name == core::verdictName(v)) return v;
-  }
-  throw ProtocolError("unknown verdict name '" + name + "'");
-}
-
-void populateCache(cache::VerdictCache& cache, const WireVerdict& wire) {
-  if (wire.cacheKey.empty() || wire.canceled) return;
-  const auto verdict = core::parseVerdictName(wire.verdict);
-  if (!verdict) return;
-  switch (*verdict) {
-    case core::Verdict::Satisfiable:
-    case core::Verdict::Unsatisfiable:
-    case core::Verdict::Verified:
-    case core::Verdict::Violated: break;
-    default: return;
-  }
-  cache::CachedVerdict value;
-  value.verdict = wire.verdict;
-  value.detail = wire.detail;
-  value.solveSeconds = wire.solveSeconds;
-  value.witnessChecked = wire.witnessChecked;
-  value.trace = wire.trace;
-  cache.store(wire.cacheKey, value);
 }
 
 }  // namespace buffy::procs

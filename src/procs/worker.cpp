@@ -11,6 +11,24 @@ namespace buffy::procs {
 
 namespace {
 
+/// True when `kind` is interpreted by this loop (process-level fault)
+/// rather than by the solver backend.
+bool isWorkerFaultKind(backends::FaultAction::Kind kind) {
+  switch (kind) {
+    case backends::FaultAction::Kind::CrashBeforeReply:
+    case backends::FaultAction::Kind::Hang:
+    case backends::FaultAction::Kind::GarbledFrame:
+    case backends::FaultAction::Kind::PartialWrite:
+      return true;
+    case backends::FaultAction::Kind::ForceUnknown:
+    case backends::FaultAction::Kind::Throw:
+    case backends::FaultAction::Kind::Delay:
+    case backends::FaultAction::Kind::CorruptWitness:
+      return false;
+  }
+  return false;
+}
+
 [[noreturn]] void hangForever() {
   // Models a wedged solver: stop responding until the supervisor's
   // deadline expires and it kills us.
@@ -24,30 +42,21 @@ namespace {
 WireResult serveJob(const WireJob& job) {
   WireResult result;
   try {
-    core::Network network;
-    for (const auto& program : job.programs) network.add(program);
-    for (const auto& conn : job.connections) {
-      network.connect(conn.fromInstance, conn.fromParam, conn.fromIndex,
-                      conn.toInstance, conn.toParam, conn.toIndex);
-    }
-    core::Analysis engine(std::move(network), optionsFromJob(job));
+    core::AnalysisOptions options = job.options;
+    options.cache =
+        job.cache ? std::make_shared<cache::VerdictCache>(*job.cache) : nullptr;
+    core::Analysis engine(job.network, std::move(options));
     engine.setFaultScope(job.faultScope);
     if (!job.workloadSpecs.empty()) {
       engine.setWorkload(
-          core::workloadFromSpecs(job.workloadSpecs, job.horizon));
+          core::workloadFromSpecs(job.workloadSpecs, job.options.horizon));
     }
-    std::vector<core::Query> queries;
     for (const auto& text : job.queries) {
-      queries.push_back(text.empty() ? core::Query::always()
-                                     : core::Query::expr(text));
-    }
-    if (queries.empty()) queries.push_back(core::Query::always());
-    for (const auto& query : queries) {
-      const core::AnalysisResult r =
+      const core::Query query = core::Query::expr(text);
+      result.verdicts.push_back(
           job.viaSmtLib ? engine.solveViaSmtLib(query, job.verify)
           : job.verify  ? engine.verify(query)
-                        : engine.check(query);
-      result.verdicts.push_back(wireFromAnalysis(r));
+                        : engine.check(query));
     }
   } catch (const std::exception& e) {
     // A clean in-worker failure: the job was *answered*, with a failure —
@@ -83,8 +92,8 @@ int runWorker() {
       }
       const WireJob job = decodeJob(WireMap::decode(frame.get("job")));
 
-      if (const auto plan = faultPlanFromWire(job.faults)) {
-        fault = plan->actionFor(job.faultScope, job.attempt);
+      if (job.options.faultPlan) {
+        fault = job.options.faultPlan->actionFor(job.faultScope, job.attempt);
         if (fault && !isWorkerFaultKind(fault->kind)) fault.reset();
       }
       if (fault) {

@@ -22,7 +22,8 @@ namespace buffy::procs {
 int runWorker();
 
 /// One job, in-process (the worker's solve path, exposed for tests and for
-/// the supervisor's degraded fallback). Never throws: in-job failures
+/// the supervisor's fallback when no worker can be spawned). Builds the
+/// job's own VerdictCache from `job.cache`. Never throws: in-job failures
 /// (compile error, budget exhaustion) come back as WireResult::error.
 WireResult serveJob(const WireJob& job);
 

@@ -327,7 +327,8 @@ SynthesisResult Synthesizer::run(const core::Query& query,
         const core::Workload empty;
         const auto enc = pipeline::buildEncoding(*unit, empty, &arrivals);
         const core::SeriesView view(&enc->series, enc->horizon);
-        const auto value = ir::constValue(query.build(view, enc->arena));
+        const auto value =
+            ir::constValue(query.build(view, enc->arena, options_.budget));
         if (!value) {
           // Nondeterministic model configuration — no concrete verdicts.
           prescreenBroken.store(true);

@@ -508,6 +508,32 @@ TEST(Cli, DeepNestingRejectedStructurally) {
       << result.output;
 }
 
+// A --query nested past the cap is a budget error, like a deep model, not
+// a stack overflow; --no-budget lifts the cap for queries too.
+TEST(Cli, DeepQueryHitsNestingDepthNotTheStack) {
+  const auto nested = [](std::size_t depth) {
+    return "--query \"" + std::string(depth, '(') + "rr.cdeq.0[T-1]" +
+           std::string(depth, ')') + " >= 0\" ";
+  };
+  const std::string args =
+      "check -T 2 -D N=2 --input ibs:6:2 --output ob:16 --no-cache ";
+  const std::string rr = model("round_robin.bfy");
+  const auto deep = runCli(args + "--json " + nested(40000) + rr);
+  EXPECT_EQ(deep.exitCode, 5) << deep.output;
+  EXPECT_NE(deep.output.find("\"verdict\":\"BUDGET-EXCEEDED\""),
+            std::string::npos)
+      << deep.output;
+  EXPECT_NE(deep.output.find("\"resource\":\"nesting-depth\""),
+            std::string::npos)
+      << deep.output;
+  // Just past the default cap: rejected, and answered under --no-budget.
+  const auto over = runCli(args + nested(300) + rr);
+  EXPECT_EQ(over.exitCode, 5) << over.output;
+  const auto lifted = runCli(args + "--no-budget " + nested(300) + rr);
+  EXPECT_EQ(lifted.exitCode, 0) << lifted.output;
+  EXPECT_EQ(lifted.output.rfind("SATISFIABLE", 0), 0u) << lifted.output;
+}
+
 TEST(Cli, JsonFormatOnUnknown) {
   const auto result = runCli(
       std::string(resilience::kCheckArgs) + "--format json --no-retry " +

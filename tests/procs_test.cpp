@@ -1,9 +1,11 @@
 // Crash-isolated worker layer (DESIGN.md §13): protocol framing, job
 // codecs, supervision (restart/retry/kill/degrade), and the end-to-end
-// guarantee the layer exists for — verdicts under --isolate are identical
-// to the serial in-process path on every example model, even while
-// injected worker faults (crash, hang, garbled frame, torn write) storm
-// every job's first attempt, and no worker process is ever orphaned.
+// guarantees the layer exists for — a job that crashes every worker it
+// reaches never runs in the parent, verdicts under --isolate are
+// identical to the serial in-process path on every example model, even
+// while injected worker faults (crash, hang, garbled frame, torn write)
+// storm every job's first attempt, and no worker process is ever
+// orphaned.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -205,11 +207,13 @@ std::string readFile(const std::string& path) {
 }
 
 /// A round_robin job in wire form: the supervisor integration tests ship
-/// this to a real `buffy --worker` subprocess.
-procs::WireJob roundRobinJob() {
+/// this to a real `buffy --worker` subprocess. `source` replaces the model
+/// text.
+procs::WireJob roundRobinJob(
+    std::string source = readFile(modelPath("round_robin.bfy"))) {
   core::ProgramSpec spec;
   spec.instance = "rr";
-  spec.source = readFile(modelPath("round_robin.bfy"));
+  spec.source = std::move(source);
   spec.compile.constants["N"] = 2;
   core::BufferSpec in;
   in.param = "ibs";
@@ -223,8 +227,8 @@ procs::WireJob roundRobinJob() {
   spec.buffers = {in, out};
 
   procs::WireJob job;
-  job.programs.push_back(spec);
-  job.horizon = 4;
+  job.network.add(spec);
+  job.options.horizon = 4;
   job.queries.push_back("rr.cdeq.0[T-1] >= 0");
   return job;
 }
@@ -232,69 +236,88 @@ procs::WireJob roundRobinJob() {
 TEST(Wire, JobRoundTrips) {
   procs::WireJob job = roundRobinJob();
   job.workloadSpecs = {"rr.ibs.0:0:1", "rr.ibs.1@2:1:1"};
-  job.timeoutMs = 777;
-  job.rlimit.reset();
-  job.randomSeed = 23;
+  job.options.timeoutMs = 777;
+  job.options.rlimit.reset();
+  job.options.randomSeed = 23;
+  job.options.retry.enabled = false;
+  job.options.opt.slice = false;
+  job.options.budget.maxAstNodes = 12345;
+  job.cache = cache::VerdictCacheOptions{"/tmp/cache", 16, 4096};
   job.verify = true;
-  job.retryEnabled = false;
-  job.budget.maxAstNodes = 12345;
   job.faultScope = "race:ladder";
   job.attempt = 3;
-  procs::WireFault fault;
-  fault.scope = "race:ladder";
-  fault.nth = 1;
-  fault.kind = static_cast<int>(backends::FaultAction::Kind::CrashBeforeReply);
-  job.faults.push_back(fault);
+  auto plan = std::make_shared<backends::FaultPlan>();
+  plan->at("race:ladder", 1,
+           {backends::FaultAction::Kind::CrashBeforeReply, "boom", 7});
+  job.options.faultPlan = plan;
 
   const procs::WireJob back =
       procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job)));
-  ASSERT_EQ(back.programs.size(), 1u);
-  EXPECT_EQ(back.programs[0].instance, "rr");
-  EXPECT_EQ(back.programs[0].source, job.programs[0].source);
-  EXPECT_EQ(back.programs[0].compile.constants.at("N"), 2);
-  ASSERT_EQ(back.programs[0].buffers.size(), 2u);
-  EXPECT_EQ(back.programs[0].buffers[0].param, "ibs");
-  EXPECT_EQ(back.programs[0].buffers[0].capacity, 6);
-  EXPECT_EQ(back.programs[0].buffers[1].role,
-            core::BufferSpec::Role::Output);
-  EXPECT_EQ(back.horizon, 4);
+  const auto& programs = back.network.instances();
+  ASSERT_EQ(programs.size(), 1u);
+  EXPECT_EQ(programs[0].instance, "rr");
+  EXPECT_EQ(programs[0].source, readFile(modelPath("round_robin.bfy")));
+  EXPECT_EQ(programs[0].compile.constants.at("N"), 2);
+  ASSERT_EQ(programs[0].buffers.size(), 2u);
+  EXPECT_EQ(programs[0].buffers[0].param, "ibs");
+  EXPECT_EQ(programs[0].buffers[0].capacity, 6);
+  EXPECT_EQ(programs[0].buffers[1].role, core::BufferSpec::Role::Output);
+  EXPECT_EQ(back.options.horizon, 4);
   EXPECT_EQ(back.queries, job.queries);
   EXPECT_EQ(back.workloadSpecs, job.workloadSpecs);
-  EXPECT_EQ(back.timeoutMs, std::optional<unsigned>(777));
-  EXPECT_FALSE(back.rlimit.has_value());
-  EXPECT_EQ(back.randomSeed, std::optional<unsigned>(23));
+  EXPECT_EQ(back.options.timeoutMs, std::optional<unsigned>(777));
+  EXPECT_FALSE(back.options.rlimit.has_value());
+  EXPECT_EQ(back.options.randomSeed, std::optional<unsigned>(23));
+  EXPECT_FALSE(back.options.retry.enabled);
+  EXPECT_TRUE(back.options.opt.enabled);
+  EXPECT_FALSE(back.options.opt.slice);
+  EXPECT_EQ(back.options.budget.maxAstNodes, 12345u);
+  // Decode carries the cache's settings, never a cache.
+  EXPECT_EQ(back.options.cache, nullptr);
+  ASSERT_TRUE(back.cache.has_value());
+  EXPECT_EQ(back.cache->dir, "/tmp/cache");
+  EXPECT_EQ(back.cache->maxMemoryEntries, 16u);
+  EXPECT_EQ(back.cache->maxDiskBytes, 4096u);
   EXPECT_TRUE(back.verify);
-  EXPECT_FALSE(back.retryEnabled);
-  EXPECT_EQ(back.budget.maxAstNodes, 12345u);
   EXPECT_EQ(back.faultScope, "race:ladder");
   EXPECT_EQ(back.attempt, 3u);
-  ASSERT_EQ(back.faults.size(), 1u);
-  EXPECT_EQ(back.faults[0].nth, 1u);
-  EXPECT_EQ(back.faults[0].kind, fault.kind);
+  ASSERT_NE(back.options.faultPlan, nullptr);
+  ASSERT_EQ(back.options.faultPlan->actions().size(), 1u);
+  const auto action = back.options.faultPlan->actionFor("race:ladder", 1);
+  ASSERT_TRUE(action.has_value());
+  EXPECT_EQ(action->kind, backends::FaultAction::Kind::CrashBeforeReply);
+  EXPECT_EQ(action->reason, "boom");
+  EXPECT_EQ(action->delayMs, 7u);
 }
 
 TEST(Wire, ResultRejectsUnknownVerdictName) {
   // A checksum-valid frame whose payload claims an unknown verdict must
   // be a ProtocolError (kill + retry), never an answer.
   procs::WireResult result;
-  procs::WireVerdict v;
-  v.verdict = "TOTALLY-BOGUS";
-  result.verdicts.push_back(v);
-  EXPECT_THROW(
-      procs::decodeResult(procs::WireMap::decode(procs::encodeResult(result))),
-      procs::ProtocolError);
+  result.verdicts.emplace_back();
+  procs::WireMap reply =
+      procs::WireMap::decode(procs::encodeResult(result));
+  procs::WireMap verdict = procs::WireMap::decode(reply.get("verdict.0"));
+  verdict.set("verdict", "TOTALLY-BOGUS");
+  reply.set("verdict.0", verdict.encode());
+  EXPECT_THROW(procs::decodeResult(reply), procs::ProtocolError);
 }
 
 TEST(Wire, JobRejectsFaultKindPastLastKind) {
   // PartialWrite is the last FaultAction kind; the ordinal after it names
   // no action and must not decode into one.
   procs::WireJob job = roundRobinJob();
-  procs::WireFault fault;
-  fault.kind = static_cast<int>(backends::FaultAction::Kind::PartialWrite);
-  job.faults.push_back(fault);
+  const auto last = backends::FaultAction::Kind::PartialWrite;
+  auto plan = std::make_shared<backends::FaultPlan>();
+  plan->at("t", 0, {last});
+  job.options.faultPlan = plan;
   EXPECT_NO_THROW(
       procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job))));
-  job.faults[0].kind += 1;
+  auto past = std::make_shared<backends::FaultPlan>();
+  past->at("t", 0,
+           {static_cast<backends::FaultAction::Kind>(static_cast<int>(last) +
+                                                     1)});
+  job.options.faultPlan = past;
   EXPECT_THROW(procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job))),
                procs::ProtocolError);
 }
@@ -305,13 +328,12 @@ TEST(Wire, ServeJobAnswersInProcess) {
   const procs::WireResult result = procs::serveJob(roundRobinJob());
   EXPECT_TRUE(result.error.empty()) << result.error;
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   EXPECT_TRUE(result.verdicts[0].witnessChecked);
 }
 
 TEST(Wire, ServeJobReportsCompileErrorCleanly) {
-  procs::WireJob job = roundRobinJob();
-  job.programs[0].source = "this is not a buffy program (";
+  const procs::WireJob job = roundRobinJob("this is not a buffy program (");
   const procs::WireResult result = procs::serveJob(job);
   EXPECT_FALSE(result.error.empty());
   EXPECT_TRUE(result.verdicts.empty());
@@ -336,7 +358,7 @@ TEST(Supervisor, AnswersJobThroughWorker) {
   const procs::WireResult result = runNoFallback(sup, roundRobinJob());
   EXPECT_TRUE(result.error.empty()) << result.error;
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
   EXPECT_EQ(stats.jobs, 1u);
@@ -344,26 +366,33 @@ TEST(Supervisor, AnswersJobThroughWorker) {
   EXPECT_EQ(stats.workersSpawned, stats.workersReaped);  // zero orphans
 }
 
-/// Schedules a worker fault on attempt `nth` of scope "t" and returns the
-/// job pinned to that scope.
-procs::WireJob faultedJob(backends::FaultAction::Kind kind,
-                          std::uint64_t nth = 0) {
+/// A round_robin job running under fault scope "t" with `plan`.
+procs::WireJob faultedJob(std::shared_ptr<backends::FaultPlan> plan) {
   procs::WireJob job = roundRobinJob();
   job.faultScope = "t";
-  procs::WireFault fault;
-  fault.scope = "t";
-  fault.nth = nth;
-  fault.kind = static_cast<int>(kind);
-  job.faults.push_back(fault);
+  job.options.faultPlan = std::move(plan);
   return job;
+}
+
+/// Schedules `kind` on ordinal `nth` of scope "t": the attempt ordinal for
+/// worker faults, the solver check for solver faults.
+procs::WireJob faultedJob(backends::FaultAction::Kind kind,
+                          std::uint64_t nth = 0, unsigned delayMs = 0) {
+  auto plan = std::make_shared<backends::FaultPlan>();
+  plan->at("t", nth, {kind, "injected fault", delayMs});
+  return faultedJob(std::move(plan));
 }
 
 TEST(Supervisor, CrashBeforeReplyRestartsAndRetries) {
   procs::Supervisor sup(workerOptions());
-  const procs::WireResult result = runNoFallback(
-      sup, faultedJob(backends::FaultAction::Kind::CrashBeforeReply));
+  const procs::WireJob job =
+      faultedJob(backends::FaultAction::Kind::CrashBeforeReply);
+  const procs::WireResult result = runNoFallback(sup, job);
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
+  // The retry re-sent the job unchanged: no escalated budget.
+  ASSERT_FALSE(result.verdicts[0].attempts.empty());
+  EXPECT_EQ(result.verdicts[0].attempts[0].timeoutMs, job.options.timeoutMs);
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
   EXPECT_EQ(stats.retries, 1u);
@@ -375,10 +404,10 @@ TEST(Supervisor, CrashBeforeReplyRestartsAndRetries) {
 TEST(Supervisor, HangIsKilledAtDeadlineAndRetried) {
   procs::Supervisor sup(workerOptions());
   procs::WireJob job = faultedJob(backends::FaultAction::Kind::Hang);
-  job.timeoutMs = 200;  // keeps the derived deadline small
+  job.options.timeoutMs = 200;  // keeps the derived deadline small
   const procs::WireResult result = runNoFallback(sup, std::move(job));
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
   EXPECT_EQ(stats.retries, 1u);
@@ -391,12 +420,12 @@ TEST(Supervisor, HangIsKilledAtDeadlineAndRetried) {
 // path; the supervisor must not invent a deadline for such a job and kill
 // a worker that is merely slow.
 TEST(Supervisor, ZeroTimeoutJobHasNoDeadline) {
-  procs::SupervisorOptions opts = workerOptions();
-  opts.deadlineSlackMs = 500;
-  procs::Supervisor sup(opts);
-  procs::WireJob job = faultedJob(backends::FaultAction::Kind::Delay);
-  job.faults[0].delayMs = 1000;  // twice the slack
-  job.timeoutMs = 0;
+  procs::Supervisor sup(workerOptions());
+  // Outlasts the deadline a zero timeout would get if it counted as one.
+  procs::WireJob job =
+      faultedJob(backends::FaultAction::Kind::Delay, 0,
+                 procs::Supervisor::kDeadlineSlackMs + 500);
+  job.options.timeoutMs = 0;
   const procs::WireResult result = runNoFallback(sup, std::move(job));
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
@@ -404,7 +433,7 @@ TEST(Supervisor, ZeroTimeoutJobHasNoDeadline) {
   EXPECT_EQ(stats.kills, 0u);
   EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
 }
 
 // The derived deadline covers the in-engine retry ladder at its worst:
@@ -417,14 +446,14 @@ TEST(Supervisor, DeadlineCoversTheWholeRetryLadder) {
   const unsigned escalated = base * core::RetryPolicy::kEscalateFactor;
   // initial, reseed, escalate, smtlib
   const unsigned rungMs[] = {base, base, escalated, escalated};
-  procs::WireJob job = faultedJob(backends::FaultAction::Kind::ForceUnknown);
-  job.timeoutMs = base;
-  const procs::WireFault unknown = job.faults[0];
-  job.faults.assign(std::size(rungMs), unknown);
-  for (std::size_t nth = 0; nth < job.faults.size(); ++nth) {
-    job.faults[nth].nth = nth;
-    job.faults[nth].delayMs = rungMs[nth];
+  auto plan = std::make_shared<backends::FaultPlan>();
+  for (std::size_t nth = 0; nth < std::size(rungMs); ++nth) {
+    plan->at("t", nth,
+             {backends::FaultAction::Kind::ForceUnknown, "injected timeout",
+              rungMs[nth]});
   }
+  procs::WireJob job = faultedJob(std::move(plan));
+  job.options.timeoutMs = base;
   const procs::WireResult result = runNoFallback(sup, std::move(job));
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
@@ -433,7 +462,7 @@ TEST(Supervisor, DeadlineCoversTheWholeRetryLadder) {
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "UNKNOWN");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Unknown);
   EXPECT_EQ(result.verdicts[0].attempts.size(), 4u);
 }
 
@@ -442,7 +471,7 @@ TEST(Supervisor, GarbledFrameIsKilledAndRetried) {
   const procs::WireResult result = runNoFallback(
       sup, faultedJob(backends::FaultAction::Kind::GarbledFrame));
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
   EXPECT_EQ(stats.retries, 1u);
@@ -455,7 +484,7 @@ TEST(Supervisor, PartialWriteIsGarbledAndRetried) {
   const procs::WireResult result = runNoFallback(
       sup, faultedJob(backends::FaultAction::Kind::PartialWrite));
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
   EXPECT_EQ(stats.retries, 1u);
@@ -463,32 +492,39 @@ TEST(Supervisor, PartialWriteIsGarbledAndRetried) {
   EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
 }
 
-TEST(Supervisor, ExhaustedRetriesDegradeToFallback) {
+// A job that takes down its worker on every attempt gets an error result;
+// it is never rerun in the calling process, whatever the retry count.
+TEST(Supervisor, ExhaustedRetriesReportAnErrorNotTheFallback) {
   procs::SupervisorOptions opts = workerOptions();
-  opts.maxRetries = 1;
+  opts.maxRetries = 35;
   procs::Supervisor sup(opts);
-  // Crash attempts 0 AND 1: both tries die, the job must still be
-  // answered — by the in-process fallback.
-  procs::WireJob job = faultedJob(backends::FaultAction::Kind::CrashBeforeReply, 0);
-  procs::WireFault again = job.faults[0];
-  again.nth = 1;
-  job.faults.push_back(again);
+  auto plan = std::make_shared<backends::FaultPlan>();
+  for (std::size_t attempt = 0; attempt <= opts.maxRetries; ++attempt) {
+    plan->at("t", attempt, {backends::FaultAction::Kind::CrashBeforeReply});
+  }
+  bool fallbackRan = false;
   const auto handle = sup.createJob();
-  const procs::WireResult result = handle->run(
-      std::move(job), [](const procs::WireJob& j) { return procs::serveJob(j); });
-  ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
-  EXPECT_TRUE(handle->stats().degraded);
+  const procs::WireResult result =
+      handle->run(faultedJob(std::move(plan)), [&](const procs::WireJob& j) {
+        fallbackRan = true;
+        return procs::serveJob(j);
+      });
+  EXPECT_FALSE(fallbackRan);
+  EXPECT_FALSE(result.error.empty());
+  EXPECT_TRUE(result.verdicts.empty());
+  EXPECT_EQ(handle->stats().retries, 35u);
+  EXPECT_EQ(handle->stats().restarts, 36u);
+  EXPECT_FALSE(handle->stats().degraded);
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
-  EXPECT_EQ(stats.degradedJobs, 1u);
+  EXPECT_EQ(stats.retries, 35u);
+  EXPECT_EQ(stats.degradedJobs, 0u);
   EXPECT_EQ(stats.workersSpawned, stats.workersReaped);
 }
 
 TEST(Supervisor, CleanWorkerErrorIsNotRetried) {
   procs::Supervisor sup(workerOptions());
-  procs::WireJob job = roundRobinJob();
-  job.programs[0].source = "not a program (";
+  procs::WireJob job = roundRobinJob("not a program (");
   const procs::WireResult result = runNoFallback(sup, std::move(job));
   EXPECT_FALSE(result.error.empty());
   sup.shutdownWorkers();
@@ -508,7 +544,7 @@ TEST(Supervisor, MissingBinaryDegradesToFallback) {
       roundRobinJob(),
       [](const procs::WireJob& j) { return procs::serveJob(j); });
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   EXPECT_EQ(sup.stats().degradedJobs, 1u);
   EXPECT_EQ(sup.stats().workersSpawned, 0u);
 }
@@ -519,7 +555,7 @@ TEST(Supervisor, CancelBeforeRunYieldsCanceledVerdicts) {
   handle->cancel();
   const procs::WireResult result = handle->run(roundRobinJob(), nullptr);
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "UNKNOWN");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Unknown);
   EXPECT_TRUE(result.verdicts[0].canceled);
   EXPECT_EQ(sup.stats().workersSpawned, 0u);  // never even started
 }
@@ -529,7 +565,7 @@ TEST(Supervisor, IdleWorkersAreReusedAcrossJobs) {
   for (int i = 0; i < 3; ++i) {
     const procs::WireResult result = runNoFallback(sup, roundRobinJob());
     ASSERT_EQ(result.verdicts.size(), 1u);
-    EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+    EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   }
   sup.shutdownWorkers();
   const procs::ProcsStats stats = sup.stats();
@@ -550,14 +586,14 @@ TEST(Supervisor, WorkersSurviveSpawningThreadExit) {
   std::thread shard([&sup] {
     const procs::WireResult result = runNoFallback(sup, roundRobinJob());
     ASSERT_EQ(result.verdicts.size(), 1u);
-    EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+    EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   });
   shard.join();
   // Give a (buggy) thread-bound death signal time to land before reuse.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const procs::WireResult result = runNoFallback(sup, roundRobinJob());
   ASSERT_EQ(result.verdicts.size(), 1u);
-  EXPECT_EQ(result.verdicts[0].verdict, "SATISFIABLE");
+  EXPECT_EQ(result.verdicts[0].verdict, core::Verdict::Satisfiable);
   const procs::ProcsStats stats = sup.stats();
   EXPECT_EQ(stats.workersSpawned, 1u);  // the warm worker was truly reused
   EXPECT_EQ(stats.restarts, 0u);
@@ -764,6 +800,72 @@ TEST(CliProcs, SweepIsolateUnderCrashStormMatchesSerialOnEveryModel) {
       EXPECT_EQ(key(la), key(lb)) << m.name;
     }
   }
+}
+
+// The crash --isolate exists for: a query nested 60,000 deep overflows the
+// stack of any process that parses it with the depth cap lifted. Every
+// worker dies; the parent must not rerun the job itself, but report each
+// point as an error and exit 4 with its report. The stack limit is pinned
+// so the overflow does not depend on the runner's. ThreadSanitizer's own
+// SEGV handler can deadlock on the overflowed stack, turning the crash
+// into a hang until the deadline; with it off the worker dies as in every
+// other build, and those ignore the variable.
+TEST(CliProcs, CrashingJobIsContainedInItsWorkers) {
+  const std::string query = std::string(60000, '(') + "rr.cdeq.0[T-1]" +
+                            std::string(60000, ')') + " >= 0";
+  const auto result = runRaw(
+      "ulimit -s 8192; TSAN_OPTIONS=\"$TSAN_OPTIONS handle_segv=0\" " +
+      std::string(BUFFY_CLI_PATH) +
+      " check -D N=2 --input ibs:6:2 --output ob:16 --no-budget --no-cache"
+      " --sweep 2:3 --isolate --json --query \"" +
+      query + "\" " + modelPath("round_robin.bfy") + " 2>&1");
+  const std::string head = result.output.substr(0, 2000);
+  EXPECT_EQ(result.exitCode, 4) << head;
+  const auto points = result.output.find("\"points\":[");
+  ASSERT_NE(points, std::string::npos) << head;
+  int errors = 0;
+  for (auto at = result.output.find("\"verdict\":\"", points);
+       at != std::string::npos;
+       at = result.output.find("\"verdict\":\"", at + 1)) {
+    EXPECT_EQ(result.output.compare(at + 11, 6, "error:"), 0) << head;
+    ++errors;
+  }
+  EXPECT_EQ(errors, 2) << head;
+  // Two horizons x three attempts, every one a worker crash; no orphans.
+  EXPECT_EQ(jsonInt(result.output, "restarts"), 6) << head;
+  EXPECT_EQ(jsonInt(result.output, "workersSpawned"),
+            jsonInt(result.output, "workersReaped"))
+      << head;
+}
+
+// A retry re-sends the same job: a worker crash must not turn an
+// in-process UNKNOWN (rlimit exhausted) into a verdict a bigger budget
+// would reach.
+TEST(CliProcs, WorkerCrashDoesNotChangeTheVerdict) {
+  const std::string base =
+      "verify -D N=2 --input ibs:6:3 --output ob:32"
+      " --workload fq.ibs.0:0:1 --no-cache --rlimit 300000 --no-retry"
+      " --query \"fq.cdeq.0[T-1] >= 1\" --sweep 10:10 --format csv " +
+      modelPath("fq_buggy.bfy");
+  const auto plain = runCli(base);
+  const auto isolated =
+      runCli(base + " --isolate --inject-fault sweep:h10@0:crash");
+  EXPECT_EQ(isolated.exitCode, plain.exitCode) << isolated.output;
+  // csv rows: horizon,query,verdict,solveSeconds,canceled,shard
+  const auto verdicts = [](const std::string& csv) {
+    std::istringstream rows(csv);
+    std::string row;
+    std::vector<std::string> column;
+    while (std::getline(rows, row)) {
+      std::istringstream fields(row);
+      std::string field;
+      for (int i = 0; i < 3; ++i) std::getline(fields, field, ',');
+      column.push_back(field);
+    }
+    return column;
+  };
+  EXPECT_EQ(verdicts(isolated.output), verdicts(plain.output))
+      << plain.output << isolated.output;
 }
 
 TEST(CliProcs, SigintEmitsPartialInterruptedReportAndExits130) {

@@ -49,12 +49,13 @@
 //   --isolate             race/sweep: run each member/horizon job in a
 //                         crash-isolated `buffy --worker` subprocess with
 //                         supervision — hung workers are killed at a
-//                         deadline, crashed ones restarted, failed jobs
-//                         retried with escalating budgets, and the whole
-//                         mechanism degrades to the in-process path when
-//                         workers cannot run (DESIGN.md §13)
-//   --retries N           --isolate: worker attempts after the first
-//                         (default 2, max 1024)
+//                         deadline, crashed ones restarted and the job
+//                         re-sent unchanged; a job that takes down the
+//                         worker on every attempt reports an error, and
+//                         jobs run in-process only when no worker can be
+//                         spawned (DESIGN.md §13)
+//   --retries N           --isolate: attempts after the first, each
+//                         re-sending the same job (default 2, max 1024)
 //   --first-only          synth: stop at the first solution
 //   --no-prescreen        synth: disable concrete-interpreter prescreening
 //   --timeout MS          solver timeout (default 120000; 0 means no
@@ -78,7 +79,8 @@
 //   --json                shorthand for --format json
 //
 // Resource governor (DESIGN.md §10; 0 disables a cap):
-//   --max-depth N         statement/expression nesting depth
+//   --max-depth N         statement/expression nesting depth of the
+//                         model and of --query text
 //   --max-expr-terms N    operator applications per statement
 //   --max-ast-nodes N     AST nodes per parse
 //   --max-unroll-stmts N  statements the loop unroller may emit
@@ -625,6 +627,19 @@ std::string procsJson(const procs::ProcsStats& s) {
   return json;
 }
 
+/// A race member's or sweep point's crash-isolation keys; nothing on the
+/// in-process path.
+std::string isolationJson(const std::optional<procs::JobStats>& s) {
+  if (!s) return "";
+  std::string json = ",\"isolated\":true";
+  json += ",\"retries\":" + std::to_string(s->retries);
+  json += ",\"restarts\":" + std::to_string(s->restarts);
+  json += ",\"kills\":" + std::to_string(s->kills);
+  json += ",\"degraded\":";
+  json += s->degraded ? "true" : "false";
+  return json;
+}
+
 /// One human-readable supervision line for the text report (the
 /// --stage-timings table's process-level sibling).
 void printProcsStats(const procs::ProcsStats& s) {
@@ -758,14 +773,7 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
         json += secs;
         json += ",\"cached\":";
         json += m.cached ? "true" : "false";
-        if (m.isolated) {
-          json += ",\"isolated\":true";
-          json += ",\"retries\":" + std::to_string(m.retries);
-          json += ",\"restarts\":" + std::to_string(m.restarts);
-          json += ",\"kills\":" + std::to_string(m.kills);
-          json += ",\"degraded\":";
-          json += m.degraded ? "true" : "false";
-        }
+        json += isolationJson(m.isolation);
         json += "}";
       }
       json += "]}";
@@ -827,7 +835,7 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
                       ? (m.started ? "interrupted" : "not-started")
                       : m.verdict.c_str(),
                   m.won ? " WON" : "", m.cached ? " [cached]" : "",
-                  m.isolated ? " [isolated]" : "",
+                  m.isolation ? " [isolated]" : "",
                   m.error.empty() ? "" : " error: ", m.error.c_str());
     }
   }
@@ -920,14 +928,7 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
       json += ",\"cached\":";
       json += p.cached ? "true" : "false";
       json += ",\"shard\":" + std::to_string(p.shard);
-      if (p.isolated) {
-        json += ",\"isolated\":true";
-        json += ",\"retries\":" + std::to_string(p.retries);
-        json += ",\"restarts\":" + std::to_string(p.restarts);
-        json += ",\"kills\":" + std::to_string(p.kills);
-        json += ",\"degraded\":";
-        json += p.degraded ? "true" : "false";
-      }
+      json += isolationJson(p.isolation);
       json += "}";
     }
     json += "]}}\n";
@@ -1292,66 +1293,59 @@ int run(const Options& opts) {
     return 0;
   }
   if (opts.command == "check" || opts.command == "verify") {
-    if (opts.sweep) {
-      requireZ3Engine(opts, "--sweep");
-      std::vector<core::Query> queries;
-      for (const auto& text : opts.queries) {
-        queries.push_back(core::Query::expr(text));
-      }
-      if (queries.empty()) queries.push_back(core::Query::always());
-      core::SweepOptions sopts;
-      sopts.fromHorizon = opts.sweep->first;
-      sopts.toHorizon = opts.sweep->second;
-      sopts.shards = opts.shards;
-      sopts.verify = opts.command == "verify";
+    if (opts.sweep || opts.race) {
+      requireZ3Engine(opts, opts.sweep ? "--sweep" : "--race");
+      // --isolate: one supervisor serves every sweep horizon or race member.
       std::unique_ptr<procs::Supervisor> supervisor;
       if (opts.isolate) {
         procs::SupervisorOptions svopts;
         svopts.maxRetries = opts.retries;
         supervisor = std::make_unique<procs::Supervisor>(svopts);
-        sopts.isolate = true;
+      }
+      // Drains the idle pool first, so the report shows every worker reaped.
+      std::optional<procs::ProcsStats> stats;
+      const auto finishSupervision = [&] {
+        if (!supervisor) return;
+        supervisor->shutdownWorkers();
+        stats = supervisor->stats();
+      };
+      int code = kExitOk;
+      if (opts.sweep) {
+        std::vector<core::Query> queries;
+        for (const auto& text : opts.queries) {
+          queries.push_back(core::Query::expr(text));
+        }
+        if (queries.empty()) queries.push_back(core::Query::always());
+        core::SweepOptions sopts;
+        sopts.fromHorizon = opts.sweep->first;
+        sopts.toHorizon = opts.sweep->second;
+        sopts.shards = opts.shards;
+        sopts.verify = opts.command == "verify";
         sopts.supervisor = supervisor.get();
         sopts.workloadSpecs = opts.workloads;
+        core::HorizonSweep sweep(net, aopts);
+        const auto result = sweep.run(
+            queries, [&opts](int h) { return buildWorkloadAt(opts, h); },
+            sopts);
+        finishSupervision();
+        code = reportSweep(opts, result, stats ? &*stats : nullptr,
+                           verdictCache.get());
+      } else {
+        core::Portfolio portfolio(unit, aopts);
+        core::PortfolioOptions raceOpts;
+        raceOpts.threads =
+            opts.threads > 0 ? static_cast<std::size_t>(opts.threads) : 0;
+        raceOpts.supervisor = supervisor.get();
+        raceOpts.workloadSpecs = opts.workloads;
+        const core::Workload workload = buildWorkload(opts);
+        const core::PortfolioResult pr =
+            opts.command == "verify"
+                ? portfolio.verify(query, workload, raceOpts)
+                : portfolio.check(query, workload, raceOpts);
+        finishSupervision();
+        code = reportResult(opts, pr.result, &pr, stats ? &*stats : nullptr,
+                            verdictCache.get());
       }
-      core::HorizonSweep sweep(net, aopts);
-      const auto result = sweep.run(
-          queries, [&opts](int h) { return buildWorkloadAt(opts, h); }, sopts);
-      procs::ProcsStats stats;
-      if (supervisor) {
-        supervisor->shutdownWorkers();
-        stats = supervisor->stats();
-      }
-      const int code = reportSweep(opts, result, supervisor ? &stats : nullptr,
-                                   verdictCache.get());
-      return procs::shutdownRequested() ? kExitInterrupted : code;
-    }
-    if (opts.race) {
-      requireZ3Engine(opts, "--race");
-      core::Portfolio portfolio(unit, aopts);
-      core::PortfolioOptions popts2;
-      popts2.threads =
-          opts.threads > 0 ? static_cast<std::size_t>(opts.threads) : 0;
-      std::unique_ptr<procs::Supervisor> supervisor;
-      if (opts.isolate) {
-        procs::SupervisorOptions svopts;
-        svopts.maxRetries = opts.retries;
-        supervisor = std::make_unique<procs::Supervisor>(svopts);
-        popts2.isolate = true;
-        popts2.supervisor = supervisor.get();
-        popts2.workloadSpecs = opts.workloads;
-      }
-      const core::Workload workload = buildWorkload(opts);
-      const core::PortfolioResult pr =
-          opts.command == "verify" ? portfolio.verify(query, workload, popts2)
-                                   : portfolio.check(query, workload, popts2);
-      procs::ProcsStats stats;
-      if (supervisor) {
-        supervisor->shutdownWorkers();
-        stats = supervisor->stats();
-      }
-      const int code = reportResult(opts, pr.result, &pr,
-                                    supervisor ? &stats : nullptr,
-                                    verdictCache.get());
       return procs::shutdownRequested() ? kExitInterrupted : code;
     }
     backends::SolverBackend& backend = backendFor(opts, "z3");
