@@ -1,37 +1,46 @@
-// Fuzz target: the wire decoder surface of the worker pipe (DESIGN.md
-// §13). The supervisor hands every checksum-valid reply to WireMap::decode
-// and decodeResult, and the `buffy --worker` loop hands every job frame to
-// decodeJob. A worker that crashes mid-write or corrupts its own memory
-// can put arbitrary bytes on the pipe, so those decoders face arbitrary
-// input; readFrame itself faces arbitrary headers (magic, forged lengths,
-// bad checksums).
+// Fuzz target: the decoders that face bytes from outside the process. The
+// worker pipe (DESIGN.md §13): the supervisor hands every checksum-valid
+// reply to WireMap::decode and decodeResult, and the `buffy --worker` loop
+// hands every job frame to decodeJob. A worker that crashes mid-write or
+// corrupts its own memory can put arbitrary bytes on the pipe, so those
+// decoders face arbitrary input; readFrame itself faces arbitrary headers
+// (magic, forged lengths, bad checksums). The verdict cache's disk tier
+// (DESIGN.md §14): `--cache-dir` is a directory other runs share, so every
+// record read from it goes through VerdictCache::decodeRecord and then
+// core::decodeVerdict.
 //
 // decodeJob builds the engine's own records (Network, AnalysisOptions and
 // its FaultPlan, the cache's settings but never a VerdictCache), and
 // decodeResult builds AnalysisResults. Raw inputs rarely get past the
-// outer WireMap, so each input is also spliced into a valid encoded job
-// and a valid encoded result: the record decoders then see well-formed
-// payloads with one hostile region.
+// outer WireMap or envelope, so each input is also spliced into a valid
+// encoded job, a valid encoded result and a valid disk record with a
+// trace: the record decoders then see well-formed payloads with one
+// hostile region.
 //
-// Invariants: the only exception a decoder may throw is ProtocolError (a
-// buffy::Error subclass) — anything else (std::bad_alloc from a forged
-// entry count, std::out_of_range, length overflow, sanitizer report) is a
-// bug in the decoder, and would take the supervising process down with
-// the worker. Whatever a decoder accepts, its encoder must write back in a
-// form the decoder accepts again.
+// Invariants: the only exception a decoder may throw is DecodeError (a
+// buffy::Error subclass), and the disk-record decoder may also report a
+// miss — anything else (std::bad_alloc from a forged entry count,
+// std::out_of_range, length overflow, sanitizer report) is a bug in the
+// decoder, and would take the supervising process or the cache's reader
+// down. Whatever a decoder accepts, its encoder must write back in a form
+// the decoder accepts again, and every decoded trace keeps Trace's
+// invariant: a non-negative horizon and `horizon` values per series.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cache/verdict_cache.hpp"
 #include "procs/protocol.hpp"
 #include "procs/wire.hpp"
+#include "support/wire_map.hpp"
 
 namespace {
 
@@ -53,10 +62,22 @@ void fuzzReadFrame(const std::uint8_t* data, std::size_t size) {
   std::string payload;
   // The write end is already closed, so a blocking read drains the
   // buffered bytes and then sees EOF — no deadline needed, no hang
-  // possible. Forged lengths above kMaxFramePayload must be Garbled, not
+  // possible. Forged lengths above kMaxEnvelopePayload must be Garbled, not
   // allocated.
   (void)procs::readFrame(fds[0], payload, /*deadlineMs=*/-1);
   ::close(fds[0]);
+}
+
+/// A decoded trace must satisfy Trace's invariant; a violation is a
+/// finding.
+void checkTrace(const std::optional<core::Trace>& trace) {
+  if (!trace) return;
+  if (trace->horizon < 0) std::abort();
+  for (const auto& [name, values] : trace->series) {
+    if (values.size() != static_cast<std::size_t>(trace->horizon)) {
+      std::abort();
+    }
+  }
 }
 
 /// Decodes `bytes` as a job and as a result; whatever decodes must survive
@@ -65,32 +86,58 @@ void fuzzRecords(std::string_view bytes) {
   std::optional<procs::WireJob> job;
   std::optional<procs::WireResult> result;
   try {
-    const procs::WireMap map = procs::WireMap::decode(bytes);
+    const WireMap map = WireMap::decode(bytes);
     try {
       job = procs::decodeJob(map);
-    } catch (const procs::ProtocolError&) {
+    } catch (const DecodeError&) {
     }
     try {
       result = procs::decodeResult(map);
-    } catch (const procs::ProtocolError&) {
+    } catch (const DecodeError&) {
     }
-  } catch (const procs::ProtocolError&) {
+  } catch (const DecodeError&) {
     // Malformed payload rejected with a structured error: expected.
   }
   // Round trips run outside every handler: a throw here is a finding.
   if (job) {
-    (void)procs::decodeJob(procs::WireMap::decode(procs::encodeJob(*job)));
+    (void)procs::decodeJob(WireMap::decode(procs::encodeJob(*job)));
   }
   if (result) {
-    (void)procs::decodeResult(
-        procs::WireMap::decode(procs::encodeResult(*result)));
+    for (const auto& verdict : result->verdicts) checkTrace(verdict.trace);
+    (void)procs::decodeResult(WireMap::decode(procs::encodeResult(*result)));
   }
 }
 
-/// One valid encoded job and one valid encoded result, with every
-/// optional part present.
-const std::vector<std::string>& validPayloads() {
-  static const std::vector<std::string> payloads = [] {
+const std::string kRecordKey(32, 'k');
+
+/// Decodes `bytes` as a verdict-cache disk record and its value as a
+/// verdict record; whatever decodes must survive both encoders and decode
+/// again.
+void fuzzCacheRecord(std::string_view bytes) {
+  std::optional<core::AnalysisResult> answer;
+  try {
+    const auto value = cache::VerdictCache::decodeRecord(kRecordKey, bytes);
+    if (!value) return;  // a miss
+    answer = core::decodeVerdict(*value);
+  } catch (const DecodeError&) {
+    return;
+  }
+  checkTrace(answer->trace);
+  const std::string again = cache::VerdictCache::encodeRecord(
+      kRecordKey, core::encodeVerdict(*answer));
+  (void)core::decodeVerdict(
+      cache::VerdictCache::decodeRecord(kRecordKey, again).value());
+}
+
+/// A valid encoded job, result and disk record, with every optional part
+/// present, each with the decoder it feeds.
+struct Spliceable {
+  std::string bytes;
+  void (*fuzz)(std::string_view);
+};
+
+const std::vector<Spliceable>& validPayloads() {
+  static const std::vector<Spliceable> payloads = [] {
     core::ProgramSpec spec;
     spec.instance = "p";
     spec.source = "p(buffer ib, buffer ob) { move-p(ib, ob, 1); }";
@@ -123,10 +170,15 @@ const std::vector<std::string>& validPayloads() {
     answer.trace = core::Trace{};
     answer.trace->horizon = 2;
     answer.trace->series["p.ob.dropped"] = {0, -1};
+    answer.trace->series["p.ib.arrived"] = {1, 0};
     procs::WireResult result;
     result.verdicts = {answer};
-    return std::vector<std::string>{procs::encodeJob(job),
-                                    procs::encodeResult(result)};
+    return std::vector<Spliceable>{
+        {procs::encodeJob(job), fuzzRecords},
+        {procs::encodeResult(result), fuzzRecords},
+        {cache::VerdictCache::encodeRecord(kRecordKey,
+                                           core::encodeVerdict(answer)),
+         fuzzCacheRecord}};
   }();
   return payloads;
 }
@@ -138,14 +190,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size > 65536) return 0;  // pipe capacity; keeps single runs fast
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   fuzzRecords(bytes);
+  fuzzCacheRecord(bytes);
 
   // The first two bytes pick where the rest overwrites a valid payload.
   if (size > 2) {
-    for (std::string payload : validPayloads()) {
+    for (const Spliceable& valid : validPayloads()) {
+      std::string payload = valid.bytes;
       const std::size_t at = (data[0] | data[1] << 8) % payload.size();
       const std::size_t n = std::min(size - 2, payload.size() - at);
       payload.replace(at, n, bytes.substr(2, n));
-      fuzzRecords(payload);
+      valid.fuzz(payload);
     }
   }
 

@@ -7,23 +7,12 @@ namespace buffy::backends {
 Simulator::Simulator(core::Network network, int horizon,
                      buffers::ModelKind model)
     : network_(std::move(network)), horizon_(horizon), model_(model) {
-  // Capture input names and schemas once (Analysis validates everything).
+  // Capture input names once (Analysis validates everything).
   core::AnalysisOptions opts;
   opts.horizon = horizon_;
   opts.model = model_;
   core::Analysis probe(network_, opts);
   inputs_ = probe.inputBufferNames();
-  for (const auto& spec : network_.instances()) {
-    for (const auto& buffer : spec.buffers) {
-      // Qualified unit names are '<inst>.<param>[.i]'; match inputs on the
-      // '.<param>' component to recover the packet schema.
-      for (const auto& input : inputs_) {
-        if (input.find("." + buffer.param) != std::string::npos) {
-          schemas_.emplace(input, buffer.schema);
-        }
-      }
-    }
-  }
 }
 
 core::Trace Simulator::run(const core::ConcreteArrivals& arrivals) {
@@ -49,30 +38,10 @@ core::Trace Simulator::run(const core::ConcreteArrivals& arrivals) {
 }
 
 core::Trace Simulator::replay(const core::Trace& trace) {
-  core::ConcreteArrivals arrivals;
-  for (const auto& input : inputs_) {
-    const auto countIt = trace.series.find(input + ".arrived");
-    if (countIt == trace.series.end()) continue;
-    auto& steps = arrivals[input];
-    const auto schemaIt = schemas_.find(input);
-    for (int t = 0; t < trace.horizon; ++t) {
-      std::vector<core::ConcretePacket> pkts;
-      const std::int64_t n = countIt->second.at(static_cast<std::size_t>(t));
-      for (std::int64_t i = 0; i < n; ++i) {
-        core::ConcretePacket pkt;
-        if (schemaIt != schemas_.end()) {
-          for (const auto& field : schemaIt->second.fields) {
-            const std::string series =
-                input + ".in" + std::to_string(i) + "." + field;
-            if (trace.has(series)) pkt[field] = trace.at(series, t);
-          }
-        }
-        pkts.push_back(std::move(pkt));
-      }
-      steps.push_back(std::move(pkts));
-    }
-  }
-  return run(arrivals);
+  core::AnalysisOptions opts;
+  opts.horizon = horizon_;
+  opts.model = model_;
+  return run(core::Analysis(network_, opts).arrivalsFromTrace(trace));
 }
 
 std::vector<std::string> Simulator::inputs() const { return inputs_; }

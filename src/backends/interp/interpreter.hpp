@@ -21,9 +21,10 @@ class Simulator {
   [[nodiscard]] core::Trace run(const core::ConcreteArrivals& arrivals);
 
   /// Replays the arrival portion of a solver trace: reconstructs concrete
-  /// arrivals from the `<buf>.arrived` / `<buf>.in<i>.<field>` series and
-  /// simulates them. Only meaningful for networks without havoc
-  /// nondeterminism.
+  /// arrivals with the engine's own witness-replay reconstruction
+  /// (core::Analysis::arrivalsFromTrace, which throws on a count its
+  /// buffer cannot take) and simulates them. Only meaningful for networks
+  /// without havoc nondeterminism.
   [[nodiscard]] core::Trace replay(const core::Trace& trace);
 
   /// External input buffer names (targets for ConcreteArrivals keys).
@@ -34,7 +35,6 @@ class Simulator {
   int horizon_;
   buffers::ModelKind model_;
   std::vector<std::string> inputs_;
-  std::map<std::string, buffers::BufferSchema> schemas_;
 };
 
 /// Convenience: a packet with a single "val" field.

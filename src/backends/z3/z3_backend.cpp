@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -80,7 +81,13 @@ SolveResult canceledResult() {
 }  // namespace
 
 struct Z3Backend::Impl {
-  z3::context ctx;
+  /// Built by createContext() or the first query.
+  std::optional<z3::context> ctx;
+
+  z3::context& context() {
+    if (!ctx) ctx.emplace();
+    return *ctx;
+  }
 
   // --- cooperative cancellation (DESIGN.md §8) ---------------------------
   // `cancelled` short-circuits every query at our layer; Z3_interrupt is
@@ -251,14 +258,15 @@ Z3Backend::~Z3Backend() = default;
 SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
                              SolveBudget budget) {
   return impl_->oneShot(budget, "z3: ", [&] {
-    z3::solver solver = preprocessingSolver(impl_->ctx);
+    z3::context& ctx = impl_->context();
+    z3::solver solver = preprocessingSolver(ctx);
     applyBudget(solver, budget);
     std::unordered_map<const ir::Term*, z3::expr> memo;
     for (const ir::TermRef c : constraints) {
       if (c->sort != ir::Sort::Bool) {
         throw BackendError("constraint is not boolean");
       }
-      solver.add(lowerTerm(impl_->ctx, c, memo));
+      solver.add(lowerTerm(ctx, c, memo));
     }
     return solver;
   });
@@ -267,10 +275,10 @@ SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
 SolveResult Z3Backend::checkSmtLib(const std::string& smtlib,
                                    SolveBudget budget) {
   return impl_->oneShot(budget, "z3 (smtlib parse): ", [&] {
-    z3::solver solver(impl_->ctx);
+    z3::context& ctx = impl_->context();
+    z3::solver solver(ctx);
     applyBudget(solver, budget);
-    const z3::expr_vector assertions =
-        impl_->ctx.parse_string(smtlib.c_str());
+    const z3::expr_vector assertions = ctx.parse_string(smtlib.c_str());
     for (unsigned i = 0; i < assertions.size(); ++i) {
       solver.add(assertions[i]);
     }
@@ -282,9 +290,11 @@ void Z3Backend::interrupt() {
   impl_->cancelled.store(true);
   const std::lock_guard<std::mutex> lock(impl_->interruptMutex);
   if (impl_->solving) {
-    impl_->ctx.interrupt();
+    impl_->ctx->interrupt();  // a query in flight built the context
   }
 }
+
+void Z3Backend::createContext() { impl_->context(); }
 
 bool Z3Backend::interrupted() const { return impl_->cancelled.load(); }
 

@@ -108,6 +108,10 @@ class Z3Backend {
   /// True once interrupt() has been called.
   [[nodiscard]] bool interrupted() const;
 
+  /// Builds the Z3 context (two 8 MiB allocations) now rather than at the
+  /// first query; a backend that never solves never needs one.
+  void createContext();
+
   /// Installs the test-only fault-injection plan (see fault_plan.hpp).
   /// Pass nullptr to clear. Faults are consumed by check / checkSmtLib in
   /// order, counted per scope.

@@ -1,8 +1,9 @@
 // Content-addressed verdict cache (DESIGN.md §14): a two-tier
-// (in-memory LRU + optional on-disk directory) store of
-// (canonical problem hash, query, horizon, backend, options) -> verdict +
-// witness trace, shared by Analysis, sweeps, portfolio races, the
-// synthesizer, and `buffy --worker` subprocesses.
+// (in-memory LRU + optional on-disk directory) key -> bytes store, shared
+// by Analysis, sweeps, portfolio races, the synthesizer, and
+// `buffy --worker` subprocesses. The values are core's verdict records
+// (core::encodeVerdict, the bytes a worker sends back over its pipe); this
+// layer never looks inside them.
 //
 // Keys are content-addressed: the problem hash is a canonical structural
 // hash of the pre-optimizer encoded problem (ir::TermHasher over the
@@ -13,19 +14,19 @@
 // or initial-state discipline lands on a different key. The raw encoding
 // is hashed (not the optimizer's output) because its terms are stable
 // interned refs that memoize across queries, and because the optimizer
-// is equivalence-preserving, so a hit can skip planning entirely. Solve budgets and random seeds are deliberately NOT part
-// of the key: only conclusive verdicts (SAT/UNSAT family, never Unknown or
-// canceled) are stored, and conclusive verdicts are budget- and
-// seed-independent.
+// is equivalence-preserving, so a hit can skip planning entirely. Solve
+// budgets, random seeds and the solve path are deliberately NOT part of
+// the key: only conclusive verdicts (SAT/UNSAT family, never Unknown or
+// canceled) are stored, and conclusive verdicts do not depend on them.
 //
 // The disk tier is designed to be shared between concurrent runs: records
 // are landed write-behind by a background thread (the solve path only
 // enqueues the encoded record), written to a temp file and atomically
-// renamed, every record carries
-// a magic word, its own key, and an FNV-1a checksum, and ANY malformation
-// (torn write, flipped byte, version skew, foreign file) is treated as a
-// miss + validation-failure count — the cold path re-solves; a corrupt
-// cache can cost time but never a wrong answer.
+// renamed, every record is an integrity envelope (support/wire_map.hpp)
+// around its own key and value, and ANY malformation (torn write, flipped
+// byte, version skew, foreign file) is treated as a miss +
+// validation-failure count — the cold path re-solves; a corrupt cache can
+// cost time but never a wrong answer.
 #pragma once
 
 #include <condition_variable>
@@ -39,17 +40,16 @@
 #include <thread>
 #include <unordered_map>
 
-#include "core/trace.hpp"
-
 namespace buffy::cache {
 
 /// Counters surfaced by the CLI's "cache" JSON block. The two CPU
 /// counters attribute the cache's own cost directly (thread-CPU clocks
 /// around cache work), so a run can report the cache's share of its CPU
 /// without a noise-prone differential against an uncached run:
-/// `clientSeconds` is solve-path work (key hashing in the engine, tier
-/// lookups, record encoding on store), `writerSeconds` is the
-/// write-behind thread's file I/O and eviction scans.
+/// `clientSeconds` is solve-path work (key hashing and verdict-record
+/// encode/decode in the engine, tier lookups, disk-record encode/decode),
+/// `writerSeconds` is the write-behind thread's file I/O and eviction
+/// scans.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -60,32 +60,16 @@ struct CacheStats {
   double writerSeconds = 0.0;
 };
 
-/// One cached answer. The verdict travels as its canonical name
-/// (core::verdictName) so this layer needs no dependency on the analysis
-/// engine; callers validate the name on the way out and treat an unknown
-/// one as corruption.
-struct CachedVerdict {
-  std::string verdict;
-  std::string detail;
-  /// Solver seconds the original (cold) solve spent — kept for
-  /// diagnostics; hit results report ~0 solve time of their own.
-  double solveSeconds = 0.0;
-  bool witnessChecked = false;
-  std::optional<core::Trace> trace;
-};
-
 /// Everything a cache key derives from. `problemHash` is a combination of
 /// ir::TermHasher::hashSet over the pre-optimizer encoding's structural
 /// sets and the query's raw delta; the rest is belt-and-braces context
-/// that also shapes those constraints, plus the backend id, which does
-/// not.
+/// that also shapes those constraints.
 struct CacheKeyParts {
   std::uint64_t problemHash = 0;
   std::string query;
   int horizon = 0;
   bool forVerify = false;
-  std::string backend;  // "z3" (native one-shot) or "smtlib"
-  int model = 0;        // static_cast<int>(buffers::ModelKind)
+  int model = 0;  // static_cast<int>(buffers::ModelKind)
   bool symbolicInitialState = false;
 };
 
@@ -93,6 +77,10 @@ struct CacheKeyParts {
 /// passes over the serialized parts — one 64-bit hash would make accidental
 /// collisions plausible at daemon scale).
 std::string cacheKeyFor(const CacheKeyParts& parts);
+
+/// The calling thread's CPU seconds: the clock behind CacheStats' CPU
+/// counters, for callers crediting cache work through addClientSeconds.
+double threadCpuSeconds();
 
 struct VerdictCacheOptions {
   /// On-disk tier directory; empty = in-memory only. Must exist.
@@ -119,31 +107,29 @@ class VerdictCache {
   VerdictCache& operator=(const VerdictCache&) = delete;
 
   /// Memory tier first, then disk; a disk hit is promoted into memory.
-  /// Corrupt disk records count a validation failure, are deleted, and
+  /// Malformed disk records count a validation failure, are deleted, and
   /// read as a miss.
-  std::optional<CachedVerdict> lookup(const std::string& key);
+  std::optional<std::string> lookup(const std::string& key);
 
   /// Stores into the memory tier synchronously; the disk write is
   /// write-behind (encoded here, landed by a background thread so the
   /// file I/O never sits on the solve path; skipped when a record for
   /// the key already exists). A crash loses queued writes — it can never
   /// tear a record, because landing is still temp-write + rename.
-  void store(const std::string& key, const CachedVerdict& value);
+  void store(const std::string& key, const std::string& value);
 
   /// Blocks until every store() issued so far has landed on disk.
   void flushDisk();
 
-  /// Drops the key from both tiers (cache-verify replay mismatch).
-  /// Drains the write-behind queue first so a queued store of the same
-  /// key cannot resurrect the invalidated record.
+  /// Drops a record the caller found invalid (a value that does not
+  /// decode, or a --cache-verify replay divergence) from both tiers and
+  /// counts a validation failure. Drains the write-behind queue first so
+  /// a queued store of the same key cannot resurrect the record.
   void invalidate(const std::string& key);
 
-  /// Counts a caller-detected validation failure (e.g. a record whose
-  /// verdict name does not parse, or a --cache-verify replay divergence).
-  void countValidationFailure();
-
   /// Credits cache-attributed CPU spent outside this class (the engine's
-  /// key derivation) to stats().clientSeconds.
+  /// key derivation and verdict-record encode/decode) to
+  /// stats().clientSeconds.
   void addClientSeconds(double seconds);
 
   [[nodiscard]] CacheStats stats() const;
@@ -151,34 +137,35 @@ class VerdictCache {
     return options_;
   }
 
-  // Record codec, exposed for tests: encode never fails; decode returns
-  // nullopt on any malformation (wrong magic/version/length/checksum/key).
+  /// The disk record: an envelope around the key and the value. Encode
+  /// never fails; decode returns nullopt on any malformation (wrong
+  /// magic, length or checksum, malformed payload, or a record that does
+  /// not echo `key`).
   static std::string encodeRecord(const std::string& key,
-                                  const CachedVerdict& value);
-  static std::optional<CachedVerdict> decodeRecord(const std::string& key,
-                                                   std::string_view bytes);
+                                  const std::string& value);
+  static std::optional<std::string> decodeRecord(const std::string& key,
+                                                 std::string_view bytes);
 
   /// The disk path a key maps to ("" when there is no disk tier).
   [[nodiscard]] std::string pathFor(const std::string& key) const;
 
  private:
-  std::optional<CachedVerdict> diskLookup(const std::string& key);
+  std::optional<std::string> diskLookup(const std::string& key);
   /// Runs on the writer thread: temp-write + rename, returns bytes added
   /// (0 when skipped or failed). Takes no lock — pure file I/O.
   std::uint64_t diskWrite(const std::string& key, const std::string& record,
                           std::uint64_t tempId);
   void writerLoop();
   void enforceDiskLimit();
-  void rememberLocked(const std::string& key, const CachedVerdict& value);
+  void rememberLocked(const std::string& key, const std::string& value);
 
   VerdictCacheOptions options_;
   mutable std::mutex mutex_;
   CacheStats stats_;
   /// LRU: front = most recent. Entries point into the list.
-  std::list<std::pair<std::string, CachedVerdict>> lru_;
-  std::unordered_map<
-      std::string,
-      std::list<std::pair<std::string, CachedVerdict>>::iterator>
+  std::list<std::pair<std::string, std::string>> lru_;
+  std::unordered_map<std::string,
+                     std::list<std::pair<std::string, std::string>>::iterator>
       index_;
   /// Approximate disk usage, refreshed by directory scans on eviction.
   std::uint64_t diskBytes_ = 0;

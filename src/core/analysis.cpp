@@ -1,7 +1,8 @@
 #include "core/analysis.hpp"
 
 #include <algorithm>
-#include <ctime>
+#include <charconv>
+#include <climits>
 
 #include "ir/term_eval.hpp"
 #include "ir/term_hash.hpp"
@@ -9,6 +10,7 @@
 #include "pipeline/driver.hpp"
 #include "pipeline/encoder.hpp"
 #include "support/error.hpp"
+#include "support/wire_map.hpp"
 
 namespace buffy::core {
 
@@ -33,6 +35,141 @@ std::optional<Verdict> parseVerdictName(const std::string& name) {
   return std::nullopt;
 }
 
+// ---- verdict record codec ----------------------------------------------
+
+namespace {
+
+std::string joinInts(const std::vector<std::int64_t>& values) {
+  std::string out;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(values[i]);
+  }
+  return out;
+}
+
+std::vector<std::int64_t> splitInts(std::string_view text) {
+  std::vector<std::int64_t> out;
+  if (text.empty()) return out;
+  const char* at = text.data();
+  const char* const end = at + text.size();
+  for (;;) {
+    std::int64_t value = 0;
+    const auto parsed = std::from_chars(at, end, value);
+    if (parsed.ec != std::errc()) break;
+    out.push_back(value);
+    if (parsed.ptr == end) return out;
+    if (*parsed.ptr != ',') break;
+    at = parsed.ptr + 1;
+  }
+  throw DecodeError("malformed integer list '" + std::string(text) + "'");
+}
+
+std::string encodeAttempt(const SolveAttempt& attempt) {
+  WireMap map;
+  map.set("stage", attempt.stage);
+  map.set("outcome", attempt.outcome);
+  map.set("reason", attempt.reason);
+  map.setDouble("seconds", attempt.seconds);
+  map.setUint("rlimitUsed", attempt.rlimitUsed);
+  if (attempt.seed) map.setUint("seed", *attempt.seed);
+  if (attempt.timeoutMs) map.setUint("timeoutMs", *attempt.timeoutMs);
+  return map.encode();
+}
+
+SolveAttempt decodeAttempt(const std::string& bytes) {
+  const WireMap map = WireMap::decode(bytes);
+  SolveAttempt attempt;
+  attempt.stage = map.get("stage");
+  attempt.outcome = map.get("outcome");
+  attempt.reason = map.get("reason");
+  attempt.seconds = map.getDouble("seconds");
+  attempt.rlimitUsed = map.getUint("rlimitUsed");
+  if (map.has("seed")) {
+    attempt.seed = static_cast<unsigned>(map.getUint("seed"));
+  }
+  if (map.has("timeoutMs")) {
+    attempt.timeoutMs = static_cast<unsigned>(map.getUint("timeoutMs"));
+  }
+  return attempt;
+}
+
+std::string encodeTrace(const Trace& trace) {
+  WireMap series;
+  for (const auto& [name, values] : trace.series) {
+    series.set(name, joinInts(values));
+  }
+  WireMap map;
+  map.setInt("horizon", trace.horizon);
+  map.set("series", series.encode());
+  return map.encode();
+}
+
+/// Enforces Trace's invariant — every series has `horizon` values — so no
+/// consumer (witness replay, rendering) ever indexes past a short series.
+Trace decodeTrace(const std::string& bytes) {
+  const WireMap map = WireMap::decode(bytes);
+  const std::int64_t horizon = map.getInt("horizon");
+  if (horizon < 0 || horizon > INT_MAX) {
+    throw DecodeError("trace horizon " + std::to_string(horizon) +
+                      " is out of range");
+  }
+  Trace trace;
+  trace.horizon = static_cast<int>(horizon);
+  const WireMap series = WireMap::decode(map.get("series"));
+  for (const auto& [name, text] : series.entries()) {
+    std::vector<std::int64_t> values = splitInts(text);
+    if (values.size() != static_cast<std::size_t>(horizon)) {
+      throw DecodeError("trace series '" + name + "' has " +
+                        std::to_string(values.size()) +
+                        " values for horizon " + std::to_string(horizon));
+    }
+    trace.series.emplace(name, std::move(values));
+  }
+  return trace;
+}
+
+}  // namespace
+
+std::string encodeVerdict(const AnalysisResult& result) {
+  WireMap map;
+  map.set("verdict", verdictName(result.verdict));
+  map.set("detail", result.detail);
+  map.setDouble("solveSeconds", result.solveSeconds);
+  map.setBool("canceled", result.canceled);
+  map.setBool("witnessChecked", result.witnessChecked);
+  map.set("cacheKey", result.cacheKey);
+  map.setBool("cached", result.cached);
+  map.setUint("attempt.count", result.attempts.size());
+  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
+    map.set("attempt." + std::to_string(i), encodeAttempt(result.attempts[i]));
+  }
+  if (result.trace) map.set("trace", encodeTrace(*result.trace));
+  return map.encode();
+}
+
+AnalysisResult decodeVerdict(std::string_view bytes) {
+  const WireMap map = WireMap::decode(bytes);
+  AnalysisResult result;
+  const std::string& name = map.get("verdict");
+  const auto verdict = parseVerdictName(name);
+  if (!verdict) throw DecodeError("unknown verdict name '" + name + "'");
+  result.verdict = *verdict;
+  result.detail = map.get("detail");
+  result.solveSeconds = map.getDouble("solveSeconds");
+  result.canceled = map.getBool("canceled");
+  result.witnessChecked = map.getBool("witnessChecked");
+  result.cacheKey = map.get("cacheKey");
+  result.cached = map.getBool("cached");
+  const std::uint64_t attempts = map.getUint("attempt.count");
+  for (std::size_t i = 0; i < attempts; ++i) {
+    result.attempts.push_back(
+        decodeAttempt(map.get("attempt." + std::to_string(i))));
+  }
+  if (map.has("trace")) result.trace = decodeTrace(map.get("trace"));
+  return result;
+}
+
 void storeVerdict(cache::VerdictCache& cache, const AnalysisResult& result) {
   if (result.cacheKey.empty() || result.canceled) return;
   switch (result.verdict) {
@@ -42,13 +179,10 @@ void storeVerdict(cache::VerdictCache& cache, const AnalysisResult& result) {
     case Verdict::Violated: break;
     default: return;
   }
-  cache::CachedVerdict value;
-  value.verdict = verdictName(result.verdict);
-  value.detail = result.detail;
-  value.solveSeconds = result.solveSeconds;
-  value.witnessChecked = result.witnessChecked;
-  value.trace = result.trace;
-  cache.store(result.cacheKey, value);
+  const double cpuStart = cache::threadCpuSeconds();
+  const std::string record = encodeVerdict(result);
+  cache.addClientSeconds(cache::threadCpuSeconds() - cpuStart);
+  cache.store(result.cacheKey, record);
 }
 
 pipeline::PipelineOptions pipelineOptionsFor(const AnalysisOptions& options) {
@@ -69,6 +203,14 @@ bool sameBudget(const CompileBudget& a, const CompileBudget& b) {
          a.maxUnrolledStmts == b.maxUnrolledStmts &&
          a.maxInlinedStmts == b.maxInlinedStmts &&
          a.maxExecStmts == b.maxExecStmts && a.maxTermNodes == b.maxTermNodes;
+}
+
+/// An engine expects to solve unless its cache already stored answers.
+/// One that does builds its Z3 context before the encoding, where it
+/// reuses the last engine's context memory intact (DESIGN.md §7); the
+/// others build one only at their first cache miss.
+bool expectsToSolve(const AnalysisOptions& options) {
+  return !options.cache || options.cache->stats().stores == 0;
 }
 
 bool sameFront(const pipeline::PipelineOptions& a,
@@ -104,6 +246,7 @@ struct Analysis::Impl {
       throw AnalysisError("analysis horizon must be positive");
     }
     if (options.faultPlan) solver.setFaultPlan(options.faultPlan);
+    if (expectsToSolve(options)) solver.createContext();
     const pipeline::CompilerDriver driver(pipelineOptionsFor(options));
     unit = driver.compile(std::move(net));
     stats = unit->frontStats();
@@ -124,6 +267,7 @@ struct Analysis::Impl {
           "requests");
     }
     if (options.faultPlan) solver.setFaultPlan(options.faultPlan);
+    if (expectsToSolve(options)) solver.createContext();
     stats = unit->frontStats();
   }
 
@@ -192,21 +336,20 @@ struct Analysis::Impl {
   }
 
   /// One query's solvable forms: the raw workload+query delta and the
-  /// content-addressed cache key, derived first (planned=false), then —
-  /// only when the cache does not answer — the optimizer plan and the
-  /// standalone constraint set every solve path runs (finishKeyed). The
-  /// key is empty when no cache is configured or no backend id was given.
+  /// content-addressed cache key, derived first, then — only when the
+  /// cache does not answer — the optimizer plan and the standalone
+  /// constraint set every solve path runs (finishKeyed). The key is empty
+  /// when no cache is configured or none was asked for.
   struct Keyed {
     std::vector<ir::TermRef> delta;
     std::optional<opt::Optimizer::Plan> plan;
     std::vector<ir::TermRef> standalone;
     std::string key;
-    bool planned = false;
   };
 
-  /// `backend` names the solve path for key derivation ("z3" native
-  /// one-shot / "smtlib" emission+reparse); nullptr skips key derivation
-  /// (pure problem construction, e.g. toSmtLib export).
+  /// `deriveKey` false skips key derivation (pure problem construction,
+  /// e.g. toSmtLib export). Every solve path answers the same standalone
+  /// problem, so one key serves them all.
   ///
   /// The key hashes the PRE-optimizer problem (encoding structural sets +
   /// raw delta): those are stable interned TermRefs, so the memoized
@@ -217,13 +360,12 @@ struct Analysis::Impl {
   /// the answer exactly as well — and a warm hit then never runs the
   /// planner at all.
   Keyed keyedProblem(const Query& query, bool forVerify, Encoding& enc,
-                     const char* backend) {
+                     bool deriveKey) {
     Keyed out;
     out.delta = queryDelta(query, forVerify, enc);
-    if (options.cache && backend != nullptr) {
+    if (options.cache && deriveKey) {
       pipeline::StageTimer timer(stats.stage("cache"));
-      timespec cpuStart{};
-      ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpuStart);
+      const double cpuStart = cache::threadCpuSeconds();
       constexpr std::uint64_t kPrime = 1099511628211ull;
       cache::CacheKeyParts parts;
       parts.problemHash = hasher.hashSet(enc.assumptions);
@@ -234,18 +376,13 @@ struct Analysis::Impl {
       parts.query = query.description();
       parts.horizon = options.horizon;
       parts.forVerify = forVerify;
-      parts.backend = backend;
       parts.model = static_cast<int>(options.model);
       parts.symbolicInitialState = options.symbolicInitialState;
       out.key = cache::cacheKeyFor(parts);
-      timespec cpuEnd{};
-      ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpuEnd);
       // Key derivation runs in the engine, not the cache — credit it to
       // the cache's CPU attribution so stats().clientSeconds covers the
       // full cold-path tax.
-      options.cache->addClientSeconds(
-          static_cast<double>(cpuEnd.tv_sec - cpuStart.tv_sec) +
-          static_cast<double>(cpuEnd.tv_nsec - cpuStart.tv_nsec) * 1e-9);
+      options.cache->addClientSeconds(cache::threadCpuSeconds() - cpuStart);
       timer.stop();
     }
     return out;
@@ -254,8 +391,6 @@ struct Analysis::Impl {
   /// Second half of keyedProblem: the optimizer plan and standalone set,
   /// run only for queries the cache did not answer.
   void finishKeyed(Keyed& keyed, Encoding& enc) {
-    if (keyed.planned) return;
-    keyed.planned = true;
     if (options.opt.enabled) {
       keyed.plan = planTimed(enc, keyed.delta);
       keyed.standalone = keyed.plan->structural;
@@ -271,62 +406,49 @@ struct Analysis::Impl {
     }
   }
 
-  /// Backwards-compatible standalone problem (SMT-LIB export path).
-  struct PlannedProblem {
-    std::vector<ir::TermRef> constraints;
-    std::optional<opt::Optimizer::Plan> plan;
-  };
-
-  PlannedProblem planProblem(const Query& query, bool forVerify,
-                             Encoding& enc) {
-    Keyed keyed = keyedProblem(query, forVerify, enc, nullptr);
-    finishKeyed(keyed, enc);
-    return {std::move(keyed.standalone), std::move(keyed.plan)};
-  }
-
   /// Cache probe for one keyed query. Validates the record beyond its
-  /// checksum — verdict name parses, verdict matches the query discipline,
-  /// trace horizon matches — and (under cacheVerify) replays Sat/Violated
-  /// witnesses through the concrete interpreter. Any failure invalidates
-  /// the entry, counts a validation failure, and reads as a miss: the
-  /// cold path re-solves.
+  /// checksum — it decodes (verdict name, Trace's invariant), its verdict
+  /// matches the query discipline, its trace horizon matches — and (under
+  /// cacheVerify) replays Sat/Violated witnesses through the concrete
+  /// interpreter. Any failure invalidates the entry, counts a validation
+  /// failure, and reads as a miss: the cold path re-solves. A hit takes
+  /// only the answer from the record: no attempts, no solve time.
   std::optional<AnalysisResult> tryCacheHit(const std::string& key,
                                             Encoding& enc, bool forVerify) {
     if (!options.cache || key.empty()) return std::nullopt;
-    const auto hit = options.cache->lookup(key);
-    if (!hit) return std::nullopt;
+    const auto bytes = options.cache->lookup(key);
+    if (!bytes) return std::nullopt;
 
-    const auto verdict = parseVerdictName(hit->verdict);
-    bool valid = verdict.has_value();
-    if (valid) {
-      valid = forVerify ? (*verdict == Verdict::Verified ||
-                           *verdict == Verdict::Violated)
-                        : (*verdict == Verdict::Satisfiable ||
-                           *verdict == Verdict::Unsatisfiable);
-    }
-    if (valid && hit->trace && hit->trace->horizon != enc.horizon) {
+    const double cpuStart = cache::threadCpuSeconds();
+    AnalysisResult record;
+    bool valid = true;
+    try {
+      record = decodeVerdict(*bytes);
+    } catch (const DecodeError&) {
       valid = false;
+    }
+    options.cache->addClientSeconds(cache::threadCpuSeconds() - cpuStart);
+    valid = valid &&
+            (forVerify ? (record.verdict == Verdict::Verified ||
+                          record.verdict == Verdict::Violated)
+                       : (record.verdict == Verdict::Satisfiable ||
+                          record.verdict == Verdict::Unsatisfiable)) &&
+            (!record.trace || record.trace->horizon == enc.horizon);
+
+    AnalysisResult result;
+    result.verdict = record.verdict;
+    result.detail = std::move(record.detail);
+    result.trace = std::move(record.trace);
+    result.witnessChecked = record.witnessChecked;
+    result.cached = true;
+    result.cacheKey = key;
+    if (valid && options.cacheVerify && result.trace) {
+      crossCheckWitness(result);
+      valid = result.verdict != Verdict::WitnessMismatch;
     }
     if (!valid) {
       options.cache->invalidate(key);
-      options.cache->countValidationFailure();
       return std::nullopt;
-    }
-
-    AnalysisResult result;
-    result.verdict = *verdict;
-    result.detail = hit->detail;
-    result.trace = hit->trace;
-    result.witnessChecked = hit->witnessChecked;
-    result.cached = true;
-    result.cacheKey = key;
-    if (options.cacheVerify && result.trace) {
-      crossCheckWitness(result);
-      if (result.verdict == Verdict::WitnessMismatch) {
-        options.cache->invalidate(key);
-        options.cache->countValidationFailure();
-        return std::nullopt;
-      }
     }
     result.pipeline = stats;
     return result;
@@ -448,7 +570,7 @@ struct Analysis::Impl {
   /// concrete interpreter.
   AnalysisResult solveQuery(const Query& query, bool forVerify) {
     Encoding& enc = ensureEncoding();
-    Keyed keyed = keyedProblem(query, forVerify, enc, "z3");
+    Keyed keyed = keyedProblem(query, forVerify, enc, true);
     // The cache is consulted before any solver runs AND before the
     // optimizer plans: a warm process answers without lowering terms into
     // Z3 or planning a slice.
@@ -505,7 +627,7 @@ struct Analysis::Impl {
   /// solver. Shared by checkViaSmtLib and the smtlib backend.
   AnalysisResult solveViaSmtLib(const Query& query, bool forVerify) {
     Encoding& enc = ensureEncoding();
-    Keyed keyed = keyedProblem(query, forVerify, enc, "smtlib");
+    Keyed keyed = keyedProblem(query, forVerify, enc, true);
     if (auto hit = tryCacheHit(keyed.key, enc, forVerify)) return *hit;
     finishKeyed(keyed, enc);
     backends::SmtLibOptions opts;
@@ -525,21 +647,27 @@ struct Analysis::Impl {
   // Witness replay (DESIGN.md §8)
   // -------------------------------------------------------------------
 
-  /// Reconstructs the external arrivals a solver trace describes, from the
-  /// `<buf>.arrived` counts and `<buf>.in<i>.<field>` packet series.
-  ConcreteArrivals arrivalsFromTrace(const Trace& trace) {
+  ConcreteArrivals arrivalsFromTrace(const Trace& trace) const {
     ConcreteArrivals arrivals;
     for (const auto& ci : unit->instances()) {
       for (const auto& bu : unit->bufferUnits(ci)) {
         if (bu.spec->role != BufferSpec::Role::Input) continue;
         if (unit->connectedInputs().count(bu.qualified) != 0) continue;
-        const auto arrived = trace.series.find(bu.qualified + ".arrived");
-        if (arrived == trace.series.end()) continue;
+        const std::string arrived = bu.qualified + ".arrived";
+        if (!trace.has(arrived)) continue;
         auto& steps = arrivals[bu.qualified];
         for (int t = 0; t < trace.horizon; ++t) {
+          const std::int64_t n = trace.at(arrived, t);
+          // The encoder bounds every count to this range; a count outside
+          // it is no run of the encoding, and building one packet per
+          // claimed arrival would be unbounded.
+          if (n < 0 || n > bu.spec->maxArrivalsPerStep) {
+            throw AnalysisError(
+                arrived + "[" + std::to_string(t) + "] = " +
+                std::to_string(n) + " is outside [0, " +
+                std::to_string(bu.spec->maxArrivalsPerStep) + "]");
+          }
           std::vector<ConcretePacket> packets;
-          const std::int64_t n =
-              arrived->second.at(static_cast<std::size_t>(t));
           for (std::int64_t i = 0; i < n; ++i) {
             ConcretePacket packet;
             for (const auto& field : bu.spec->schema.fields) {
@@ -574,9 +702,17 @@ struct Analysis::Impl {
     if (!unit->network().contracts().empty()) return;
 
     const Trace& witness = *result.trace;
+    ConcreteArrivals arrivals;
+    try {
+      arrivals = arrivalsFromTrace(witness);
+    } catch (const Error& e) {
+      result.witnessChecked = true;
+      result.verdict = Verdict::WitnessMismatch;
+      result.detail = std::string("witness does not replay: ") + e.what();
+      return;
+    }
     std::unique_ptr<Encoding> replayed;
     try {
-      const ConcreteArrivals arrivals = arrivalsFromTrace(witness);
       replayed = pipeline::buildEncoding(*unit, workload, &arrivals);
     } catch (const Error&) {
       return;  // not concretely replayable — cannot cross-check
@@ -647,15 +783,12 @@ std::optional<AnalysisResult> Analysis::probeCache(const Query& query,
                                                    bool forVerify) {
   if (!impl_->options.cache) return std::nullopt;
   Encoding& enc = impl_->ensureEncoding();
-  // A cached answer is sound whichever backend produced it, so the probe
-  // tries every key the problem can be stored under — a portfolio race is
-  // short-circuited by a prior smtlib win just as well as a z3 one.
-  for (const char* backend : {"z3", "smtlib"}) {
-    const Impl::Keyed keyed =
-        impl_->keyedProblem(query, forVerify, enc, backend);
-    if (auto hit = impl_->tryCacheHit(keyed.key, enc, forVerify)) return hit;
-  }
-  return std::nullopt;
+  const Impl::Keyed keyed = impl_->keyedProblem(query, forVerify, enc, true);
+  return impl_->tryCacheHit(keyed.key, enc, forVerify);
+}
+
+ConcreteArrivals Analysis::arrivalsFromTrace(const Trace& trace) const {
+  return impl_->arrivalsFromTrace(trace);
 }
 
 void Analysis::interrupt() { impl_->solver.interrupt(); }
@@ -669,8 +802,9 @@ void Analysis::setFaultScope(const std::string& scope) {
 std::string Analysis::toSmtLib(const Query& query, bool forVerify,
                                backends::SmtLibOptions options) {
   Encoding& enc = impl_->ensureEncoding();
-  const auto problem = impl_->planProblem(query, forVerify, enc);
-  return backends::emitSmtLib(problem.constraints, options);
+  Impl::Keyed keyed = impl_->keyedProblem(query, forVerify, enc, false);
+  impl_->finishKeyed(keyed, enc);
+  return backends::emitSmtLib(keyed.standalone, options);
 }
 
 AnalysisResult Analysis::solveViaSmtLib(const Query& query, bool forVerify) {

@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "backends/smtlib/smtlib_emitter.hpp"
 #include "backends/z3/z3_backend.hpp"
@@ -195,11 +196,23 @@ struct AnalysisResult {
   }
 };
 
-/// Stores `result` under its cacheKey when it may be replayed onto a later
-/// run. Only conclusive, non-canceled verdicts qualify: Unknown depends on
-/// budgets and seeds (not part of the key) and WitnessMismatch marks an
-/// untrustworthy model. The engine stores its own answers through this;
-/// the isolated path replays a worker's answers into the parent's cache.
+/// The one serialized form of an answer (DESIGN.md §13, §14): a worker
+/// sends it back over its pipe and the verdict cache stores it. It carries
+/// every AnalysisResult field but `opt` and `pipeline`, which stay in the
+/// process that ran the query.
+std::string encodeVerdict(const AnalysisResult& result);
+/// Inverse of encodeVerdict. Throws DecodeError on any malformation: a
+/// missing or ill-typed field, an unknown verdict name, or a trace that
+/// breaks Trace's invariant (a negative horizon, or a series whose length
+/// is not the horizon).
+AnalysisResult decodeVerdict(std::string_view bytes);
+
+/// Stores `result`'s verdict record (encodeVerdict) under its cacheKey
+/// when it may be replayed onto a later run. Only conclusive, non-canceled
+/// verdicts qualify: Unknown depends on budgets and seeds (not part of the
+/// key) and WitnessMismatch marks an untrustworthy model. The engine
+/// stores its own answers through this; the isolated path replays a
+/// worker's answers into the parent's cache.
 void storeVerdict(cache::VerdictCache& cache, const AnalysisResult& result);
 
 /// Concrete traffic for simulation: qualified buffer name ->
@@ -272,6 +285,14 @@ class Analysis {
   AnalysisResult solveViaSmtLib(const Query& query, bool forVerify);
   /// Solves through emission + reparse (backend-comparison ablation).
   AnalysisResult checkViaSmtLib(const Query& query);
+
+  /// Reconstructs the external arrivals a trace describes, from its
+  /// `<buf>.arrived` counts and `<buf>.in<i>.<field>` packet series — the
+  /// input of witness replay. Throws AnalysisError on a count outside
+  /// [0, maxArrivalsPerStep] of its buffer (no run of the encoding has
+  /// one) before building that step's packets, and buffy::Error on a
+  /// series shorter than the trace's horizon.
+  [[nodiscard]] ConcreteArrivals arrivalsFromTrace(const Trace& trace) const;
 
   /// Concrete simulation of the same compiled network on given arrivals.
   /// Requires a deterministic model configuration (list model, or counter

@@ -1,40 +1,21 @@
-// Worker wire protocol (DESIGN.md §13): length-prefixed, checksummed
-// frames over a pipe pair, plus a flat key/value payload codec.
+// Worker pipe framing (DESIGN.md §13): one integrity envelope
+// (support/wire_map.hpp) per frame over a pipe pair.
 //
 // The framing is deliberately paranoid: a worker process can die mid-write
 // (crash, OOM kill, SIGKILL from the supervisor), and the parent must be
 // able to tell a *torn* frame apart from a clean end-of-stream — a torn
 // frame means "this worker's answer is lost, retry the job elsewhere",
 // while a clean EOF at a frame boundary means the worker exited on
-// purpose. Every frame therefore carries a magic word, a bounded payload
-// length, and an FNV-1a checksum of the payload; any violation surfaces as
-// ReadStatus::Garbled rather than silently feeding corrupt bytes into the
-// job decoder.
-//
-// Payloads are WireMap key/value blobs (string -> string with typed
-// accessors). Nested records (programs, attempts, trace series) are
-// encoded as WireMap blobs stored under indexed keys — no external
-// serialization library, matching the hand-written JSON elsewhere in the
-// tree.
+// purpose. Every frame therefore carries the envelope's magic word, a
+// bounded payload length, and a 64-bit FNV-1a checksum of the payload; any
+// violation surfaces as ReadStatus::Garbled rather than silently feeding
+// corrupt bytes into the job decoder. Payloads are WireMap blobs.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "support/error.hpp"
 
 namespace buffy::procs {
-
-/// A malformed frame or payload: checksum mismatch, truncated header,
-/// missing/ill-typed key. The supervisor treats this as a worker fault
-/// (kill + retry), never as an answer.
-struct ProtocolError : Error {
-  using Error::Error;
-};
 
 /// How a frame read ended.
 enum class ReadStatus {
@@ -44,19 +25,16 @@ enum class ReadStatus {
   Garbled,  // bad magic/length/checksum, or EOF inside a frame (torn write)
 };
 
-/// Upper bound on one frame's payload; larger lengths are Garbled. Sized
-/// for model sources + full traces with lots of headroom.
-constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
-
-/// Writes one frame (header + payload) to `fd`. Returns false when the
-/// pipe is closed or the write fails (worker already dead); the caller
+/// Writes one frame (envelope around `payload`) to `fd`. Returns false when
+/// the pipe is closed or the write fails (worker already dead); the caller
 /// must have SIGPIPE ignored or blocked.
 bool writeFrame(int fd, std::string_view payload);
 
 /// Reads one frame from `fd` into `payload`. `deadlineMs` < 0 blocks
 /// forever (the worker side); otherwise the whole frame must arrive within
 /// the deadline or the read reports Timeout. A header promising more than
-/// kMaxFramePayload bytes is Garbled.
+/// kMaxEnvelopePayload bytes is Garbled before anything is allocated, and
+/// `payload` is only written on Ok.
 ReadStatus readFrame(int fd, std::string& payload, int deadlineMs);
 
 /// Test seam and fault-injection helper: writes a frame whose checksum is
@@ -64,32 +42,5 @@ ReadStatus readFrame(int fd, std::string& payload, int deadlineMs);
 /// the header (PartialWrite fault, models a crash mid-write).
 bool writeGarbledFrame(int fd, std::string_view payload);
 bool writePartialFrame(int fd, std::string_view payload);
-
-/// Flat key -> value payload with typed accessors. Encode/decode round
-/// trips exactly; decode validates structure and throws ProtocolError on
-/// any malformation.
-class WireMap {
- public:
-  void set(const std::string& key, std::string value);
-  void setInt(const std::string& key, std::int64_t value);
-  void setUint(const std::string& key, std::uint64_t value);
-  void setBool(const std::string& key, bool value);
-  void setDouble(const std::string& key, double value);
-
-  [[nodiscard]] bool has(const std::string& key) const;
-  /// Throws ProtocolError when the key is absent.
-  [[nodiscard]] const std::string& get(const std::string& key) const;
-  [[nodiscard]] std::optional<std::string> maybe(const std::string& key) const;
-  [[nodiscard]] std::int64_t getInt(const std::string& key) const;
-  [[nodiscard]] std::uint64_t getUint(const std::string& key) const;
-  [[nodiscard]] bool getBool(const std::string& key) const;
-  [[nodiscard]] double getDouble(const std::string& key) const;
-
-  [[nodiscard]] std::string encode() const;
-  static WireMap decode(std::string_view bytes);
-
- private:
-  std::map<std::string, std::string> entries_;
-};
 
 }  // namespace buffy::procs

@@ -262,7 +262,7 @@ WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
         WireResult result = decodeResult(WireMap::decode(payload));
         sup.checkin(std::move(worker));
         return result;  // including clean in-worker errors: no retry
-      } catch (const ProtocolError&) {
+      } catch (const DecodeError&) {
         status = ReadStatus::Garbled;  // checksummed but malformed
       }
     }

@@ -9,16 +9,8 @@ namespace {
 
 // ---- small helpers ------------------------------------------------------
 
-std::string indexed(const char* prefix, std::size_t i,
-                    const char* suffix = nullptr) {
-  std::string key = prefix;
-  key += '.';
-  key += std::to_string(i);
-  if (suffix != nullptr) {
-    key += '.';
-    key += suffix;
-  }
-  return key;
+std::string indexed(const char* prefix, std::size_t i) {
+  return std::string(prefix) + '.' + std::to_string(i);
 }
 
 void setMaybeUint(WireMap& map, const char* key,
@@ -29,38 +21,6 @@ void setMaybeUint(WireMap& map, const char* key,
 std::optional<unsigned> getMaybeUint(const WireMap& map, const char* key) {
   if (!map.has(key)) return std::nullopt;
   return static_cast<unsigned>(map.getUint(key));
-}
-
-std::string joinInts(const std::vector<std::int64_t>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += std::to_string(values[i]);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> splitInts(const std::string& text) {
-  std::vector<std::int64_t> out;
-  if (text.empty()) return out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = text.find(',', start);
-    const std::string piece = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    try {
-      std::size_t used = 0;
-      out.push_back(std::stoll(piece, &used));
-      if (used != piece.size()) throw ProtocolError("trailing junk");
-    } catch (const ProtocolError&) {
-      throw;
-    } catch (const std::exception&) {
-      throw ProtocolError("malformed integer list entry '" + piece + "'");
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
 }
 
 void setStringList(WireMap& map, const char* prefix,
@@ -74,8 +34,8 @@ void setStringList(WireMap& map, const char* prefix,
 std::vector<std::string> getStringList(const WireMap& map,
                                        const char* prefix) {
   const std::uint64_t count = map.getUint(std::string(prefix) + ".count");
-  if (count > kMaxFramePayload) {
-    throw ProtocolError("absurd list count for '" + std::string(prefix) + "'");
+  if (count > kMaxEnvelopePayload) {
+    throw DecodeError("absurd list count for '" + std::string(prefix) + "'");
   }
   std::vector<std::string> values;
   values.reserve(static_cast<std::size_t>(count));
@@ -107,7 +67,7 @@ std::string encodeBuffer(const core::BufferSpec& spec) {
 buffers::ModelKind modelKindFromInt(std::int64_t value) {
   if (value != static_cast<int>(buffers::ModelKind::List) &&
       value != static_cast<int>(buffers::ModelKind::Counter)) {
-    throw ProtocolError("unknown buffer model kind " + std::to_string(value));
+    throw DecodeError("unknown buffer model kind " + std::to_string(value));
   }
   return static_cast<buffers::ModelKind>(value);
 }
@@ -118,7 +78,7 @@ core::BufferSpec decodeBuffer(const std::string& bytes) {
   spec.param = map.get("param");
   const std::int64_t role = map.getInt("role");
   if (role < 0 || role > static_cast<int>(core::BufferSpec::Role::Internal)) {
-    throw ProtocolError("unknown buffer role " + std::to_string(role));
+    throw DecodeError("unknown buffer role " + std::to_string(role));
   }
   spec.role = static_cast<core::BufferSpec::Role>(role);
   spec.capacity = static_cast<int>(map.getInt("capacity"));
@@ -138,13 +98,11 @@ std::string encodeProgram(const core::ProgramSpec& spec) {
   WireMap map;
   map.set("instance", spec.instance);
   map.set("source", spec.source);
-  map.setUint("const.count", spec.compile.constants.size());
-  std::size_t i = 0;
+  WireMap constants;
   for (const auto& [name, value] : spec.compile.constants) {
-    map.set(indexed("const", i, "name"), name);
-    map.setInt(indexed("const", i, "value"), value);
-    ++i;
+    constants.setInt(name, value);
   }
+  map.set("constants", constants.encode());
   map.setInt("defaultListCapacity", spec.compile.defaultListCapacity);
   map.setUint("buffer.count", spec.buffers.size());
   for (std::size_t b = 0; b < spec.buffers.size(); ++b) {
@@ -158,10 +116,9 @@ core::ProgramSpec decodeProgram(const std::string& bytes) {
   core::ProgramSpec spec;
   spec.instance = map.get("instance");
   spec.source = map.get("source");
-  const std::uint64_t constants = map.getUint("const.count");
-  for (std::size_t i = 0; i < constants; ++i) {
-    spec.compile.constants[map.get(indexed("const", i, "name"))] =
-        map.getInt(indexed("const", i, "value"));
+  const WireMap constants = WireMap::decode(map.get("constants"));
+  for (const auto& [name, value] : constants.entries()) {
+    spec.compile.constants[name] = constants.getInt(name);
   }
   spec.compile.defaultListCapacity =
       static_cast<int>(map.getInt("defaultListCapacity"));
@@ -195,56 +152,6 @@ core::Connection decodeConnection(const std::string& bytes) {
   return conn;
 }
 
-std::string encodeAttempt(const core::SolveAttempt& attempt) {
-  WireMap map;
-  map.set("stage", attempt.stage);
-  map.set("outcome", attempt.outcome);
-  map.set("reason", attempt.reason);
-  map.setDouble("seconds", attempt.seconds);
-  map.setUint("rlimitUsed", attempt.rlimitUsed);
-  setMaybeUint(map, "seed", attempt.seed);
-  setMaybeUint(map, "timeoutMs", attempt.timeoutMs);
-  return map.encode();
-}
-
-core::SolveAttempt decodeAttempt(const std::string& bytes) {
-  const WireMap map = WireMap::decode(bytes);
-  core::SolveAttempt attempt;
-  attempt.stage = map.get("stage");
-  attempt.outcome = map.get("outcome");
-  attempt.reason = map.get("reason");
-  attempt.seconds = map.getDouble("seconds");
-  attempt.rlimitUsed = map.getUint("rlimitUsed");
-  attempt.seed = getMaybeUint(map, "seed");
-  attempt.timeoutMs = getMaybeUint(map, "timeoutMs");
-  return attempt;
-}
-
-std::string encodeTrace(const core::Trace& trace) {
-  WireMap map;
-  map.setInt("horizon", trace.horizon);
-  map.setUint("series.count", trace.series.size());
-  std::size_t i = 0;
-  for (const auto& [name, values] : trace.series) {
-    map.set(indexed("series", i, "name"), name);
-    map.set(indexed("series", i, "values"), joinInts(values));
-    ++i;
-  }
-  return map.encode();
-}
-
-core::Trace decodeTrace(const std::string& bytes) {
-  const WireMap map = WireMap::decode(bytes);
-  core::Trace trace;
-  trace.horizon = static_cast<int>(map.getInt("horizon"));
-  const std::uint64_t series = map.getUint("series.count");
-  for (std::size_t i = 0; i < series; ++i) {
-    trace.series[map.get(indexed("series", i, "name"))] =
-        splitInts(map.get(indexed("series", i, "values")));
-  }
-  return trace;
-}
-
 std::string encodeFaultPlan(const backends::FaultPlan& plan) {
   WireMap map;
   map.setUint("count", plan.actions().size());
@@ -268,7 +175,7 @@ backends::FaultPlanPtr decodeFaultPlan(const std::string& bytes) {
     const std::int64_t kind = map.getInt(indexed("kind", i));
     if (kind < 0 ||
         kind > static_cast<int>(backends::FaultAction::Kind::PartialWrite)) {
-      throw ProtocolError("unknown fault kind " + std::to_string(kind));
+      throw DecodeError("unknown fault kind " + std::to_string(kind));
     }
     backends::FaultAction action;
     action.kind = static_cast<backends::FaultAction::Kind>(kind);
@@ -328,8 +235,8 @@ core::AnalysisOptions decodeOptions(const WireMap& map) {
   options.randomSeed = getMaybeUint(map, "randomSeed");
   options.retry.enabled = map.getBool("retry.enabled");
   options.replayWitness = map.getBool("replayWitness");
-  if (const auto plan = map.maybe("faultPlan")) {
-    options.faultPlan = decodeFaultPlan(*plan);
+  if (map.has("faultPlan")) {
+    options.faultPlan = decodeFaultPlan(map.get("faultPlan"));
   }
   options.unrollLoops = map.getBool("unrollLoops");
   options.symbolicInitialState = map.getBool("symbolicInitialState");
@@ -341,44 +248,6 @@ core::AnalysisOptions decodeOptions(const WireMap& map) {
   }
   options.cacheVerify = map.getBool("cacheVerify");
   return options;
-}
-
-std::string encodeVerdict(const core::AnalysisResult& result) {
-  WireMap map;
-  map.set("verdict", core::verdictName(result.verdict));
-  map.set("detail", result.detail);
-  map.setDouble("solveSeconds", result.solveSeconds);
-  map.setBool("canceled", result.canceled);
-  map.setBool("witnessChecked", result.witnessChecked);
-  map.set("cacheKey", result.cacheKey);
-  map.setBool("cached", result.cached);
-  map.setUint("attempt.count", result.attempts.size());
-  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
-    map.set(indexed("attempt", i), encodeAttempt(result.attempts[i]));
-  }
-  if (result.trace) map.set("trace", encodeTrace(*result.trace));
-  return map.encode();
-}
-
-core::AnalysisResult decodeVerdict(const std::string& bytes) {
-  const WireMap map = WireMap::decode(bytes);
-  core::AnalysisResult result;
-  const std::string& name = map.get("verdict");
-  const auto verdict = core::parseVerdictName(name);
-  if (!verdict) throw ProtocolError("unknown verdict name '" + name + "'");
-  result.verdict = *verdict;
-  result.detail = map.get("detail");
-  result.solveSeconds = map.getDouble("solveSeconds");
-  result.canceled = map.getBool("canceled");
-  result.witnessChecked = map.getBool("witnessChecked");
-  result.cacheKey = map.get("cacheKey");
-  result.cached = map.getBool("cached");
-  const std::uint64_t attempts = map.getUint("attempt.count");
-  for (std::size_t i = 0; i < attempts; ++i) {
-    result.attempts.push_back(decodeAttempt(map.get(indexed("attempt", i))));
-  }
-  if (map.has("trace")) result.trace = decodeTrace(map.get("trace"));
-  return result;
 }
 
 }  // namespace
@@ -426,9 +295,9 @@ WireJob decodeJob(const WireMap& map) {
                         std::move(c.toParam), c.toIndex);
   }
   job.options = decodeOptions(map);
-  if (const auto dir = map.maybe("cache.dir")) {
+  if (map.has("cache.dir")) {
     cache::VerdictCacheOptions settings;
-    settings.dir = *dir;
+    settings.dir = map.get("cache.dir");
     settings.maxMemoryEntries = map.getUint("cache.maxMemoryEntries");
     settings.maxDiskBytes = map.getUint("cache.maxDiskBytes");
     job.cache = std::move(settings);
@@ -448,7 +317,7 @@ std::string encodeResult(const WireResult& result) {
   WireMap map;
   map.setUint("verdict.count", result.verdicts.size());
   for (std::size_t i = 0; i < result.verdicts.size(); ++i) {
-    map.set(indexed("verdict", i), encodeVerdict(result.verdicts[i]));
+    map.set(indexed("verdict", i), core::encodeVerdict(result.verdicts[i]));
   }
   if (!result.error.empty()) map.set("error", result.error);
   return map.encode();
@@ -458,9 +327,10 @@ WireResult decodeResult(const WireMap& map) {
   WireResult result;
   const std::uint64_t verdicts = map.getUint("verdict.count");
   for (std::size_t i = 0; i < verdicts; ++i) {
-    result.verdicts.push_back(decodeVerdict(map.get(indexed("verdict", i))));
+    result.verdicts.push_back(
+        core::decodeVerdict(map.get(indexed("verdict", i))));
   }
-  if (const auto error = map.maybe("error")) result.error = *error;
+  if (map.has("error")) result.error = map.get("error");
   return result;
 }
 

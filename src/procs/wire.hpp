@@ -2,7 +2,9 @@
 // crash-isolated worker needs to reproduce one analysis unit — the network,
 // the engine options (fault plan included), the query list and the
 // workload specs — plus the result record it sends back. Both records hold
-// the engine's own types; the codecs below are their only wire form.
+// the engine's own types; the codecs below are their only wire form, and
+// each answer in a result is core's verdict record (core::encodeVerdict),
+// the same bytes the verdict cache stores.
 //
 // A WireJob is self-contained on purpose: the worker re-compiles from
 // source rather than receiving pointers into the parent's arena, so a
@@ -23,7 +25,7 @@
 #include "cache/verdict_cache.hpp"
 #include "core/analysis.hpp"
 #include "core/network.hpp"
-#include "procs/protocol.hpp"
+#include "support/wire_map.hpp"
 
 namespace buffy::procs {
 
@@ -68,9 +70,10 @@ struct WireResult {
 
 // ---- codecs -------------------------------------------------------------
 
-/// Decoding throws ProtocolError on any malformed field, including an
-/// unknown verdict name or fault kind: a garbled-but-checksummed frame must
-/// never travel further as if it were a job or an answer.
+/// Decoding throws DecodeError on any malformed field, including an
+/// unknown verdict name or fault kind, or a trace that breaks Trace's
+/// invariant: a garbled-but-checksummed frame must never travel further as
+/// if it were a job or an answer.
 std::string encodeJob(const WireJob& job);
 WireJob decodeJob(const WireMap& payload);
 

@@ -6,6 +6,7 @@
 
 #include "core/query.hpp"
 #include "core/workload.hpp"
+#include "procs/protocol.hpp"
 
 namespace buffy::procs {
 
@@ -88,7 +89,7 @@ int runWorker() {
       const std::string type = frame.get("type");
       if (type == "shutdown") return 0;
       if (type != "job") {
-        throw ProtocolError("unknown frame type '" + type + "'");
+        throw DecodeError("unknown frame type '" + type + "'");
       }
       const WireJob job = decodeJob(WireMap::decode(frame.get("job")));
 

@@ -71,4 +71,13 @@ class BackendError : public Error {
   using Error::Error;
 };
 
+/// Malformed serialized input (support/wire_map.hpp): a bad envelope, a
+/// malformed WireMap payload, or a missing or ill-typed field in a record
+/// decoded from one. The worker supervisor treats it as a garbled reply,
+/// the verdict cache as a miss; it never becomes an answer.
+class DecodeError : public Error {
+ public:
+  using Error::Error;
+};
+
 }  // namespace buffy

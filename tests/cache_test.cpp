@@ -2,8 +2,8 @@
 // codec, both tiers of cache::VerdictCache, corruption fallback, and the
 // end-to-end cold-vs-warm differential across every example model and
 // backend — warm answers must be byte-identical to cold ones, and a
-// damaged cache must silently fall back to solving, never to a wrong
-// answer.
+// damaged or forged cache must silently fall back to solving, never to a
+// wrong answer or a crash.
 #include "cache/verdict_cache.hpp"
 
 #include <sys/stat.h>
@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -83,7 +85,6 @@ TEST(CacheKey, DeterministicAndSensitiveToEveryPart) {
   parts.problemHash = 0x1234;
   parts.query = "q[T-1] >= 1";
   parts.horizon = 6;
-  parts.backend = "z3";
   const std::string base = cache::cacheKeyFor(parts);
   EXPECT_EQ(base.size(), 32u);
   EXPECT_EQ(base, cache::cacheKeyFor(parts));
@@ -113,11 +114,6 @@ TEST(CacheKey, DeterministicAndSensitiveToEveryPart) {
   }
   {
     auto p = parts;
-    p.backend = "smtlib";
-    differs(p);
-  }
-  {
-    auto p = parts;
     p.model = 1;
     differs(p);
   }
@@ -131,9 +127,10 @@ TEST(CacheKey, DeterministicAndSensitiveToEveryPart) {
 // ---------------------------------------------------------------------------
 // Record codec
 
-cache::CachedVerdict sampleVerdict() {
-  cache::CachedVerdict v;
-  v.verdict = "SATISFIABLE";
+/// A witness answer in core's verdict-record form: what the engine stores.
+std::string sampleVerdict() {
+  core::AnalysisResult v;
+  v.verdict = core::Verdict::Satisfiable;
   v.detail = "sat in 1 attempt";
   v.solveSeconds = 0.125;
   v.witnessChecked = true;
@@ -142,22 +139,24 @@ cache::CachedVerdict sampleVerdict() {
   trace.series["fq.cdeq.0"] = {0, 1, 2};
   trace.series["fq.ibs.0.arrived"] = {1, 1, 0};
   v.trace = trace;
-  return v;
+  return core::encodeVerdict(v);
 }
 
 TEST(Record, RoundTripsWithTrace) {
   const std::string key(32, 'a');
-  const cache::CachedVerdict in = sampleVerdict();
+  const std::string in = sampleVerdict();
   const std::string bytes = cache::VerdictCache::encodeRecord(key, in);
   const auto out = cache::VerdictCache::decodeRecord(key, bytes);
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->verdict, in.verdict);
-  EXPECT_EQ(out->detail, in.detail);
-  EXPECT_DOUBLE_EQ(out->solveSeconds, in.solveSeconds);
-  EXPECT_TRUE(out->witnessChecked);
-  ASSERT_TRUE(out->trace.has_value());
-  EXPECT_EQ(out->trace->horizon, 3);
-  EXPECT_EQ(out->trace->series, in.trace->series);
+  EXPECT_EQ(*out, in);
+  const core::AnalysisResult answer = core::decodeVerdict(*out);
+  EXPECT_EQ(answer.verdict, core::Verdict::Satisfiable);
+  EXPECT_EQ(answer.detail, "sat in 1 attempt");
+  EXPECT_TRUE(answer.witnessChecked);
+  ASSERT_TRUE(answer.trace.has_value());
+  EXPECT_EQ(answer.trace->horizon, 3);
+  EXPECT_EQ(answer.trace->series.at("fq.ibs.0.arrived"),
+            (std::vector<std::int64_t>{1, 1, 0}));
 }
 
 TEST(Record, RejectsEveryMalformation) {
@@ -203,7 +202,7 @@ TEST(VerdictCache, MemoryTierLruEvicts) {
   cache::VerdictCacheOptions opts;
   opts.maxMemoryEntries = 2;
   cache::VerdictCache c(opts);
-  const cache::CachedVerdict v = sampleVerdict();
+  const std::string v = sampleVerdict();
   c.store(std::string(32, '1'), v);
   c.store(std::string(32, '2'), v);
   // Touch key 1 so key 2 is the LRU victim.
@@ -232,9 +231,7 @@ TEST(VerdictCache, DiskTierSurvivesInstances) {
   cache::VerdictCache reader(opts);
   const auto hit = reader.lookup(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->verdict, "SATISFIABLE");
-  ASSERT_TRUE(hit->trace.has_value());
-  EXPECT_EQ(hit->trace->horizon, 3);
+  EXPECT_EQ(*hit, sampleVerdict());
   EXPECT_EQ(reader.stats().hits, 1u);
 }
 
@@ -335,7 +332,7 @@ TEST(VerdictCache, ConcurrentWritersStayConsistent) {
         const std::string key(32, static_cast<char>('a' + (r + t) % 4));
         mine.store(key, sampleVerdict());
         const auto hit = mine.lookup(key);
-        if (hit && hit->verdict != "SATISFIABLE") badReads.fetch_add(1);
+        if (hit && *hit != sampleVerdict()) badReads.fetch_add(1);
       }
     });
   }
@@ -380,6 +377,31 @@ TEST(AnalysisCache, WarmEngineReturnsIdenticalAnswer) {
   const core::AnalysisResult c = other.check(query);
   EXPECT_FALSE(c.cached);
   EXPECT_NE(c.cacheKey, a.cacheKey);
+}
+
+TEST(AnalysisCache, SmtLibPathReusesNativeAnswer) {
+  // Every solve path answers the same standalone problem, so an answer the
+  // native engine stored serves the SMT-LIB path too: one key per problem.
+  core::AnalysisOptions opts;
+  opts.horizon = 5;
+  opts.cache = std::make_shared<cache::VerdictCache>();
+  const core::Query query = core::Query::expr("fq.cdeq.0[T-1] >= 1");
+  const core::Workload workload =
+      buffy::testing::starvationWorkload("fq", opts.horizon);
+
+  core::Analysis native(schedulerNet(models::kFairQueueBuggy, "fq", 2), opts);
+  native.setWorkload(workload);
+  const core::AnalysisResult a = native.verify(query);
+  EXPECT_FALSE(a.cached);
+  EXPECT_EQ(opts.cache->stats().stores, 1u);
+
+  core::Analysis smtlib(schedulerNet(models::kFairQueueBuggy, "fq", 2), opts);
+  smtlib.setWorkload(workload);
+  const core::AnalysisResult b = smtlib.solveViaSmtLib(query, true);
+  EXPECT_TRUE(b.cached);
+  EXPECT_EQ(b.cacheKey, a.cacheKey);
+  EXPECT_EQ(b.verdict, a.verdict);
+  EXPECT_EQ(opts.cache->stats().hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -647,6 +669,78 @@ TEST(CacheCli, CacheVerifyReplaysWitnessOnHit) {
       << warm.output;
   EXPECT_NE(warm.output.find("\"witnessChecked\":true"), std::string::npos)
       << warm.output;
+}
+
+/// Rewrites every record in `dir` through the record and verdict codecs,
+/// applying `edit` to its trace: magic, key and checksum stay valid.
+void forgeTraces(const std::string& dir,
+                 const std::function<void(core::Trace&)>& edit) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string path = entry.path().string();
+    const std::string key = entry.path().stem().string();
+    std::stringstream ss;
+    ss << std::ifstream(path, std::ios::binary).rdbuf();
+    const auto value = cache::VerdictCache::decodeRecord(key, ss.str());
+    ASSERT_TRUE(value.has_value()) << path;
+    core::AnalysisResult answer = core::decodeVerdict(*value);
+    ASSERT_TRUE(answer.trace.has_value()) << path;
+    edit(*answer.trace);
+    const std::string bytes = cache::VerdictCache::encodeRecord(
+        key, core::encodeVerdict(answer));
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+}
+
+/// The §6.1 starvation witness at T=5, answered cold into `dir`, then by a
+/// warm run with `flags` after forgeTraces(`edit`): the forged record must
+/// read as one validation failure and the query re-solve to the cold
+/// verdict — never a crash, never the forged trace.
+void expectForgedTraceResolvedCold(
+    const char* stem, const std::vector<std::string>& flags,
+    const std::function<void(core::Trace&)>& edit) {
+  const std::string dir = freshDir(stem);
+  const auto cmd = [&](const std::string& extra) {
+    return "check -T 5 -D N=2 --input ibs:6:3 --output ob:32 "
+           "--workload fq.ibs.0:0:1 --query \"fq.cdeq.0[T-1] >= T-1\" "
+           "--cache-dir " +
+           dir + " --json " + extra + model("fq_buggy");
+  };
+  const CommandResult cold = runCli(cmd(""));
+  ASSERT_EQ(cold.exitCode, 0) << cold.output;
+  for (const std::string& extra : flags) {
+    SCOPED_TRACE(extra);
+    forgeTraces(dir, edit);
+    const CommandResult warm = runCli(cmd(extra));
+    EXPECT_EQ(warm.exitCode, 0) << warm.output;
+    EXPECT_EQ(jsonField(warm.output, "verdict"),
+              jsonField(cold.output, "verdict"))
+        << warm.output;
+    EXPECT_NE(warm.output.find("\"cached\":false"), std::string::npos)
+        << warm.output;
+    EXPECT_NE(warm.output.find("\"validationFailures\":1"),
+              std::string::npos)
+        << warm.output;
+  }
+}
+
+TEST(CacheCli, ShortTraceSeriesRecordIsAMiss) {
+  expectForgedTraceResolvedCold(
+      "short_series", {"", "--cache-verify "}, [](core::Trace& trace) {
+        for (auto& [name, values] : trace.series) {
+          if (name.size() > 8 &&
+              name.compare(name.size() - 8, 8, ".arrived") == 0) {
+            values.pop_back();
+          }
+        }
+      });
+}
+
+TEST(CacheCli, OutOfRangeArrivalCountIsResolvedUnderCacheVerify) {
+  expectForgedTraceResolvedCold(
+      "huge_count", {"--cache-verify "}, [](core::Trace& trace) {
+        trace.series.at("fq.ibs.0.arrived").at(0) = 2'000'000'000;
+      });
 }
 
 }  // namespace

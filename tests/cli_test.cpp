@@ -2,9 +2,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +211,65 @@ TEST(Cli, CsvFormat) {
   EXPECT_EQ(result.exitCode, 0) << result.output;
   EXPECT_NE(result.output.find("series,t0,t1"), std::string::npos);
   EXPECT_NE(result.output.find("rr.cdeq.0,1,2"), std::string::npos);
+}
+
+/// Splits one RFC 4180 record into its fields.
+std::vector<std::string> csvFields(const std::string& row) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    const char c = row[i];
+    if (quoted && c == '"' && i + 1 < row.size() && row[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST(Cli, SweepCsvQuotesFields) {
+  const std::vector<std::string> queries = {"sum(fq.cdeq.0, 0, T) >= 0",
+                                            "fq.cdeq.1[T-1] >= min(1, T-2)"};
+  const auto result = runCli(
+      "verify -D N=2 --input ibs:6:3 --output ob:32 "
+      "--workload fq.ibs.0:0:1 --no-cache --query \"" +
+      queries[0] + "\" --query \"" + queries[1] +
+      "\" --sweep 2:3 --format csv " + model("fq_fixed.bfy"));
+  std::istringstream lines(result.output);
+  std::vector<std::vector<std::string>> rows;
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty()) rows.push_back(csvFields(line));
+  }
+  // The header plus 2 horizons x 2 queries, every row 6 fields wide.
+  ASSERT_EQ(rows.size(), 5u) << result.output;
+  std::vector<std::string> seen;
+  for (const auto& row : rows) {
+    ASSERT_EQ(row.size(), 6u) << result.output;
+    if (row[0] != "horizon") seen.push_back(row[1]);
+  }
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::string> want = {queries[0], queries[0], queries[1],
+                                   queries[1]};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(seen, want) << result.output;
+}
+
+TEST(Cli, ArriveRejectsMalformedCounts) {
+  for (const char* counts : {"1,-1,1", "1x,0"}) {
+    const auto result = runCli(
+        "simulate -T 3 -D N=2 --input ibs:6:3 --output ob:32 "
+        "--arrive fq.ibs.0=" +
+        std::string(counts) + " " + model("fq_buggy.bfy"));
+    EXPECT_EQ(result.exitCode, 2) << counts << "\n" << result.output;
+    EXPECT_NE(result.output.find("--arrive"), std::string::npos)
+        << result.output;
+  }
 }
 
 TEST(Cli, BadUsageErrors) {

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "procs/protocol.hpp"
+#include "support/wire_map.hpp"
 #include "procs/supervisor.hpp"
 #include "procs/wire.hpp"
 #include "procs/worker.hpp"
@@ -105,26 +106,26 @@ TEST(Protocol, BadMagicIsGarbled) {
 // ---- WireMap ------------------------------------------------------------
 
 TEST(WireMap, TypedRoundTrip) {
-  procs::WireMap m;
+  WireMap m;
   m.set("s", "text with\nnewline\tand tab");
   m.setInt("i", -42);
   m.setUint("u", 18446744073709551615ull);
   m.setBool("b", true);
   m.setDouble("d", 0.125);
-  const procs::WireMap back = procs::WireMap::decode(m.encode());
+  const WireMap back = WireMap::decode(m.encode());
   EXPECT_EQ(back.get("s"), "text with\nnewline\tand tab");
   EXPECT_EQ(back.getInt("i"), -42);
   EXPECT_EQ(back.getUint("u"), 18446744073709551615ull);
   EXPECT_TRUE(back.getBool("b"));
   EXPECT_EQ(back.getDouble("d"), 0.125);
   EXPECT_FALSE(back.has("missing"));
-  EXPECT_THROW((void)back.get("missing"), procs::ProtocolError);
-  EXPECT_THROW((void)back.getInt("s"), procs::ProtocolError);
+  EXPECT_THROW((void)back.get("missing"), DecodeError);
+  EXPECT_THROW((void)back.getInt("s"), DecodeError);
 }
 
 TEST(WireMap, DecodeRejectsGarbage) {
-  EXPECT_THROW(procs::WireMap::decode("\xff\xfe not a wiremap"),
-               procs::ProtocolError);
+  EXPECT_THROW(WireMap::decode("\xff\xfe not a wiremap"),
+               DecodeError);
 }
 
 namespace {
@@ -141,7 +142,7 @@ void putU32(std::string& out, std::uint32_t v) {
 TEST(WireMap, DecodeRejectsForgedEntryCount) {
   std::string bytes;
   putU32(bytes, 0xffffffffu);
-  EXPECT_THROW(procs::WireMap::decode(bytes), procs::ProtocolError);
+  EXPECT_THROW(WireMap::decode(bytes), DecodeError);
 }
 
 // Same-binary peers never emit duplicate keys (encode walks a std::map);
@@ -155,39 +156,45 @@ TEST(WireMap, DecodeRejectsDuplicateKey) {
     putU32(bytes, 1);
     bytes += i == 0 ? "a" : "b";
   }
-  EXPECT_THROW(procs::WireMap::decode(bytes), procs::ProtocolError);
+  EXPECT_THROW(WireMap::decode(bytes), DecodeError);
 }
 
 TEST(WireMap, DecodeRejectsTrailingBytes) {
-  procs::WireMap m;
+  WireMap m;
   m.set("k", "v");
   std::string bytes = m.encode();
   bytes += "extra";
-  EXPECT_THROW(procs::WireMap::decode(bytes), procs::ProtocolError);
+  EXPECT_THROW(WireMap::decode(bytes), DecodeError);
 }
 
-// A forged 12-byte header promising kMaxFramePayload + 1 bytes must be
-// Garbled before the payload is allocated or read.
+// A forged header promising kMaxEnvelopePayload + 1 bytes must be Garbled
+// before the payload is allocated or read.
 TEST(Protocol, ReadFrameHonorsMaxPayloadCap) {
-  // Lift a valid header (magic, length, checksum) off a real empty frame.
+  // Lift a valid frame (header, no payload, checksum) off a real empty
+  // frame.
   PipePair source;
   ASSERT_TRUE(procs::writeFrame(source.fds[1], ""));
-  char head[12];
-  ASSERT_EQ(read(source.fds[0], head, sizeof head), 12);
+  constexpr std::size_t kEmpty = kEnvelopeHeaderBytes + kEnvelopeTrailerBytes;
+  char frame[kEmpty];
+  ASSERT_EQ(read(source.fds[0], frame, sizeof frame),
+            static_cast<ssize_t>(kEmpty));
 
   // Unpatched, it reads back as an empty frame...
   PipePair p;
-  ASSERT_EQ(write(p.fds[1], head, sizeof head), 12);
+  ASSERT_EQ(write(p.fds[1], frame, sizeof frame),
+            static_cast<ssize_t>(kEmpty));
   std::string got = "stale";
   ASSERT_EQ(procs::readFrame(p.fds[0], got, 1000), procs::ReadStatus::Ok);
   EXPECT_TRUE(got.empty());
 
-  // ...with its length word raised past the cap, it is Garbled.
-  std::string forged(head, sizeof head);
+  // ...with its length word (after the 4-byte magic) raised past the cap,
+  // it is Garbled.
+  std::string forged(frame, sizeof frame);
   std::string size;
-  putU32(size, procs::kMaxFramePayload + 1);
+  putU32(size, kMaxEnvelopePayload + 1);
   forged.replace(4, 4, size);
-  ASSERT_EQ(write(p.fds[1], forged.data(), forged.size()), 12);
+  ASSERT_EQ(write(p.fds[1], forged.data(), forged.size()),
+            static_cast<ssize_t>(kEmpty));
   EXPECT_EQ(procs::readFrame(p.fds[0], got, 1000), procs::ReadStatus::Garbled);
   EXPECT_TRUE(got.empty());
 }
@@ -252,7 +259,7 @@ TEST(Wire, JobRoundTrips) {
   job.options.faultPlan = plan;
 
   const procs::WireJob back =
-      procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job)));
+      procs::decodeJob(WireMap::decode(procs::encodeJob(job)));
   const auto& programs = back.network.instances();
   ASSERT_EQ(programs.size(), 1u);
   EXPECT_EQ(programs[0].instance, "rr");
@@ -292,15 +299,40 @@ TEST(Wire, JobRoundTrips) {
 
 TEST(Wire, ResultRejectsUnknownVerdictName) {
   // A checksum-valid frame whose payload claims an unknown verdict must
-  // be a ProtocolError (kill + retry), never an answer.
+  // be a DecodeError (kill + retry), never an answer.
   procs::WireResult result;
   result.verdicts.emplace_back();
-  procs::WireMap reply =
-      procs::WireMap::decode(procs::encodeResult(result));
-  procs::WireMap verdict = procs::WireMap::decode(reply.get("verdict.0"));
+  WireMap reply =
+      WireMap::decode(procs::encodeResult(result));
+  WireMap verdict = WireMap::decode(reply.get("verdict.0"));
   verdict.set("verdict", "TOTALLY-BOGUS");
   reply.set("verdict.0", verdict.encode());
-  EXPECT_THROW(procs::decodeResult(reply), procs::ProtocolError);
+  EXPECT_THROW(procs::decodeResult(reply), DecodeError);
+}
+
+TEST(Wire, ResultRejectsTraceBreakingItsInvariant) {
+  // Every series of a trace has `horizon` values; a reply whose trace says
+  // otherwise must not reach witness replay as if it were an answer.
+  core::AnalysisResult answer;
+  answer.verdict = core::Verdict::Satisfiable;
+  answer.trace = core::Trace{};
+  answer.trace->horizon = 3;
+  answer.trace->series["rr.ibs.0.arrived"] = {1, 0, 1};
+  procs::WireResult result;
+  result.verdicts = {answer};
+  EXPECT_NO_THROW(
+      procs::decodeResult(WireMap::decode(procs::encodeResult(result))));
+
+  result.verdicts[0].trace->series["rr.ibs.0.arrived"] = {1, 0};
+  EXPECT_THROW(
+      procs::decodeResult(WireMap::decode(procs::encodeResult(result))),
+      DecodeError);
+
+  result.verdicts[0].trace->horizon = -1;
+  result.verdicts[0].trace->series.clear();
+  EXPECT_THROW(
+      procs::decodeResult(WireMap::decode(procs::encodeResult(result))),
+      DecodeError);
 }
 
 TEST(Wire, JobRejectsFaultKindPastLastKind) {
@@ -312,14 +344,14 @@ TEST(Wire, JobRejectsFaultKindPastLastKind) {
   plan->at("t", 0, {last});
   job.options.faultPlan = plan;
   EXPECT_NO_THROW(
-      procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job))));
+      procs::decodeJob(WireMap::decode(procs::encodeJob(job))));
   auto past = std::make_shared<backends::FaultPlan>();
   past->at("t", 0,
            {static_cast<backends::FaultAction::Kind>(static_cast<int>(last) +
                                                      1)});
   job.options.faultPlan = past;
-  EXPECT_THROW(procs::decodeJob(procs::WireMap::decode(procs::encodeJob(job))),
-               procs::ProtocolError);
+  EXPECT_THROW(procs::decodeJob(WireMap::decode(procs::encodeJob(job))),
+               DecodeError);
 }
 
 TEST(Wire, ServeJobAnswersInProcess) {

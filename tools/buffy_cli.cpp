@@ -348,7 +348,10 @@ Options parseArgs(int argc, char** argv) {
       const auto kv = split(next(), '=');
       if (kv.size() != 2) throw CliError("--arrive expects buf=n0,n1,...");
       std::vector<int> counts;
-      for (const auto& n : split(kv[1], ',')) counts.push_back(std::stoi(n));
+      for (const auto& n : split(kv[1], ',')) {
+        counts.push_back(static_cast<int>(
+            parseCount("--arrive", n, 0, std::numeric_limits<int>::max())));
+      }
       opts.arrivals[kv[0]] = std::move(counts);
     } else if (arg == "--query") {
       opts.queries.push_back(next());
@@ -880,6 +883,18 @@ int sweepPointCode(const std::string& verdict) {
   return kExitOk;
 }
 
+/// One RFC 4180 field: quoted, with inner quotes doubled, when it holds a
+/// comma, a quote or a line break; verbatim otherwise.
+std::string csvField(const std::string& text) {
+  if (text.find_first_of(",\"\r\n") == std::string::npos) return text;
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + '"';
+}
+
 int reportSweep(const Options& opts, const core::SweepResult& result,
                 const procs::ProcsStats* stats = nullptr,
                 const cache::VerdictCache* cache = nullptr) {
@@ -938,9 +953,9 @@ int reportSweep(const Options& opts, const core::SweepResult& result,
   if (opts.format == "csv") {
     std::puts("horizon,query,verdict,solveSeconds,canceled,shard");
     for (const auto& p : result.points) {
-      std::printf("%d,%s,%s,%.6f,%d,%zu\n", p.horizon, p.query.c_str(),
-                  p.verdict.c_str(), p.solveSeconds, p.canceled ? 1 : 0,
-                  p.shard);
+      std::printf("%d,%s,%s,%.6f,%d,%zu\n", p.horizon,
+                  csvField(p.query).c_str(), csvField(p.verdict).c_str(),
+                  p.solveSeconds, p.canceled ? 1 : 0, p.shard);
     }
     return code;
   }
