@@ -14,7 +14,9 @@
 //
 // Expected shape: super-linear (≈exponential) growth in T for the
 // conservation proof — the scalability wall motivating §5's modular
-// analysis. The sweep stops once a proof exceeds 30 s.
+// analysis. The sweep stops once a proof exceeds 30 s. Each row names the
+// engine that answered it: small horizons are decided by exhaustive
+// enumeration (DESIGN.md §7), the wall is Z3's.
 #include <cstdio>
 #include <string>
 
@@ -96,8 +98,9 @@ int main() {
   // all — sharding would burn workers inside the wall region.
   {
     std::printf("property: conservation (buggy FQ)\n");
-    std::printf("%3s | %10s | %10s\n", "T", "verdict", "time (s)");
-    std::printf("----+------------+-----------\n");
+    std::printf("%3s | %10s | %10s | %9s\n", "T", "verdict", "time (s)",
+                "engine");
+    std::printf("----+------------+------------+----------\n");
     double first = -1.0;
     double last = 0.0;
     for (int horizon = 1; horizon <= 9; ++horizon) {
@@ -106,8 +109,11 @@ int main() {
       opts.timeoutMs = 120000;
       core::Analysis analysis(fqNet(models::kFairQueueBuggy), opts);
       const auto result = analysis.verify(conservationQuery());
-      std::printf("%3d | %10s | %10.3f\n", horizon,
-                  core::verdictName(result.verdict), result.solveSeconds);
+      std::printf("%3d | %10s | %10.3f | %9s\n", horizon,
+                  core::verdictName(result.verdict), result.solveSeconds,
+                  result.attempts.empty()
+                      ? "-"
+                      : result.attempts.back().solver.c_str());
       if (first < 0) first = result.solveSeconds;
       last = result.solveSeconds;
       if (result.verdict == core::Verdict::Unknown) {
@@ -147,12 +153,13 @@ int main() {
         core::Query::expr("fq.cdeq.1[T-1] >= min(3, (T-1)/3)")};
     const auto result = sweep.run(
         queries, [](int h) { return starvationWorkload(h); }, sopts);
-    std::printf("%3s | %10s | %10s | %5s\n", "T", "verdict", "time (s)",
-                "shard");
-    std::printf("----+------------+------------+------\n");
+    std::printf("%3s | %10s | %10s | %9s | %5s\n", "T", "verdict",
+                "time (s)", "engine", "shard");
+    std::printf("----+------------+------------+-----------+------\n");
     for (const auto& p : result.points) {
-      std::printf("%3d | %10s | %10.3f | %5zu\n", p.horizon,
-                  p.verdict.c_str(), p.solveSeconds, p.shard);
+      std::printf("%3d | %10s | %10.3f | %9s | %5zu\n", p.horizon,
+                  p.verdict.c_str(), p.solveSeconds,
+                  p.solver.empty() ? "-" : p.solver.c_str(), p.shard);
       shapeOk = shapeOk && p.verdict == "VERIFIED";
     }
     std::printf("  (%zu shards, %.3f s total)\n", result.shards,

@@ -10,6 +10,7 @@
 #include <z3++.h>
 
 #include "backends/z3/z3_lowering.hpp"
+#include "enumerate/enumerator.hpp"
 #include "support/error.hpp"
 
 namespace buffy::backends {
@@ -78,10 +79,16 @@ SolveResult canceledResult() {
   return result;
 }
 
+double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 }  // namespace
 
 struct Z3Backend::Impl {
-  /// Built by createContext() or the first query.
+  /// Built by the first query that reaches Z3.
   std::optional<z3::context> ctx;
 
   z3::context& context() {
@@ -172,9 +179,7 @@ struct Z3Backend::Impl {
       const std::lock_guard<std::mutex> lock(interruptMutex);
       solving = false;
     }
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    result.seconds = secondsSince(start);
     // readRlimit returns 0 when the statistic is unavailable; clamp so the
     // delta never wraps.
     const std::uint64_t rlimitNow = readRlimit(solver);
@@ -216,22 +221,24 @@ struct Z3Backend::Impl {
     return result;
   }
 
-  /// The query protocol shared by check and checkSmtLib: consumes the next
-  /// fault slot, then runs the solver `load` returns with the problem
-  /// asserted. A z3 exception that reports an exhausted budget is an
-  /// Unknown answer, not an error.
-  template <typename Load>
+  /// The query protocol every entry point shares: consumes the next fault
+  /// slot, then returns what `run` answers. A z3 exception that reports an
+  /// exhausted budget is an Unknown answer, not an error. `enumerates`
+  /// tags the answers no engine produced (a forced Unknown, a query
+  /// cancelled before it started) with the engine the attempt would have
+  /// used.
+  template <typename Run>
   SolveResult oneShot(const SolveBudget& budget, const char* errorPrefix,
-                      const Load& load) {
-    if (cancelled.load()) return canceledResult();
-    SolveResult injected;
+                      bool enumerates, const Run& run) {
+    SolveResult injected = cancelled.load() ? canceledResult() : SolveResult{};
+    injected.enumerated = enumerates;
+    if (injected.canceled) return injected;
     const auto fault = consumeFault(&injected);
     if (fault && fault->kind == FaultAction::Kind::ForceUnknown) {
       return injected;
     }
     try {
-      z3::solver solver = load();
-      SolveResult result = runSolver(solver, budget);
+      SolveResult result = run();
       if (fault && fault->kind == FaultAction::Kind::CorruptWitness) {
         result.corruptWitness = true;
       }
@@ -246,6 +253,58 @@ struct Z3Backend::Impl {
       return result;
     }
   }
+
+  /// check(): lowers the constraints into a fresh preprocessing solver.
+  SolveResult checkZ3(std::span<const ir::TermRef> constraints,
+                      const SolveBudget& budget) {
+    z3::context& ctx = context();
+    z3::solver solver = preprocessingSolver(ctx);
+    applyBudget(solver, budget);
+    std::unordered_map<const ir::Term*, z3::expr> memo;
+    for (const ir::TermRef c : constraints) {
+      if (c->sort != ir::Sort::Bool) {
+        throw BackendError("constraint is not boolean");
+      }
+      solver.add(lowerTerm(ctx, c, memo));
+    }
+    return runSolver(solver, budget);
+  }
+
+  /// Runs a qualifying enumeration under the cancellation and timeout
+  /// protocol. Nullopt when the search met an overflow and declined.
+  std::optional<SolveResult> runEnumeration(enumerate::Enumerator& problem,
+                                            const SolveBudget& budget) {
+    const auto start = std::chrono::steady_clock::now();
+    // Z3 reads a timeout of 0 as "no timeout"; so does the enumeration.
+    const bool timed = budget.timeoutMs && *budget.timeoutMs != 0;
+    const auto deadline =
+        start + std::chrono::milliseconds(budget.timeoutMs.value_or(0));
+    const enumerate::Outcome outcome = problem.run([&] {
+      return cancelled.load() ||
+             (timed && std::chrono::steady_clock::now() >= deadline);
+    });
+    SolveResult result;
+    switch (outcome.status) {
+      case enumerate::Status::Declined: return std::nullopt;
+      case enumerate::Status::Sat:
+        result.status = SolveStatus::Sat;
+        result.model = outcome.model;
+        break;
+      case enumerate::Status::Unsat:
+        result.status = SolveStatus::Unsat;
+        break;
+      case enumerate::Status::Stopped:
+        if (cancelled.load()) {
+          result = canceledResult();
+        } else {
+          result.reason = "timeout";
+        }
+        break;
+    }
+    result.seconds = secondsSince(start);
+    result.enumerated = true;
+    return result;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -257,24 +316,26 @@ Z3Backend::~Z3Backend() = default;
 
 SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
                              SolveBudget budget) {
-  return impl_->oneShot(budget, "z3: ", [&] {
-    z3::context& ctx = impl_->context();
-    z3::solver solver = preprocessingSolver(ctx);
-    applyBudget(solver, budget);
-    std::unordered_map<const ir::Term*, z3::expr> memo;
-    for (const ir::TermRef c : constraints) {
-      if (c->sort != ir::Sort::Bool) {
-        throw BackendError("constraint is not boolean");
+  return impl_->oneShot(budget, "z3: ", false,
+                        [&] { return impl_->checkZ3(constraints, budget); });
+}
+
+SolveResult Z3Backend::enumerateOrCheck(
+    std::span<const ir::TermRef> constraints, SolveBudget budget) {
+  enumerate::Enumerator problem(constraints);
+  return impl_->oneShot(budget, "z3: ", problem.qualifies(), [&] {
+    if (problem.qualifies()) {
+      if (auto result = impl_->runEnumeration(problem, budget)) {
+        return *result;
       }
-      solver.add(lowerTerm(ctx, c, memo));
     }
-    return solver;
+    return impl_->checkZ3(constraints, budget);
   });
 }
 
 SolveResult Z3Backend::checkSmtLib(const std::string& smtlib,
                                    SolveBudget budget) {
-  return impl_->oneShot(budget, "z3 (smtlib parse): ", [&] {
+  return impl_->oneShot(budget, "z3 (smtlib parse): ", false, [&] {
     z3::context& ctx = impl_->context();
     z3::solver solver(ctx);
     applyBudget(solver, budget);
@@ -282,7 +343,7 @@ SolveResult Z3Backend::checkSmtLib(const std::string& smtlib,
     for (unsigned i = 0; i < assertions.size(); ++i) {
       solver.add(assertions[i]);
     }
-    return solver;
+    return impl_->runSolver(solver, budget);
   });
 }
 
@@ -290,11 +351,9 @@ void Z3Backend::interrupt() {
   impl_->cancelled.store(true);
   const std::lock_guard<std::mutex> lock(impl_->interruptMutex);
   if (impl_->solving) {
-    impl_->ctx->interrupt();  // a query in flight built the context
+    impl_->ctx->interrupt();  // a Z3 check in flight built the context
   }
 }
-
-void Z3Backend::createContext() { impl_->context(); }
 
 bool Z3Backend::interrupted() const { return impl_->cancelled.load(); }
 

@@ -6,8 +6,13 @@
 // fresh solver built from the tactic pipeline
 //   simplify -> propagate-values -> solve-eqs -> smt
 // so Z3's preprocessing runs over the whole (query-specialized) problem.
-// checkSmtLib() reparses SMT-LIB2 text into Z3's default solver — a
-// structurally different solve, used as the last rung of the retry ladder.
+// enumerateOrCheck() first decides a small finite-domain problem by
+// exhaustive enumeration (enumerate/enumerator.hpp) and hands every other
+// problem to the same pipeline. checkSmtLib() reparses SMT-LIB2 text into
+// Z3's default solver — a structurally different solve, used as the last
+// rung of the retry ladder. The Z3 context is built at the first query
+// that reaches Z3, so a backend whose queries all enumerate never builds
+// one.
 //
 // Resilience (DESIGN.md §8): every query runs under a SolveBudget
 // (wall-clock timeout, Z3 rlimit, memory cap, random seed), queries can be
@@ -78,6 +83,9 @@ struct SolveResult {
   /// instructs the analysis layer to perturb the extracted witness trace
   /// so the replay cross-check can be exercised deterministically.
   bool corruptWitness = false;
+  /// True when exhaustive enumeration, not Z3, ran the query (or would
+  /// have, for an injected Unknown).
+  bool enumerated = false;
 };
 
 class Z3Backend {
@@ -91,6 +99,16 @@ class Z3Backend {
   /// fresh preprocessing solver, fresh lowering).
   SolveResult check(std::span<const ir::TermRef> constraints,
                     SolveBudget budget = {});
+
+  /// The retry ladder's first rung: decides the conjunction by exhaustive
+  /// enumeration when it qualifies (DESIGN.md §7), else exactly as
+  /// check() — also when the enumeration meets an int64 overflow. An
+  /// enumeration is an attempt like a Z3 check: it takes the same fault
+  /// slot, stops on interrupt(), returns Unknown "timeout" when
+  /// `budget.timeoutMs` runs out, ignores the rlimit and memory cap, and
+  /// reports `rlimitUsed` 0.
+  SolveResult enumerateOrCheck(std::span<const ir::TermRef> constraints,
+                               SolveBudget budget = {});
 
   /// Parses SMT-LIB2 text (e.g. from the smtlib backend) and checks it —
   /// the emission/reparse path of the backend-comparison ablation and the
@@ -107,10 +125,6 @@ class Z3Backend {
   void interrupt();
   /// True once interrupt() has been called.
   [[nodiscard]] bool interrupted() const;
-
-  /// Builds the Z3 context (two 8 MiB allocations) now rather than at the
-  /// first query; a backend that never solves never needs one.
-  void createContext();
 
   /// Installs the test-only fault-injection plan (see fault_plan.hpp).
   /// Pass nullptr to clear. Faults are consumed by check / checkSmtLib in

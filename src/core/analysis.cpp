@@ -68,6 +68,7 @@ std::vector<std::int64_t> splitInts(std::string_view text) {
 std::string encodeAttempt(const SolveAttempt& attempt) {
   WireMap map;
   map.set("stage", attempt.stage);
+  map.set("solver", attempt.solver);
   map.set("outcome", attempt.outcome);
   map.set("reason", attempt.reason);
   map.setDouble("seconds", attempt.seconds);
@@ -81,6 +82,8 @@ SolveAttempt decodeAttempt(const std::string& bytes) {
   const WireMap map = WireMap::decode(bytes);
   SolveAttempt attempt;
   attempt.stage = map.get("stage");
+  // Records written before attempts named their engine come from Z3.
+  if (map.has("solver")) attempt.solver = map.get("solver");
   attempt.outcome = map.get("outcome");
   attempt.reason = map.get("reason");
   attempt.seconds = map.getDouble("seconds");
@@ -205,14 +208,6 @@ bool sameBudget(const CompileBudget& a, const CompileBudget& b) {
          a.maxExecStmts == b.maxExecStmts && a.maxTermNodes == b.maxTermNodes;
 }
 
-/// An engine expects to solve unless its cache already stored answers.
-/// One that does builds its Z3 context before the encoding, where it
-/// reuses the last engine's context memory intact (DESIGN.md §7); the
-/// others build one only at their first cache miss.
-bool expectsToSolve(const AnalysisOptions& options) {
-  return !options.cache || options.cache->stats().stores == 0;
-}
-
 bool sameFront(const pipeline::PipelineOptions& a,
                const pipeline::PipelineOptions& b) {
   return a.horizon == b.horizon && a.model == b.model &&
@@ -246,7 +241,6 @@ struct Analysis::Impl {
       throw AnalysisError("analysis horizon must be positive");
     }
     if (options.faultPlan) solver.setFaultPlan(options.faultPlan);
-    if (expectsToSolve(options)) solver.createContext();
     const pipeline::CompilerDriver driver(pipelineOptionsFor(options));
     unit = driver.compile(std::move(net));
     stats = unit->frontStats();
@@ -267,7 +261,6 @@ struct Analysis::Impl {
           "requests");
     }
     if (options.faultPlan) solver.setFaultPlan(options.faultPlan);
-    if (expectsToSolve(options)) solver.createContext();
     stats = unit->frontStats();
   }
 
@@ -467,16 +460,23 @@ struct Analysis::Impl {
     }
   }
 
-  Trace traceFromModel(Encoding& enc, const ir::Assignment& model) {
+  /// Evaluates every series under one memo: the series share most of the
+  /// encoding, which per-term evaluation would walk once per (series,
+  /// step).
+  static Trace traceFromModel(const Encoding& enc,
+                              const ir::Assignment& model) {
+    std::vector<ir::TermRef> terms;
+    for (const auto& [name, series] : enc.series) {
+      terms.insert(terms.end(), series.begin(), series.end());
+    }
+    const std::vector<std::int64_t> values = ir::evalTerms(terms, model);
     Trace trace;
     trace.horizon = enc.horizon;
-    for (const auto& [name, terms] : enc.series) {
-      std::vector<std::int64_t> values;
-      values.reserve(terms.size());
-      for (const ir::TermRef term : terms) {
-        values.push_back(ir::evalTerm(term, model));
-      }
-      trace.series[name] = std::move(values);
+    auto next = values.begin();
+    for (const auto& [name, series] : enc.series) {
+      const auto end = next + static_cast<std::ptrdiff_t>(series.size());
+      trace.series.emplace(name, std::vector<std::int64_t>(next, end));
+      next = end;
     }
     return trace;
   }
@@ -545,6 +545,7 @@ struct Analysis::Impl {
                             const backends::SolveResult& sr) {
     SolveAttempt attempt;
     attempt.stage = stage;
+    attempt.solver = sr.enumerated ? "enumerate" : "z3";
     switch (sr.status) {
       case backends::SolveStatus::Sat: attempt.outcome = "sat"; break;
       case backends::SolveStatus::Unsat: attempt.outcome = "unsat"; break;
@@ -578,10 +579,12 @@ struct Analysis::Impl {
     finishKeyed(keyed, enc);
 
     // Every native rung is a one-shot solve of the query-specialized
-    // problem.
+    // problem. The first enumerates it when its domains are small enough
+    // (DESIGN.md §7); the retries always run Z3.
     std::vector<SolveAttempt> attempts;
     backends::SolveBudget budget = baseBudget();
-    backends::SolveResult sr = solver.check(keyed.standalone, budget);
+    backends::SolveResult sr =
+        solver.enumerateOrCheck(keyed.standalone, budget);
     recordAttempt(attempts, "initial", budget, sr);
 
     if (retryable(sr)) {

@@ -38,7 +38,9 @@ namespace buffy::core {
 ///   initial -> reseed (fresh random seed) -> escalate (scaled budget)
 ///           -> smtlib (emit + reparse through Z3's default solver).
 /// The first three rungs are one-shot solves of the query-specialized
-/// problem through the preprocessing solver (Z3Backend::check). The smtlib
+/// problem through the preprocessing solver (Z3Backend::check); the
+/// initial rung decides a small finite-domain problem by exhaustive
+/// enumeration instead (Z3Backend::enumerateOrCheck). The smtlib
 /// rung re-renders that problem as SMT-LIB2 and solves the reparse through
 /// Z3's default solver — a structurally different solve. It keeps the
 /// escalated budget. Cancelled queries (Analysis::interrupt) are never
@@ -144,6 +146,9 @@ std::optional<Verdict> parseVerdictName(const std::string& name);
 struct SolveAttempt {
   /// "initial", "reseed", "escalate", or "smtlib".
   std::string stage;
+  /// The engine that ran it: "enumerate" (exhaustive enumeration, only on
+  /// the initial rung) or "z3".
+  std::string solver = "z3";
   /// "sat", "unsat", or "unknown".
   std::string outcome;
   /// Solver's reason when the outcome was "unknown".

@@ -43,6 +43,7 @@ SweepResult HorizonSweep::run(const std::vector<Query>& queries,
     point.solveSeconds = r.solveSeconds;
     point.canceled = r.canceled;
     point.cached = r.cached;
+    if (!r.attempts.empty()) point.solver = r.attempts.back().solver;
   };
 
   jobs::JobPool pool;

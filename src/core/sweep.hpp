@@ -48,6 +48,9 @@ struct SweepPoint {
   std::string verdict;
   double solveSeconds = 0.0;
   bool canceled = false;
+  /// The engine of the point's last solver attempt ("enumerate" or "z3");
+  /// empty when no solver ran (a cache hit, an error).
+  std::string solver;
   /// Which worker answered this point (informational; the report content
   /// is shard-invariant).
   std::size_t shard = 0;

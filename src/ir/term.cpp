@@ -17,7 +17,8 @@ std::int64_t euclideanMod(std::int64_t a, std::int64_t b) {
   if (b == 0) return 0;
   if (b == -1) return 0;  // INT64_MIN % -1 is UB in C++; result is always 0
   std::int64_t r = a % b;
-  if (r < 0) r += (b > 0 ? b : -b);
+  // r + |b| without negating b: -INT64_MIN does not fit, the sum does.
+  if (r < 0) r = b > 0 ? r + b : r - b;
   return r;
 }
 

@@ -15,8 +15,13 @@ std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 }  // namespace
 
 std::int64_t evalTerm(TermRef term, const Assignment& assignment) {
+  return evalTerms({&term, 1}, assignment).front();
+}
+
+std::vector<std::int64_t> evalTerms(std::span<const TermRef> terms,
+                                    const Assignment& assignment) {
   std::unordered_map<const Term*, std::int64_t> memo;
-  std::vector<TermRef> stack{term};
+  std::vector<TermRef> stack(terms.begin(), terms.end());
   while (!stack.empty()) {
     const TermRef t = stack.back();
     if (memo.count(t) != 0) {
@@ -64,7 +69,10 @@ std::int64_t evalTerm(TermRef term, const Assignment& assignment) {
     }
     memo.emplace(t, v);
   }
-  return memo.at(term);
+  std::vector<std::int64_t> values;
+  values.reserve(terms.size());
+  for (const TermRef t : terms) values.push_back(memo.at(t));
+  return values;
 }
 
 }  // namespace buffy::ir

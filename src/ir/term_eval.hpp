@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "ir/term.hpp"
 
@@ -19,5 +21,11 @@ using Assignment = std::map<std::string, std::int64_t>;
 /// Evaluates `term` under `assignment`. Iterative (stack-safe) and
 /// memoized per call.
 [[nodiscard]] std::int64_t evalTerm(TermRef term, const Assignment& assignment);
+
+/// Evaluates every term of `terms` under `assignment` with one memo, so a
+/// subterm they share is evaluated once (a witness trace's series share
+/// most of the encoding). Element i of the result is evalTerm(terms[i]).
+[[nodiscard]] std::vector<std::int64_t> evalTerms(
+    std::span<const TermRef> terms, const Assignment& assignment);
 
 }  // namespace buffy::ir

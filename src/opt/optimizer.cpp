@@ -7,9 +7,11 @@ namespace buffy::opt {
 
 namespace {
 
+using ir::seedShape;
 using ir::Sort;
 using ir::TermKind;
 using ir::TermRef;
+using ir::tighten;
 
 /// Flatten/linearize gathers stop descending past this many leaves so a
 /// pathological chain cannot make one rewrite quadratic.
@@ -133,55 +135,6 @@ Interval ivDiv(const Interval& a, const Interval& b) {
     return Interval{std::int64_t{0}, a.hi};
   }
   return topInterval();
-}
-
-/// A unit-bound assertion shape: one Int variable against one constant
-/// (Le/Lt/Eq in either orientation), a bare Bool variable, or its
-/// negation. These are the interval seed facts.
-struct SeedShape {
-  TermRef var = nullptr;
-  Bound lo;
-  Bound hi;
-};
-
-std::optional<SeedShape> seedShape(TermRef s) {
-  if (s->kind == TermKind::Var && s->sort == Sort::Bool) {
-    return SeedShape{s, 1, 1};
-  }
-  if (s->kind == TermKind::Not && s->args[0]->kind == TermKind::Var) {
-    return SeedShape{s->args[0], 0, 0};
-  }
-  if (s->kind != TermKind::Le && s->kind != TermKind::Lt &&
-      s->kind != TermKind::Eq) {
-    return std::nullopt;
-  }
-  const TermRef a = s->args[0];
-  const TermRef b = s->args[1];
-  if (a->kind == TermKind::Var && a->sort == Sort::Int &&
-      b->kind == TermKind::ConstInt) {
-    if (s->kind == TermKind::Le) return SeedShape{a, std::nullopt, b->value};
-    if (s->kind == TermKind::Eq) return SeedShape{a, b->value, b->value};
-    if (const auto hi = ir::foldSub(b->value, 1)) {  // a < c  ⇒  a <= c-1
-      return SeedShape{a, std::nullopt, *hi};
-    }
-    return std::nullopt;
-  }
-  if (b->kind == TermKind::Var && b->sort == Sort::Int &&
-      a->kind == TermKind::ConstInt) {
-    if (s->kind == TermKind::Le) return SeedShape{b, a->value, std::nullopt};
-    if (s->kind == TermKind::Eq) return SeedShape{b, a->value, a->value};
-    if (const auto lo = ir::foldAdd(a->value, 1)) {  // c < b  ⇒  c+1 <= b
-      return SeedShape{b, *lo, std::nullopt};
-    }
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-/// Tightens `iv` with a seed shape's bounds.
-void tighten(Interval& iv, const SeedShape& shape) {
-  if (shape.lo) iv.lo = presentMax(iv.lo, shape.lo);
-  if (shape.hi) iv.hi = presentMin(iv.hi, shape.hi);
 }
 
 double secondsSince(std::chrono::steady_clock::time_point start) {

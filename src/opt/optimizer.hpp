@@ -41,6 +41,7 @@
 
 #include "ir/term.hpp"
 #include "ir/term_eval.hpp"
+#include "ir/unit_bound.hpp"
 
 namespace buffy::opt {
 
@@ -73,18 +74,8 @@ struct OptStats {
   std::vector<PassTiming> passes;
 };
 
-/// A closed integer interval with optional (= unbounded) endpoints.
-/// Booleans use the subsets of [0, 1].
-struct Interval {
-  std::optional<std::int64_t> lo;
-  std::optional<std::int64_t> hi;
-
-  [[nodiscard]] bool singleton() const { return lo && hi && *lo == *hi; }
-  [[nodiscard]] bool empty() const { return lo && hi && *lo > *hi; }
-  [[nodiscard]] bool contains(std::int64_t v) const {
-    return (!lo || *lo <= v) && (!hi || v <= *hi);
-  }
-};
+/// The optimizer's interval domain (shared with the enumerator's bounds).
+using Interval = ir::Interval;
 
 class Optimizer {
  public:

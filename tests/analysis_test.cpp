@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "ir/term_eval.hpp"
+#include "pipeline/driver.hpp"
+#include "pipeline/encoder.hpp"
 #include "support/error.hpp"
 
 namespace buffy::core {
@@ -336,6 +339,96 @@ TEST_P(RrFairness, BoundHolds) {
 INSTANTIATE_TEST_SUITE_P(Sweep, RrFairness,
                          ::testing::Values(std::pair{2, 4}, std::pair{2, 6},
                                            std::pair{3, 4}, std::pair{3, 6}));
+
+// ---------------------------------------------------------------------------
+// Witness traces: every series evaluated under one memo
+// ---------------------------------------------------------------------------
+
+BufferSpec buffer(const char* param, BufferSpec::Role role, int capacity,
+                  int maxArrivals = 0) {
+  BufferSpec spec;
+  spec.param = param;
+  spec.role = role;
+  spec.capacity = capacity;
+  if (maxArrivals > 0) spec.maxArrivalsPerStep = maxArrivals;
+  return spec;
+}
+
+/// §6.2: AIMD sender -> token-bucket path server -> delay server, with the
+/// delayed acks fed back to the sender.
+Network ccacNet() {
+  using Role = BufferSpec::Role;
+  ProgramSpec cca;
+  cca.source = models::kAimdCca;
+  cca.compile.constants["RTO"] = 3;
+  cca.buffers = {buffer("ind", Role::Input, 16, 4),
+                 buffer("inack", Role::Input, 16),
+                 buffer("out", Role::Output, 16),
+                 buffer("ackdrain", Role::Output, 16)};
+  ProgramSpec path;
+  path.source = models::kPathServer;
+  path.compile.constants["RATE"] = 2;
+  path.compile.constants["BUCKET"] = 4;
+  path.buffers = {buffer("pin", Role::Input, 3),
+                  buffer("pout", Role::Output, 16)};
+  ProgramSpec delay;
+  delay.source = models::kDelayServer;
+  delay.buffers = {buffer("din", Role::Input, 16),
+                   buffer("dout", Role::Output, 16)};
+  Network net;
+  net.add(cca).add(path).add(delay);
+  net.connect("aimd", "out", "path", "pin");
+  net.connect("path", "pout", "delay", "din");
+  net.connect("delay", "dout", "aimd", "inack");
+  return net;
+}
+
+/// Solves `query` over the whole encoding with Z3 and checks that one
+/// evalTerms pass over every series gives each step exactly what
+/// per-term evaluation gives.
+void expectOnePassTraceMatches(Network net, int horizon,
+                               const Workload& workload,
+                               const std::string& query) {
+  AnalysisOptions options;
+  options.horizon = horizon;
+  const pipeline::CompilerDriver driver(pipelineOptionsFor(options));
+  const auto unit = driver.compile(std::move(net));
+  const auto enc = pipeline::buildEncoding(*unit, workload, nullptr);
+  std::vector<ir::TermRef> problem = enc->assumptions;
+  problem.insert(problem.end(), enc->soundness.begin(), enc->soundness.end());
+  problem.insert(problem.end(), enc->workloadTerms.begin(),
+                 enc->workloadTerms.end());
+  problem.push_back(Query::expr(query).build(enc->seriesView(), enc->arena));
+  backends::Z3Backend z3;
+  const auto witness = z3.check(problem);
+  ASSERT_EQ(witness.status, backends::SolveStatus::Sat);
+
+  std::vector<ir::TermRef> terms;
+  for (const auto& [name, series] : enc->series) {
+    terms.insert(terms.end(), series.begin(), series.end());
+  }
+  ASSERT_GT(terms.size(), 10u * static_cast<std::size_t>(horizon));
+  const std::vector<std::int64_t> values =
+      ir::evalTerms(terms, witness.model);
+  ASSERT_EQ(values.size(), terms.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    EXPECT_EQ(values[i], ir::evalTerm(terms[i], witness.model)) << i;
+  }
+}
+
+TEST(WitnessTrace, OnePassEqualsPerTermEvaluationOnFq) {
+  expectOnePassTraceMatches(
+      schedulerNet(models::kFairQueueBuggy, "fq", 2), 6,
+      starvationWorkload("fq", 6),
+      "fq.cdeq.0[T-1] >= T-1 & fq.cdeq.1[T-1] <= 1");
+}
+
+TEST(WitnessTrace, OnePassEqualsPerTermEvaluationOnCcac) {
+  Workload always;
+  always.add(Workload::perStepCount("aimd.ind", 4, 4));
+  expectOnePassTraceMatches(ccacNet(), 7, always,
+                            "path.pin.dropped[T-1] > 0");
+}
 
 }  // namespace
 }  // namespace buffy::core

@@ -407,6 +407,51 @@ TEST(Cli, JsonFormatCarriesVerdictAndAttempts) {
   EXPECT_NE(result.output.find("\"trace\":{"), std::string::npos);
 }
 
+// The initial attempt names its engine (DESIGN.md §7): exhaustive
+// enumeration when every variable is bounded and the work fits, else Z3.
+TEST(Cli, SmallFiniteDomainQueryEnumerates) {
+  const auto result = runCli(std::string(resilience::kCheckArgs) + "--json " +
+                             model("round_robin.bfy"));
+  EXPECT_EQ(result.exitCode, 0) << result.output;
+  EXPECT_NE(result.output.find("\"stage\":\"initial\",\"outcome\":\"sat\","
+                               "\"solver\":\"enumerate\""),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("\"witnessChecked\":true"), std::string::npos)
+      << result.output;
+}
+
+TEST(Cli, UnboundedHavocQueryUsesZ3) {
+  // path_server's havoc variables have lower bounds only.
+  const auto result = runCli(
+      "check -T 4 -D RATE=1 -D BUCKET=2 --input pin:8:2 --output pout:16 "
+      "--json --query \"path.mserved[T-1] >= 0\" " +
+      model("path_server.bfy"));
+  EXPECT_EQ(result.exitCode, 0) << result.output;
+  EXPECT_NE(result.output.find("\"stage\":\"initial\",\"outcome\":\"sat\","
+                               "\"solver\":\"z3\""),
+            std::string::npos)
+      << result.output;
+}
+
+TEST(Cli, WorkAboveTheBoundUsesZ3) {
+  // The §6.1 check at T=8: 2^24 arrival assignments, times the DAG.
+  const auto result = runCli(
+      "check -T 8 -D N=2 --input ibs:6:3 --output ob:32 "
+      "--workload fq.ibs.0:0:1 --no-cache --json "
+      "--query \"fq.cdeq.1[T-1] <= 1 & fq.cdeq.0[T-1] >= T-1\" " +
+      model("fq_buggy.bfy"));
+  EXPECT_EQ(result.exitCode, 0) << result.output;
+  EXPECT_NE(result.output.find("\"verdict\":\"SATISFIABLE\""),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("\"solver\":\"z3\""), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("\"solver\":\"enumerate\""),
+            std::string::npos)
+      << result.output;
+}
+
 TEST(Cli, JsonFormatCarriesOptBlock) {
   const auto result =
       runCli(std::string(resilience::kCheckArgs) + "--format json " +

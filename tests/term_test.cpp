@@ -79,6 +79,10 @@ TEST_F(TermTest, EuclideanDivMod) {
   // Division by zero is defined as 0.
   EXPECT_EQ(euclideanDiv(5, 0), 0);
   EXPECT_EQ(euclideanMod(5, 0), 0);
+  // A divisor of INT64_MIN: |b| does not fit in int64, the remainder does.
+  EXPECT_EQ(euclideanDiv(-1, INT64_MIN), 1);
+  EXPECT_EQ(euclideanMod(-1, INT64_MIN), INT64_MAX);
+  EXPECT_EQ(euclideanMod(INT64_MIN + 1, INT64_MIN), 1);
 }
 
 TEST_F(TermTest, BooleanSimplification) {

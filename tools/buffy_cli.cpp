@@ -732,7 +732,8 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       const auto& a = result.attempts[i];
       if (i > 0) json += ",";
       json += "{\"stage\":\"" + jsonEscape(a.stage) + "\",\"outcome\":\"" +
-              jsonEscape(a.outcome) + "\"";
+              jsonEscape(a.outcome) + "\",\"solver\":\"" +
+              jsonEscape(a.solver) + "\"";
       if (!a.reason.empty()) {
         json += ",\"reason\":\"" + jsonEscape(a.reason) + "\"";
       }

@@ -6,7 +6,7 @@
 #   tools/run_fuzz.sh <target> [args]  # one target, extra args to the engine
 #   tools/run_fuzz.sh all [seconds]    # every target, [seconds] each (default 60)
 #
-# Targets: fuzz_lexer fuzz_parser fuzz_pipeline fuzz_wire
+# Targets: fuzz_lexer fuzz_parser fuzz_pipeline fuzz_wire fuzz_enumerate
 #
 # Exit code is non-zero if any target crashed; crash inputs land in
 # build-fuzz/artifacts/ for replay (`build-fuzz/fuzz/fuzz_parser <crash-file>`).
@@ -14,7 +14,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-fuzz
-TARGETS="fuzz_lexer fuzz_parser fuzz_pipeline fuzz_wire"
+TARGETS="fuzz_lexer fuzz_parser fuzz_pipeline fuzz_wire fuzz_enumerate"
 DICT=fuzz/buffy.dict
 # Seed corpus is materialized at configure time from examples/models/
 # (single source of truth — see fuzz/CMakeLists.txt).
@@ -50,9 +50,9 @@ main() {
   local failures=0
   case "$mode" in
     smoke)
-      # The CI gate: ~60s wall time split across the four targets.
+      # The CI gate: ~60s wall time split across the five targets.
       for t in $TARGETS; do
-        run_target "$t" 15 || failures=$((failures + 1))
+        run_target "$t" 12 || failures=$((failures + 1))
       done
       ;;
     all)
