@@ -1,19 +1,31 @@
-// Fuzz target: the exhaustive enumerator (DESIGN.md §7) against Z3. Each
-// input decodes into a small term DAG over at most four bounded variables:
-// Int variables over narrow ranges (some next to the int64 limits) or
-// Bool variables, arithmetic including mul/div/mod, constants near the
-// int64 limits, comparisons, boolean connectives and ites.
+// Fuzz target: the memoized enumerator (DESIGN.md §7) against Z3 and
+// against plain search. The first byte picks one of two shapes:
+//
+//  * a small term DAG over at most four variables: Int variables over
+//    narrow ranges (some next to the int64 limits, some with a lower bound
+//    only, some with no lower bound) or Bool variables, arithmetic
+//    including mul/div/mod, constants near the int64 limits, comparisons,
+//    boolean connectives and ites;
+//  * a time-layered DAG: up to eight steps, each with one input variable
+//    (two-sided, or bounded below only) that updates two state terms
+//    through the clamp/drain/threshold shapes of the library models, with
+//    checks along the way. Steps revisit state values, so cuts share live
+//    values and the memo prunes.
 //
 // Invariants: whenever the enumerator answers, Z3Backend::check gives the
-// same status (or Unknown within its timeout), and every model the
-// enumerator returns satisfies every constraint under ir::evalTerm. A
+// same status (or Unknown within its timeout); every model the enumerator
+// returns satisfies every constraint under ir::evalTerm; and on a small
+// box of small values — each derived threshold widened by two — plain
+// search under ir::evalTerms finds the same first model, or none. A
 // disagreement aborts.
+#include <algorithm>
 #include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +35,7 @@
 
 namespace {
 
+using buffy::enumerate::Enumerator;
 using buffy::ir::Sort;
 using buffy::ir::TermRef;
 
@@ -31,6 +44,12 @@ constexpr std::int64_t kConstants[] = {
     64,        1 << 20,   INT64_MAX, INT64_MIN,  INT64_MAX - 1,
     INT64_MIN + 1,        INT64_MAX / 2,         INT64_MIN / 2,
     INT64_C(3037000500),  -INT64_C(3037000500)};
+
+/// Values up to this magnitude cannot overflow the brute force's
+/// evaluation of these DAGs when they hold no product: ir::evalTerms wraps
+/// where the enumerator declines, and the widened box reaches values the
+/// enumerator never evaluates.
+constexpr std::int64_t kSmall = std::int64_t{1} << 20;
 
 class Reader {
  public:
@@ -49,13 +68,22 @@ struct Problem {
   std::vector<TermRef> ints;
   std::vector<TermRef> bools;
   std::vector<TermRef> constraints;
+  /// Variables with a lower bound only.
+  std::vector<TermRef> oneSided;
+  /// False once a constant or a bound leaves [-kSmall, kSmall], or a
+  /// product appears.
+  bool small = true;
 };
 
 TermRef pick(const std::vector<TermRef>& from, std::uint8_t b) {
   return from[b % from.size()];
 }
 
-Problem decode(buffy::ir::TermArena& arena, Reader& in) {
+void noteValue(Problem& p, std::int64_t v) {
+  if (v < -kSmall || v > kSmall) p.small = false;
+}
+
+Problem decodeSmall(buffy::ir::TermArena& arena, Reader& in) {
   Problem p;
   p.ints.push_back(arena.intConst(0));
   p.bools.push_back(arena.trueTerm());
@@ -73,9 +101,20 @@ Problem decode(buffy::ir::TermArena& arena, Reader& in) {
       lo = (kind & 0x10) != 0 ? INT64_MAX - 4 : INT64_MIN;
     }
     const std::int64_t hi = lo + in.byte() % 5;
-    p.constraints.push_back(arena.le(arena.intConst(lo), v));
-    if ((kind & 0xe0) != 0xe0) {  // else unbounded above: must decline
-      p.constraints.push_back(arena.le(v, arena.intConst(hi)));
+    noteValue(p, lo);
+    noteValue(p, hi);
+    switch (kind >> 5) {
+      case 7:  // bounded below only: saturates or declines
+        p.constraints.push_back(arena.le(arena.intConst(lo), v));
+        p.oneSided.push_back(v);
+        break;
+      case 6:  // bounded above only: must decline
+        p.constraints.push_back(arena.le(v, arena.intConst(hi)));
+        break;
+      default:
+        p.constraints.push_back(arena.le(arena.intConst(lo), v));
+        p.constraints.push_back(arena.le(v, arena.intConst(hi)));
+        break;
     }
     p.ints.push_back(v);
   }
@@ -88,15 +127,20 @@ Problem decode(buffy::ir::TermArena& arena, Reader& in) {
     switch (code % 16) {
       case 0: p.ints.push_back(arena.add(a, b)); break;
       case 1: p.ints.push_back(arena.sub(a, b)); break;
-      case 2: p.ints.push_back(arena.mul(a, b)); break;
+      case 2:  // products of small values can still leave int64
+        p.ints.push_back(arena.mul(a, b));
+        p.small = false;
+        break;
       case 3: p.ints.push_back(arena.div(a, b)); break;
       case 4: p.ints.push_back(arena.mod(a, b)); break;
       case 5: p.ints.push_back(arena.neg(a)); break;
       case 6: p.ints.push_back(arena.ite(c, a, b)); break;
-      case 7:
-        p.ints.push_back(arena.intConst(
-            kConstants[in.byte() % std::size(kConstants)]));
+      case 7: {
+        const std::int64_t k = kConstants[in.byte() % std::size(kConstants)];
+        noteValue(p, k);
+        p.ints.push_back(arena.intConst(k));
         break;
+      }
       case 8: p.bools.push_back(arena.eq(a, b)); break;
       case 9: p.bools.push_back(arena.lt(a, b)); break;
       case 10: p.bools.push_back(arena.le(a, b)); break;
@@ -115,9 +159,118 @@ Problem decode(buffy::ir::TermArena& arena, Reader& in) {
   return p;
 }
 
+Problem decodeLayered(buffy::ir::TermArena& arena, Reader& in) {
+  Problem p;
+  const auto num = [&arena](std::int64_t v) { return arena.intConst(v); };
+  const std::int64_t cap = 1 + in.byte() % 4;
+  TermRef state[2] = {num(0), num(in.byte() % 3)};
+  const int steps = 2 + in.byte() % 7;
+  for (int t = 0; t < steps; ++t) {
+    const std::uint8_t kind = in.byte();
+    const TermRef a = arena.var("a" + std::to_string(t), Sort::Int);
+    const std::int64_t lo = kind % 3;
+    p.constraints.push_back(arena.le(num(lo), a));
+    if ((kind & 0xc0) == 0xc0) {
+      p.oneSided.push_back(a);
+    } else {
+      p.constraints.push_back(arena.le(a, num(lo + (kind >> 3) % 3)));
+    }
+    const std::uint8_t code = in.byte();
+    TermRef& s = state[code & 1];
+    TermRef& other = state[1 - (code & 1)];
+    switch ((code >> 1) % 6) {
+      case 0:  // admit, clamped at the capacity
+        s = arena.min(arena.add(s, a), num(cap));
+        break;
+      case 1: {  // serve what the input allows, counted in the other
+        const TermRef out = arena.min(s, a);
+        s = arena.sub(s, out);
+        other = arena.min(arena.add(other, out), num(cap + 2));
+        break;
+      }
+      case 2:  // drain, floored at zero
+        s = arena.max(num(0), arena.sub(s, a));
+        break;
+      case 3:  // a threshold on the input
+        s = arena.ite(arena.le(num(2), a), arena.min(arena.add(s, num(1)),
+                                                      num(cap)),
+                      s);
+        break;
+      case 4:  // the path server's service: max(0, min(s, other) - a)
+        s = arena.max(num(0), arena.sub(arena.min(s, other), a));
+        break;
+      default:  // a parity read: never saturates
+        s = arena.ite(arena.eq(arena.mod(a, num(2)), num(0)), s, other);
+        break;
+    }
+    const std::uint8_t check = in.byte();
+    if (check % 4 == 0) {
+      p.constraints.push_back(arena.le(state[check >> 7], num(cap)));
+    } else if (check % 4 == 1) {
+      p.constraints.push_back(arena.ne(state[check >> 7], num(check % 3)));
+    }
+  }
+  const std::uint8_t query = in.byte();
+  const TermRef target = num(query % (cap + 3));
+  switch ((query >> 4) % 3) {
+    case 0: p.constraints.push_back(arena.eq(state[0], target)); break;
+    case 1: p.constraints.push_back(arena.le(target, state[1])); break;
+    default:
+      p.constraints.push_back(
+          arena.mkAnd(arena.le(num(1), state[0]), arena.eq(state[1], target)));
+      break;
+  }
+  return p;
+}
+
 void fail(const char* what) {
   std::fprintf(stderr, "fuzz_enumerate: %s\n", what);
   std::abort();
+}
+
+/// Plain search in the enumerator's order: the first satisfying
+/// assignment of `box`, or none.
+std::optional<buffy::ir::Assignment> bruteForce(
+    const std::vector<Enumerator::Domain>& box,
+    const std::vector<TermRef>& constraints) {
+  std::vector<std::int64_t> cur;
+  for (const auto& d : box) cur.push_back(d.lo);
+  for (;;) {
+    buffy::ir::Assignment a;
+    for (std::size_t i = 0; i < box.size(); ++i) a[box[i].var->name] = cur[i];
+    const std::vector<std::int64_t> values =
+        buffy::ir::evalTerms(constraints, a);
+    if (std::all_of(values.begin(), values.end(),
+                    [](std::int64_t v) { return v == 1; })) {
+      return a;
+    }
+    std::size_t i = box.size();
+    while (i > 0 && cur[i - 1] == box[i - 1].hi) {
+      cur[i - 1] = box[i - 1].lo;
+      --i;
+    }
+    if (i == 0) return std::nullopt;
+    ++cur[i - 1];
+  }
+}
+
+/// The enumerator's box with each derived threshold widened by two, when
+/// it holds at most 2,048 assignments of small values.
+std::optional<std::vector<Enumerator::Domain>> smallBox(
+    const Enumerator& enumerator, const Problem& p) {
+  if (!p.small) return std::nullopt;
+  std::vector<Enumerator::Domain> box = enumerator.domains();
+  std::uint64_t size = 1;
+  for (auto& d : box) {
+    if (std::find(p.oneSided.begin(), p.oneSided.end(), d.var) !=
+        p.oneSided.end()) {
+      d.hi += 2;
+    }
+    if (d.lo < -kSmall || d.hi > kSmall) return std::nullopt;
+    size *= static_cast<std::uint64_t>(d.hi - d.lo + 1);
+    if (size > 2048) return std::nullopt;
+  }
+  return box;
 }
 
 }  // namespace
@@ -126,9 +279,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   buffy::ir::TermArena arena;
   Reader in(data, size);
-  const Problem p = decode(arena, in);
+  const Problem p = (in.byte() & 1) == 0 ? decodeSmall(arena, in)
+                                         : decodeLayered(arena, in);
 
-  buffy::enumerate::Enumerator enumerator(p.constraints);
+  Enumerator enumerator(p.constraints);
   const buffy::enumerate::Outcome out =
       enumerator.run([] { return false; });
   using buffy::enumerate::Status;
@@ -140,6 +294,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       if (buffy::ir::evalTerm(c, out.model) != 1) {
         fail("enumerated model violates a constraint");
       }
+    }
+  }
+  if (const auto box = smallBox(enumerator, p)) {
+    const auto expected = bruteForce(*box, p.constraints);
+    if (expected.has_value() != (out.status == Status::Sat)) {
+      fail("enumeration and plain search disagree on satisfiability");
+    }
+    if (expected && *expected != out.model) {
+      fail("enumeration and plain search find different first models");
     }
   }
   // One backend for the whole run: every check is a fresh one-shot solver.

@@ -271,9 +271,10 @@ struct Z3Backend::Impl {
   }
 
   /// Runs a qualifying enumeration under the cancellation and timeout
-  /// protocol. Nullopt when the search met an overflow and declined.
-  std::optional<SolveResult> runEnumeration(enumerate::Enumerator& problem,
-                                            const SolveBudget& budget) {
+  /// protocol. A declined search (an overflow, an exhausted budget) leaves
+  /// `result.enumerated` false with its time and counters filled in.
+  SolveResult runEnumeration(enumerate::Enumerator& problem,
+                             const SolveBudget& budget) {
     const auto start = std::chrono::steady_clock::now();
     // Z3 reads a timeout of 0 as "no timeout"; so does the enumeration.
     const bool timed = budget.timeoutMs && *budget.timeoutMs != 0;
@@ -284,8 +285,11 @@ struct Z3Backend::Impl {
              (timed && std::chrono::steady_clock::now() >= deadline);
     });
     SolveResult result;
+    result.enumerated = true;
     switch (outcome.status) {
-      case enumerate::Status::Declined: return std::nullopt;
+      case enumerate::Status::Declined:
+        result.enumerated = false;
+        break;
       case enumerate::Status::Sat:
         result.status = SolveStatus::Sat;
         result.model = outcome.model;
@@ -296,13 +300,14 @@ struct Z3Backend::Impl {
       case enumerate::Status::Stopped:
         if (cancelled.load()) {
           result = canceledResult();
+          result.enumerated = true;
         } else {
           result.reason = "timeout";
         }
         break;
     }
     result.seconds = secondsSince(start);
-    result.enumerated = true;
+    result.search = outcome.stats;
     return result;
   }
 };
@@ -321,15 +326,21 @@ SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
 }
 
 SolveResult Z3Backend::enumerateOrCheck(
-    std::span<const ir::TermRef> constraints, SolveBudget budget) {
+    std::span<const ir::TermRef> constraints, SolveBudget budget,
+    const PlannedProblem& planned) {
+  const auto start = std::chrono::steady_clock::now();
   enumerate::Enumerator problem(constraints);
+  const double setUpSeconds = secondsSince(start);
   return impl_->oneShot(budget, "z3: ", problem.qualifies(), [&] {
-    if (problem.qualifies()) {
-      if (auto result = impl_->runEnumeration(problem, budget)) {
-        return *result;
-      }
-    }
-    return impl_->checkZ3(constraints, budget);
+    SolveResult searched;
+    if (problem.qualifies()) searched = impl_->runEnumeration(problem, budget);
+    searched.seconds += setUpSeconds;
+    if (searched.enumerated) return searched;
+    SolveResult result =
+        impl_->checkZ3(planned ? planned() : constraints, budget);
+    result.seconds += searched.seconds;
+    result.search = searched.search;
+    return result;
   });
 }
 

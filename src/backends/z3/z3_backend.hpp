@@ -6,9 +6,9 @@
 // fresh solver built from the tactic pipeline
 //   simplify -> propagate-values -> solve-eqs -> smt
 // so Z3's preprocessing runs over the whole (query-specialized) problem.
-// enumerateOrCheck() first decides a small finite-domain problem by
-// exhaustive enumeration (enumerate/enumerator.hpp) and hands every other
-// problem to the same pipeline. checkSmtLib() reparses SMT-LIB2 text into
+// enumerateOrCheck() first decides a finite-domain problem by memoized
+// enumeration (enumerate/enumerator.hpp) and hands every other problem to
+// the same pipeline. checkSmtLib() reparses SMT-LIB2 text into
 // Z3's default solver — a structurally different solve, used as the last
 // rung of the retry ladder. The Z3 context is built at the first query
 // that reaches Z3, so a backend whose queries all enumerate never builds
@@ -22,6 +22,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "backends/fault_plan.hpp"
+#include "enumerate/enumerator.hpp"
 #include "ir/term.hpp"
 #include "ir/term_eval.hpp"
 
@@ -83,9 +85,12 @@ struct SolveResult {
   /// instructs the analysis layer to perturb the extracted witness trace
   /// so the replay cross-check can be exercised deterministically.
   bool corruptWitness = false;
-  /// True when exhaustive enumeration, not Z3, ran the query (or would
-  /// have, for an injected Unknown).
+  /// True when the enumeration, not Z3, answered the query (or
+  /// would have, for an injected Unknown).
   bool enumerated = false;
+  /// What the enumeration did, also when it declined mid-search and Z3
+  /// answered instead (all zero when no search ran).
+  enumerate::SearchStats search;
 };
 
 class Z3Backend {
@@ -100,15 +105,23 @@ class Z3Backend {
   SolveResult check(std::span<const ir::TermRef> constraints,
                     SolveBudget budget = {});
 
-  /// The retry ladder's first rung: decides the conjunction by exhaustive
-  /// enumeration when it qualifies (DESIGN.md §7), else exactly as
-  /// check() — also when the enumeration meets an int64 overflow. An
+  /// The problem a declined enumeration hands to Z3, built only then.
+  using PlannedProblem = std::function<std::span<const ir::TermRef>()>;
+
+  /// The retry ladder's first rung: decides the conjunction by memoized
+  /// enumeration when it qualifies (DESIGN.md §7). Otherwise — also when
+  /// the search meets an int64 overflow or exhausts its evaluation budget
+  /// — the same attempt runs check() on `planned()`, an equisatisfiable
+  /// form of the problem (the constraints themselves when `planned` is
+  /// empty). The attempt's seconds include the enumerator's set-up
+  /// (domains, saturation thresholds) and any declined search. An
   /// enumeration is an attempt like a Z3 check: it takes the same fault
   /// slot, stops on interrupt(), returns Unknown "timeout" when
   /// `budget.timeoutMs` runs out, ignores the rlimit and memory cap, and
   /// reports `rlimitUsed` 0.
   SolveResult enumerateOrCheck(std::span<const ir::TermRef> constraints,
-                               SolveBudget budget = {});
+                               SolveBudget budget = {},
+                               const PlannedProblem& planned = {});
 
   /// Parses SMT-LIB2 text (e.g. from the smtlib backend) and checks it —
   /// the emission/reparse path of the backend-comparison ablation and the

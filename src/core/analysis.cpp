@@ -75,6 +75,11 @@ std::string encodeAttempt(const SolveAttempt& attempt) {
   map.setUint("rlimitUsed", attempt.rlimitUsed);
   if (attempt.seed) map.setUint("seed", *attempt.seed);
   if (attempt.timeoutMs) map.setUint("timeoutMs", *attempt.timeoutMs);
+  map.setUint("visited", attempt.visited);
+  map.setUint("memoHits", attempt.memoHits);
+  map.setUint("deadEntries", attempt.deadEntries);
+  map.setUint("liveWidth", attempt.liveWidth);
+  map.setUint("saturated", attempt.saturated);
   return map.encode();
 }
 
@@ -94,6 +99,15 @@ SolveAttempt decodeAttempt(const std::string& bytes) {
   if (map.has("timeoutMs")) {
     attempt.timeoutMs = static_cast<unsigned>(map.getUint("timeoutMs"));
   }
+  // Records written before attempts carried search counters read as 0.
+  const auto counter = [&map](const char* key) {
+    return map.has(key) ? map.getUint(key) : std::uint64_t{0};
+  };
+  attempt.visited = counter("visited");
+  attempt.memoHits = counter("memoHits");
+  attempt.deadEntries = counter("deadEntries");
+  attempt.liveWidth = counter("liveWidth");
+  attempt.saturated = counter("saturated");
   return attempt;
 }
 
@@ -338,6 +352,7 @@ struct Analysis::Impl {
     std::optional<opt::Optimizer::Plan> plan;
     std::vector<ir::TermRef> standalone;
     std::string key;
+    bool finished = false;  // plan/standalone built (finishKeyed)
   };
 
   /// `deriveKey` false skips key derivation (pure problem construction,
@@ -381,9 +396,21 @@ struct Analysis::Impl {
     return out;
   }
 
+  /// The raw standalone problem: the encoding's assumptions and soundness
+  /// constraints plus the query delta, as built before any planning.
+  static std::vector<ir::TermRef> rawProblem(
+      const Encoding& enc, const std::vector<ir::TermRef>& delta) {
+    std::vector<ir::TermRef> out = enc.assumptions;
+    out.insert(out.end(), enc.soundness.begin(), enc.soundness.end());
+    out.insert(out.end(), delta.begin(), delta.end());
+    return out;
+  }
+
   /// Second half of keyedProblem: the optimizer plan and standalone set,
-  /// run only for queries the cache did not answer.
+  /// run only for queries that reach Z3. Idempotent.
   void finishKeyed(Keyed& keyed, Encoding& enc) {
+    if (keyed.finished) return;
+    keyed.finished = true;
     if (options.opt.enabled) {
       keyed.plan = planTimed(enc, keyed.delta);
       keyed.standalone = keyed.plan->structural;
@@ -391,11 +418,7 @@ struct Analysis::Impl {
                               keyed.plan->delta.begin(),
                               keyed.plan->delta.end());
     } else {
-      keyed.standalone = enc.assumptions;
-      keyed.standalone.insert(keyed.standalone.end(), enc.soundness.begin(),
-                              enc.soundness.end());
-      keyed.standalone.insert(keyed.standalone.end(), keyed.delta.begin(),
-                              keyed.delta.end());
+      keyed.standalone = rawProblem(enc, keyed.delta);
     }
   }
 
@@ -556,6 +579,11 @@ struct Analysis::Impl {
     attempt.rlimitUsed = sr.rlimitUsed;
     attempt.seed = budget.randomSeed;
     attempt.timeoutMs = budget.timeoutMs;
+    attempt.visited = sr.search.visited;
+    attempt.memoHits = sr.search.memoHits;
+    attempt.deadEntries = sr.search.deadEntries;
+    attempt.liveWidth = sr.search.liveWidth;
+    attempt.saturated = sr.search.saturated;
     attempts.push_back(attempt);
   }
 
@@ -576,27 +604,30 @@ struct Analysis::Impl {
     // optimizer plans: a warm process answers without lowering terms into
     // Z3 or planning a slice.
     if (auto hit = tryCacheHit(keyed.key, enc, forVerify)) return *hit;
-    finishKeyed(keyed, enc);
 
-    // Every native rung is a one-shot solve of the query-specialized
-    // problem. The first enumerates it when its domains are small enough
-    // (DESIGN.md §7); the retries always run Z3.
+    // The initial rung enumerates the raw problem (DESIGN.md §7). The
+    // optimizer plans the query-specialized problem only for Z3: when that
+    // enumeration declines, and for every retry rung.
+    const auto plannedProblem = [&]() -> std::span<const ir::TermRef> {
+      finishKeyed(keyed, enc);
+      return keyed.standalone;
+    };
     std::vector<SolveAttempt> attempts;
     backends::SolveBudget budget = baseBudget();
-    backends::SolveResult sr =
-        solver.enumerateOrCheck(keyed.standalone, budget);
+    backends::SolveResult sr = solver.enumerateOrCheck(
+        rawProblem(enc, keyed.delta), budget, plannedProblem);
     recordAttempt(attempts, "initial", budget, sr);
 
     if (retryable(sr)) {
       budget.randomSeed = RetryPolicy::kReseedSeed;
-      sr = solver.check(keyed.standalone, budget);
+      sr = solver.check(plannedProblem(), budget);
       recordAttempt(attempts, "reseed", budget, sr);
     }
     if (retryable(sr) && (budget.timeoutMs || budget.rlimit)) {
       const unsigned factor = RetryPolicy::kEscalateFactor;
       if (budget.timeoutMs) budget.timeoutMs = *budget.timeoutMs * factor;
       if (budget.rlimit) budget.rlimit = *budget.rlimit * factor;
-      sr = solver.check(keyed.standalone, budget);
+      sr = solver.check(plannedProblem(), budget);
       recordAttempt(attempts, "escalate", budget, sr);
     }
     if (retryable(sr)) {
@@ -605,11 +636,14 @@ struct Analysis::Impl {
       // instead of the preprocessing pipeline.
       backends::SmtLibOptions sopts;
       sopts.checkSat = false;  // the reparsing solver issues its own check
-      const std::string text = backends::emitSmtLib(keyed.standalone, sopts);
+      const std::string text = backends::emitSmtLib(plannedProblem(), sopts);
       sr = solver.checkSmtLib(text, budget);
       recordAttempt(attempts, "smtlib", budget, sr);
     }
 
+    // A plan exists only when Z3 gave the final answer, and its model
+    // needs the values the plan removed; an enumerated model already
+    // covers every variable of the raw problem.
     if (keyed.plan) completeModel(sr, *keyed.plan);
     AnalysisResult result = finish(enc, sr, forVerify);
     if (keyed.plan) result.opt = std::move(keyed.plan->stats);

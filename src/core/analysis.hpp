@@ -37,10 +37,12 @@ namespace buffy::core {
 /// The ladder runs at most four attempts per query:
 ///   initial -> reseed (fresh random seed) -> escalate (scaled budget)
 ///           -> smtlib (emit + reparse through Z3's default solver).
-/// The first three rungs are one-shot solves of the query-specialized
-/// problem through the preprocessing solver (Z3Backend::check); the
-/// initial rung decides a small finite-domain problem by exhaustive
-/// enumeration instead (Z3Backend::enumerateOrCheck). The smtlib
+/// The initial rung first enumerates the raw problem — assumptions,
+/// soundness constraints and the query delta, before any planning — by
+/// memoized search (Z3Backend::enumerateOrCheck); only when that declines
+/// does the optimizer plan the query-specialized problem, which that
+/// attempt, reseed and escalate solve one-shot through the preprocessing
+/// solver (Z3Backend::check). The smtlib
 /// rung re-renders that problem as SMT-LIB2 and solves the reparse through
 /// Z3's default solver — a structurally different solve. It keeps the
 /// escalated budget. Cancelled queries (Analysis::interrupt) are never
@@ -146,8 +148,8 @@ std::optional<Verdict> parseVerdictName(const std::string& name);
 struct SolveAttempt {
   /// "initial", "reseed", "escalate", or "smtlib".
   std::string stage;
-  /// The engine that ran it: "enumerate" (exhaustive enumeration, only on
-  /// the initial rung) or "z3".
+  /// The engine that answered it: "enumerate" (memoized enumeration, only
+  /// on the initial rung) or "z3".
   std::string solver = "z3";
   /// "sat", "unsat", or "unknown".
   std::string outcome;
@@ -160,6 +162,13 @@ struct SolveAttempt {
   std::optional<unsigned> seed;
   /// Wall-clock budget the attempt ran with, if any.
   std::optional<unsigned> timeoutMs;
+  /// The enumerator's counters (enumerate::SearchStats), also when its
+  /// search declined and Z3 answered; all 0 when no search ran.
+  std::uint64_t visited = 0;
+  std::uint64_t memoHits = 0;
+  std::uint64_t deadEntries = 0;
+  std::uint64_t liveWidth = 0;
+  std::uint64_t saturated = 0;
 };
 
 struct AnalysisResult {
@@ -179,8 +188,10 @@ struct AnalysisResult {
   /// apply (no trace, or the network is not concretely replayable).
   bool witnessChecked = false;
   /// Encoding-optimizer accounting for this query (node/assertion counts
-  /// before and after, per-pass timings). Absent when the optimizer was
-  /// disabled.
+  /// before and after, per-pass timings). Present only when a plan was
+  /// built: the optimizer is enabled and the query reached Z3 (the raw
+  /// enumeration declined, a retry rung ran, or the smtlib path solved
+  /// it).
   std::optional<opt::OptStats> opt;
   /// Per-stage pipeline accounting (DESIGN.md §11): front-half stages from
   /// the shared CompilationUnit plus this engine's encode/optimize/solve

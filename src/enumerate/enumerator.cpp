@@ -9,6 +9,7 @@ namespace buffy::enumerate {
 
 namespace {
 
+using ir::Interval;
 using ir::TermKind;
 using ir::TermRef;
 
@@ -32,6 +33,16 @@ std::vector<TermRef> flattenAnds(std::span<const TermRef> constraints) {
   return out;
 }
 
+std::uint64_t hashKey(const std::int64_t* key, std::size_t width) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ull ^ width;
+  for (std::size_t i = 0; i < width; ++i) {
+    h ^= static_cast<std::uint64_t>(key[i]);
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 29;
+  }
+  return h;
+}
+
 }  // namespace
 
 Enumerator::Enumerator(std::span<const ir::TermRef> constraints) {
@@ -48,7 +59,7 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
   const std::vector<TermRef> conjuncts = flattenAnds(constraints);
 
   // Domains from the unit-bound conjuncts.
-  std::unordered_map<TermRef, ir::Interval> domain;
+  std::unordered_map<TermRef, Interval> domain;
   for (const TermRef c : conjuncts) {
     if (c->sort != ir::Sort::Bool) {
       decide(Status::Declined, "constraint is not boolean");
@@ -62,7 +73,7 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
     if (!shape) continue;
     auto [it, inserted] = domain.try_emplace(shape->var);
     if (inserted && shape->var->sort == ir::Sort::Bool) {
-      it->second = ir::Interval{0, 1};
+      it->second = Interval{0, 1};
     }
     ir::tighten(it->second, *shape);
     if (it->second.empty()) {
@@ -75,38 +86,21 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
   const auto domainOf = [&domain](TermRef v) {
     const auto it = domain.find(v);
     if (it != domain.end()) return it->second;
-    return v->sort == ir::Sort::Bool ? ir::Interval{0, 1} : ir::Interval{};
+    return v->sort == ir::Sort::Bool ? Interval{0, 1} : Interval{};
   };
 
   // Every node the conjuncts reach. The walk declines at the first
-  // unbounded variable and as soon as the work seen so far passes the
-  // bound, so a problem bound for Z3 pays little here.
+  // variable without a lower bound.
   std::vector<TermRef> nodes;
   std::unordered_map<TermRef, std::uint32_t> slot;
-  std::uint64_t assignments = 1;
   std::vector<TermRef> stack(conjuncts.begin(), conjuncts.end());
   while (!stack.empty()) {
     const TermRef t = stack.back();
     stack.pop_back();
     if (!slot.try_emplace(t, 0).second) continue;
     nodes.push_back(t);
-    if (t->kind == TermKind::Var) {
-      const ir::Interval iv = domainOf(t);
-      if (!iv.lo || !iv.hi) {
-        decide(Status::Declined, "unbounded variable " + t->name);
-        return;
-      }
-      const auto width = ir::foldSub(*iv.hi, *iv.lo);
-      if (!width || static_cast<std::uint64_t>(*width) >= kMaxWork) {
-        decide(Status::Declined, "work above 2^24");
-        return;
-      }
-      assignments *= static_cast<std::uint64_t>(*width) + 1;
-    }
-    // Both factors are at most kMaxWork, so the product cannot wrap.
-    if (assignments > kMaxWork ||
-        assignments * nodes.size() > kMaxWork) {
-      decide(Status::Declined, "work above 2^24");
+    if (t->kind == TermKind::Var && !domainOf(t).lo) {
+      decide(Status::Declined, "unbounded variable " + t->name);
       return;
     }
     for (const TermRef arg : t->args) stack.push_back(arg);
@@ -118,16 +112,19 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
   std::sort(nodes.begin(), nodes.end(),
             [](TermRef a, TermRef b) { return a->id < b->id; });
   std::vector<std::size_t> level(nodes.size(), 0);
+  std::vector<Interval> varDomains;
   for (std::uint32_t i = 0; i < nodes.size(); ++i) {
     slot[nodes[i]] = i;
     if (nodes[i]->kind != TermKind::Var) continue;
-    const ir::Interval iv = domainOf(nodes[i]);
+    const Interval iv = domainOf(nodes[i]);
     vars_.push_back(nodes[i]);
     varSlot_.push_back(i);
     lo_.push_back(*iv.lo);
-    hi_.push_back(*iv.hi);
+    hi_.push_back(iv.hi.value_or(*iv.lo));  // saturate() sets one-sided
+    varDomains.push_back(iv);
     level[i] = vars_.size();
   }
+  std::vector<ArgSlots> args(nodes.size(), ArgSlots{});
   values_.assign(nodes.size(), 0);
   const std::size_t levels = vars_.size() + 1;
   std::vector<std::vector<Op>> byLevel(levels);
@@ -138,19 +135,20 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
       continue;
     }
     if (t->kind == TermKind::Var) continue;
-    Op op{t->kind, i, 0, 0, 0};
-    std::uint32_t* const operand[] = {&op.a, &op.b, &op.c};
     for (std::size_t k = 0; k < t->args.size(); ++k) {
-      const std::uint32_t s = slot.at(t->args[k]);
-      *operand[k] = s;
-      level[i] = std::max(level[i], level[s]);
+      args[i][k] = slot.at(t->args[k]);
+      level[i] = std::max(level[i], level[args[i][k]]);
     }
-    if (t->args.size() == 1) op.b = op.a;
-    byLevel[level[i]].push_back(op);
+    for (std::size_t k = t->args.size(); k < 3; ++k) args[i][k] = args[i][0];
+    byLevel[level[i]].push_back(Op{t->kind, i, args[i][0], args[i][1],
+                                   args[i][2]});
   }
   std::vector<std::vector<std::uint32_t>> checksByLevel(levels);
+  std::vector<char> isCheck(nodes.size(), 0);
   for (const TermRef c : conjuncts) {
     const std::uint32_t s = slot.at(c);
+    if (isCheck[s] != 0) continue;
+    isCheck[s] = 1;
     checksByLevel[level[s]].push_back(s);
   }
   for (std::size_t l = 0; l < levels; ++l) {
@@ -167,8 +165,192 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
   // symbolic because they overflow, and their consumers).
   if (!evalLevel(0)) {
     decide(Status::Declined, "int64 overflow");
-  } else if (!checksPass(0)) {
+    return;
+  }
+  if (!checksPass(0)) {
     decide(Status::Unsat);
+    return;
+  }
+  if (!saturate(nodes, args, isCheck, varDomains)) return;
+  buildDeadSets(level);
+}
+
+std::vector<Enumerator::Domain> Enumerator::domains() const {
+  std::vector<Domain> out;
+  if (decided_) return out;
+  for (std::size_t i = 0; i < vars_.size(); ++i) {
+    out.push_back(Domain{vars_[i], lo_[i], hi_[i]});
+  }
+  return out;
+}
+
+bool Enumerator::saturate(std::span<const TermRef> nodes,
+                          const std::vector<ArgSlots>& args,
+                          const std::vector<char>& isCheck,
+                          const std::vector<Interval>& varDomains) {
+  std::vector<std::size_t> oneSided;
+  for (std::size_t i = 0; i < vars_.size(); ++i) {
+    if (!varDomains[i].hi) oneSided.push_back(i);
+  }
+  if (oneSided.empty()) return true;
+
+  // Every node's interval with each variable over its own domain (the
+  // one-sided ones at [lo, ∞)).
+  const std::size_t n = nodes.size();
+  std::vector<std::uint32_t> varIndex(n, 0);
+  for (std::uint32_t i = 0; i < vars_.size(); ++i) varIndex[varSlot_[i]] = i;
+  std::vector<Interval> base(n);
+  const auto intervalAt = [&](std::uint32_t s, const std::vector<Interval>& iv) {
+    const TermRef t = nodes[s];
+    if (t->kind == TermKind::Var) return varDomains[varIndex[s]];
+    const Interval in[3] = {iv[args[s][0]], iv[args[s][1]], iv[args[s][2]]};
+    return ir::nodeInterval(t, std::span<const Interval>(in, t->args.size()));
+  };
+  for (std::uint32_t s = 0; s < n; ++s) base[s] = intervalAt(s, base);
+
+  // Each node's readers, for the forward cones.
+  std::vector<std::uint32_t> userStart(n + 1, 0);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    for (std::size_t k = 0; k < nodes[s]->args.size(); ++k) {
+      ++userStart[args[s][k] + 1];
+    }
+  }
+  for (std::size_t s = 0; s < n; ++s) userStart[s + 1] += userStart[s];
+  std::vector<std::uint32_t> users(userStart[n]);
+  {
+    std::vector<std::uint32_t> fill(userStart.begin(), userStart.end() - 1);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      for (std::size_t k = 0; k < nodes[s]->args.size(); ++k) {
+        users[fill[args[s][k]]++] = s;
+      }
+    }
+  }
+
+  std::vector<Interval> iv = base;
+  std::vector<char> dep(n, 0);
+  std::vector<char> inCone(n, 0);
+  std::vector<std::uint32_t> cone;
+  for (const std::size_t i : oneSided) {
+    const std::uint32_t sv = varSlot_[i];
+    cone.assign(1, sv);
+    inCone[sv] = 1;
+    for (std::size_t at = 0; at < cone.size(); ++at) {
+      for (std::uint32_t u = userStart[cone[at]]; u < userStart[cone[at] + 1];
+           ++u) {
+        if (inCone[users[u]] == 0) {
+          inCone[users[u]] = 1;
+          cone.push_back(users[u]);
+        }
+      }
+    }
+    std::sort(cone.begin(), cone.end());
+
+    // True when, with v in [u, ∞), no conjunct depends on v: a node with a
+    // singleton interval does not, an ite with a decided guard depends
+    // only through its branch, any other node when an argument does.
+    const auto insensitive = [&](std::int64_t u) {
+      iv[sv] = Interval{u, std::nullopt};
+      dep[sv] = 1;
+      for (const std::uint32_t s : cone) {
+        if (s == sv) continue;
+        const TermRef t = nodes[s];
+        iv[s] = intervalAt(s, iv);
+        const ArgSlots& a = args[s];
+        if (iv[s].singleton()) {
+          dep[s] = 0;
+        } else if (t->kind == TermKind::Ite && iv[a[0]].definitelyTrue()) {
+          dep[s] = dep[a[1]];
+        } else if (t->kind == TermKind::Ite && iv[a[0]].definitelyFalse()) {
+          dep[s] = dep[a[2]];
+        } else {
+          dep[s] = static_cast<char>(dep[a[0]] | dep[a[1]] | dep[a[2]]);
+        }
+        if (dep[s] != 0 && isCheck[s] != 0) return false;
+      }
+      return true;
+    };
+
+    // Doubling, then bisection between the last failure and the first
+    // success; only tested values are ever taken.
+    const std::int64_t lo = lo_[i];
+    std::optional<std::int64_t> threshold;
+    if (insensitive(lo)) {
+      threshold = lo;
+    } else {
+      std::int64_t fail = lo;
+      for (std::int64_t step = 1; step <= kMaxThreshold; step *= 2) {
+        const auto candidate = ir::foldAdd(lo, step);
+        if (!candidate) break;
+        if (insensitive(*candidate)) {
+          threshold = candidate;
+          break;
+        }
+        fail = *candidate;
+      }
+      while (threshold && *threshold - fail > 1) {
+        const std::int64_t mid = fail + (*threshold - fail) / 2;
+        if (insensitive(mid)) {
+          threshold = mid;
+        } else {
+          fail = mid;
+        }
+      }
+    }
+    for (const std::uint32_t s : cone) {
+      iv[s] = base[s];
+      dep[s] = 0;
+      inCone[s] = 0;
+    }
+    if (!threshold) {
+      decide(Status::Declined, "no saturation threshold for " + vars_[i]->name);
+      return false;
+    }
+    hi_[i] = *threshold;
+    ++saturated_;
+  }
+  return true;
+}
+
+void Enumerator::buildDeadSets(const std::vector<std::size_t>& level) {
+  // A slot is live at cut k when it is computed at a level in [1, k] and
+  // an operation at a level above k reads it. Level-0 slots never change.
+  std::vector<std::size_t> lastReader(level);
+  for (const Op& op : ops_) {
+    for (const std::uint32_t a : {op.a, op.b, op.c}) {
+      lastReader[a] = std::max(lastReader[a], level[op.dst]);
+    }
+  }
+  const std::size_t cuts = vars_.size();
+  const auto liveUntil = [&](std::uint32_t s) {
+    return level[s] == 0 ? 0 : std::min(lastReader[s], cuts);
+  };
+  // Each cut's width, from a difference array over the slots' spans.
+  std::vector<std::int64_t> width(cuts + 1, 0);
+  for (std::uint32_t s = 0; s < level.size(); ++s) {
+    if (level[s] < liveUntil(s)) {
+      ++width[level[s]];
+      --width[liveUntil(s)];
+    }
+  }
+  std::size_t slots = 0;
+  for (std::size_t k = 1; k < cuts; ++k) {
+    width[k] += width[k - 1];
+    slots += static_cast<std::size_t>(width[k]);
+    liveWidth_ = std::max(liveWidth_, static_cast<std::uint64_t>(width[k]));
+  }
+  // The slot lists and key buffers count against the byte cap; a problem
+  // whose cuts alone would pass it is searched without the memo.
+  memoBytes_ = slots * (sizeof(std::uint32_t) + sizeof(std::int64_t));
+  if (memoBytes_ > kMaxMemoBytes) return;
+  dead_.resize(cuts);
+  for (std::size_t k = 1; k < cuts; ++k) {
+    dead_[k].live.reserve(static_cast<std::size_t>(width[k]));
+    dead_[k].key.assign(static_cast<std::size_t>(width[k]), 0);
+  }
+  for (std::uint32_t s = 0; s < level.size(); ++s) {
+    for (std::size_t k = level[s]; k < liveUntil(s); ++k) {
+      dead_[k].live.push_back(s);
+    }
   }
 }
 
@@ -215,45 +397,104 @@ bool Enumerator::checksPass(std::size_t level) const {
   return true;
 }
 
+bool Enumerator::refuted(DeadSet& dead) {
+  const std::size_t width = dead.live.size();
+  for (std::size_t i = 0; i < width; ++i) {
+    dead.key[i] = values_[dead.live[i]];
+  }
+  dead.hash = hashKey(dead.key.data(), width);
+  if (dead.count == 0) return false;
+  const std::size_t mask = dead.table.size() - 1;
+  for (std::size_t b = dead.hash & mask;; b = (b + 1) & mask) {
+    const std::uint32_t entry = dead.table[b];
+    if (entry == 0) return false;
+    const std::int64_t* stored = dead.pool.data() + (entry - 1) * width;
+    if (std::equal(stored, stored + width, dead.key.data())) return true;
+  }
+}
+
+void Enumerator::storeRefuted(DeadSet& dead) {
+  if (memoBytes_ >= kMaxMemoBytes) return;
+  const std::size_t width = dead.live.size();
+  const std::size_t bytesBefore =
+      dead.pool.capacity() * sizeof(std::int64_t) +
+      dead.table.capacity() * sizeof(std::uint32_t);
+  const auto place = [&dead](std::uint64_t hash, std::uint32_t entry) {
+    const std::size_t mask = dead.table.size() - 1;
+    std::size_t b = hash & mask;
+    while (dead.table[b] != 0) b = (b + 1) & mask;
+    dead.table[b] = entry;
+  };
+  if ((dead.count + 1) * 2 > dead.table.size()) {
+    dead.table.assign(std::max<std::size_t>(16, dead.table.size() * 2), 0);
+    for (std::uint32_t e = 0; e < dead.count; ++e) {
+      place(hashKey(dead.pool.data() + e * width, width), e + 1);
+    }
+  }
+  dead.pool.insert(dead.pool.end(), dead.key.begin(), dead.key.end());
+  ++dead.count;
+  place(dead.hash, dead.count);
+  memoBytes_ += dead.pool.capacity() * sizeof(std::int64_t) +
+                dead.table.capacity() * sizeof(std::uint32_t) - bytesBefore;
+}
+
 Outcome Enumerator::run(const std::function<bool()>& stop) {
-  if (decided_) return *decided_;
   Outcome out;
-  if (stop()) {
+  if (decided_) {
+    out = *decided_;
+  } else if (stop()) {
     out.status = Status::Stopped;
-    return out;
-  }
-  const std::size_t n = vars_.size();
-  std::vector<std::int64_t> cur(lo_);
-  std::size_t k = 0;
-  std::uint64_t tried = 0;
-  while (n != 0) {
-    if (++tried % kPollInterval == 0 && stop()) {
-      out.status = Status::Stopped;
-      return out;
-    }
-    values_[varSlot_[k]] = cur[k];
-    if (!evalLevel(k + 1)) {
-      out.status = Status::Declined;
-      out.reason = "int64 overflow";
-      return out;
-    }
-    if (checksPass(k + 1)) {
-      if (k + 1 == n) break;
-      ++k;
-      cur[k] = lo_[k];
-      continue;
-    }
-    while (cur[k] == hi_[k]) {
-      if (k == 0) {
-        out.status = Status::Unsat;
-        return out;
+  } else {
+    const std::size_t n = vars_.size();
+    std::vector<std::int64_t> cur(lo_);
+    std::size_t k = 0;
+    std::uint64_t& evaluations = out.stats.evaluations;
+    const auto finish = [&](Status status, const char* reason = "") {
+      out.status = status;
+      out.reason = reason;
+    };
+    out.status = Status::Sat;
+    while (n != 0) {
+      if (++out.stats.visited % kPollInterval == 0 && stop()) {
+        finish(Status::Stopped);
+        break;
       }
-      --k;
+      values_[varSlot_[k]] = cur[k];
+      evaluations += 1 + opStart_[k + 2] - opStart_[k + 1];
+      if (evaluations > kMaxEvaluations) {
+        finish(Status::Declined, "evaluations above 2^27");
+        break;
+      }
+      if (!evalLevel(k + 1)) {
+        finish(Status::Declined, "int64 overflow");
+        break;
+      }
+      if (checksPass(k + 1)) {
+        if (k + 1 == n) break;
+        if (dead_.empty() || !refuted(dead_[k + 1])) {
+          ++k;
+          cur[k] = lo_[k];
+          continue;
+        }
+        ++out.stats.memoHits;
+      }
+      while (cur[k] == hi_[k] && k != 0) {
+        if (!dead_.empty()) storeRefuted(dead_[k]);
+        --k;
+      }
+      if (cur[k] == hi_[k]) {
+        finish(Status::Unsat);
+        break;
+      }
+      ++cur[k];
     }
-    ++cur[k];
+    if (out.status == Status::Sat) {
+      for (std::size_t i = 0; i < n; ++i) out.model[vars_[i]->name] = cur[i];
+    }
   }
-  out.status = Status::Sat;
-  for (std::size_t i = 0; i < n; ++i) out.model[vars_[i]->name] = cur[i];
+  for (const DeadSet& dead : dead_) out.stats.deadEntries += dead.count;
+  out.stats.liveWidth = liveWidth_;
+  out.stats.saturated = saturated_;
   return out;
 }
 

@@ -17,125 +17,8 @@ using ir::tighten;
 /// pathological chain cannot make one rewrite quadratic.
 constexpr std::size_t kMaxLeaves = 256;
 
-using Bound = std::optional<std::int64_t>;
-
-Bound bAdd(Bound a, Bound b) {
-  if (!a || !b) return std::nullopt;
-  return ir::foldAdd(*a, *b);
-}
-
-Bound bSub(Bound a, Bound b) {
-  if (!a || !b) return std::nullopt;
-  return ir::foldSub(*a, *b);
-}
-
-Bound bNeg(Bound a) {
-  if (!a) return std::nullopt;
-  return ir::foldNeg(*a);
-}
-
-/// min/max requiring both bounds (hulls: an absent side wins).
-Bound hullMin(Bound a, Bound b) {
-  if (!a || !b) return std::nullopt;
-  return std::min(*a, *b);
-}
-
-Bound hullMax(Bound a, Bound b) {
-  if (!a || !b) return std::nullopt;
-  return std::max(*a, *b);
-}
-
-/// min/max where an absent side loses (for the min/max ite pattern: the
-/// result is <= both arguments, so any present upper bound applies).
-Bound presentMin(Bound a, Bound b) {
-  if (!a) return b;
-  if (!b) return a;
-  return std::min(*a, *b);
-}
-
-Bound presentMax(Bound a, Bound b) {
-  if (!a) return b;
-  if (!b) return a;
-  return std::max(*a, *b);
-}
-
 Interval topInterval() { return {}; }
-Interval exactInterval(std::int64_t v) { return Interval{v, v}; }
 Interval anyBool() { return Interval{0, 1}; }
-Interval boolInterval(bool v) { return exactInterval(v ? 1 : 0); }
-
-bool definitelyTrue(const Interval& iv) { return iv.lo && *iv.lo >= 1; }
-bool definitelyFalse(const Interval& iv) { return iv.hi && *iv.hi <= 0; }
-
-Interval decidedOr(std::optional<bool> d) {
-  return d ? boolInterval(*d) : anyBool();
-}
-
-/// a < b under intervals, when decidable.
-std::optional<bool> ltDecided(const Interval& a, const Interval& b) {
-  if (a.hi && b.lo && *a.hi < *b.lo) return true;
-  if (a.lo && b.hi && *a.lo >= *b.hi) return false;
-  return std::nullopt;
-}
-
-std::optional<bool> leDecided(const Interval& a, const Interval& b) {
-  if (a.hi && b.lo && *a.hi <= *b.lo) return true;
-  if (a.lo && b.hi && *a.lo > *b.hi) return false;
-  return std::nullopt;
-}
-
-std::optional<bool> eqDecided(const Interval& a, const Interval& b) {
-  if ((a.hi && b.lo && *a.hi < *b.lo) || (b.hi && a.lo && *b.hi < *a.lo)) {
-    return false;
-  }
-  if (a.singleton() && b.singleton() && *a.lo == *b.lo) return true;
-  return std::nullopt;
-}
-
-Interval ivAdd(const Interval& a, const Interval& b) {
-  return Interval{bAdd(a.lo, b.lo), bAdd(a.hi, b.hi)};
-}
-
-Interval ivSub(const Interval& a, const Interval& b) {
-  return Interval{bSub(a.lo, b.hi), bSub(a.hi, b.lo)};
-}
-
-Interval ivNeg(const Interval& a) {
-  return Interval{bNeg(a.hi), bNeg(a.lo)};
-}
-
-Interval ivMul(const Interval& a, const Interval& b) {
-  if (!a.lo || !a.hi || !b.lo || !b.hi) return topInterval();
-  const Bound c1 = ir::foldMul(*a.lo, *b.lo);
-  const Bound c2 = ir::foldMul(*a.lo, *b.hi);
-  const Bound c3 = ir::foldMul(*a.hi, *b.lo);
-  const Bound c4 = ir::foldMul(*a.hi, *b.hi);
-  if (!c1 || !c2 || !c3 || !c4) return topInterval();
-  return Interval{std::min({*c1, *c2, *c3, *c4}),
-                  std::max({*c1, *c2, *c3, *c4})};
-}
-
-/// Euclidean mod is always >= 0 (and 0 when the divisor is 0).
-Interval ivMod(const Interval& a, const Interval& b) {
-  Interval out{std::int64_t{0}, std::nullopt};
-  if (b.lo && b.hi) {
-    const std::int64_t maxAbs =
-        std::max(*b.lo == INT64_MIN ? INT64_MAX : std::abs(*b.lo),
-                 *b.hi == INT64_MIN ? INT64_MAX : std::abs(*b.hi));
-    out.hi = maxAbs > 0 ? maxAbs - 1 : 0;
-  }
-  if (a.lo && *a.lo >= 0 && a.hi) out.hi = presentMin(out.hi, a.hi);
-  return out;
-}
-
-Interval ivDiv(const Interval& a, const Interval& b) {
-  // Only the common shape matters: non-negative numerator, positive
-  // divisor — the quotient shrinks toward zero.
-  if (a.lo && *a.lo >= 0 && b.lo && *b.lo >= 1) {
-    return Interval{std::int64_t{0}, a.hi};
-  }
-  return topInterval();
-}
 
 double secondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -196,86 +79,22 @@ void Optimizer::seedIntervals() {
 // ---------------------------------------------------------------------------
 
 Interval Optimizer::computeInterval(ir::TermRef t) const {
-  const auto& cache = queryMode_ ? qival_ : ival_;
-  auto iv = [&](TermRef n) -> const Interval& { return cache.at(n); };
-  switch (t->kind) {
-    case TermKind::ConstInt:
-    case TermKind::ConstBool:
-      return exactInterval(t->value);
-    case TermKind::Var: {
-      // Query-local bounds already include the structural seed baseline.
-      if (queryMode_) {
-        const auto qit = qseed_.find(t);
-        if (qit != qseed_.end()) return qit->second;
-      }
-      const auto it = seed_.find(t);
-      if (it != seed_.end()) return it->second;
-      return t->sort == Sort::Bool ? anyBool() : topInterval();
+  if (t->kind == TermKind::Var) {
+    // Query-local bounds already include the structural seed baseline.
+    if (queryMode_) {
+      const auto qit = qseed_.find(t);
+      if (qit != qseed_.end()) return qit->second;
     }
-    case TermKind::Add: return ivAdd(iv(t->args[0]), iv(t->args[1]));
-    case TermKind::Sub: return ivSub(iv(t->args[0]), iv(t->args[1]));
-    case TermKind::Mul: return ivMul(iv(t->args[0]), iv(t->args[1]));
-    case TermKind::Div: return ivDiv(iv(t->args[0]), iv(t->args[1]));
-    case TermKind::Mod: return ivMod(iv(t->args[0]), iv(t->args[1]));
-    case TermKind::Neg: return ivNeg(iv(t->args[0]));
-    case TermKind::Eq:
-      return decidedOr(eqDecided(iv(t->args[0]), iv(t->args[1])));
-    case TermKind::Lt:
-      return decidedOr(ltDecided(iv(t->args[0]), iv(t->args[1])));
-    case TermKind::Le:
-      return decidedOr(leDecided(iv(t->args[0]), iv(t->args[1])));
-    case TermKind::And: {
-      const Interval& a = iv(t->args[0]);
-      const Interval& b = iv(t->args[1]);
-      if (definitelyFalse(a) || definitelyFalse(b)) return boolInterval(false);
-      if (definitelyTrue(a) && definitelyTrue(b)) return boolInterval(true);
-      return anyBool();
-    }
-    case TermKind::Or: {
-      const Interval& a = iv(t->args[0]);
-      const Interval& b = iv(t->args[1]);
-      if (definitelyTrue(a) || definitelyTrue(b)) return boolInterval(true);
-      if (definitelyFalse(a) && definitelyFalse(b)) return boolInterval(false);
-      return anyBool();
-    }
-    case TermKind::Not: {
-      const Interval& a = iv(t->args[0]);
-      if (definitelyTrue(a)) return boolInterval(false);
-      if (definitelyFalse(a)) return boolInterval(true);
-      return anyBool();
-    }
-    case TermKind::Implies: {
-      const Interval& a = iv(t->args[0]);
-      const Interval& b = iv(t->args[1]);
-      if (definitelyFalse(a) || definitelyTrue(b)) return boolInterval(true);
-      if (definitelyTrue(a) && definitelyFalse(b)) return boolInterval(false);
-      return anyBool();
-    }
-    case TermKind::Ite: {
-      const TermRef c = t->args[0];
-      const TermRef x = t->args[1];
-      const TermRef y = t->args[2];
-      const Interval& ci = iv(c);
-      if (definitelyTrue(ci)) return iv(x);
-      if (definitelyFalse(ci)) return iv(y);
-      // min/max patterns: ite(x <= y, x, y) == min(x, y) etc. — their
-      // bounds are much tighter than the branch hull (capacity clamps and
-      // `min(incoming, room)` admission live on this shape).
-      if (c->kind == TermKind::Le || c->kind == TermKind::Lt) {
-        if (c->args[0] == x && c->args[1] == y) {  // min
-          return Interval{hullMin(iv(x).lo, iv(y).lo),
-                          presentMin(iv(x).hi, iv(y).hi)};
-        }
-        if (c->args[0] == y && c->args[1] == x) {  // max
-          return Interval{presentMax(iv(x).lo, iv(y).lo),
-                          hullMax(iv(x).hi, iv(y).hi)};
-        }
-      }
-      Interval out{hullMin(iv(x).lo, iv(y).lo), hullMax(iv(x).hi, iv(y).hi)};
-      return out;
-    }
+    const auto it = seed_.find(t);
+    if (it != seed_.end()) return it->second;
+    return t->sort == Sort::Bool ? anyBool() : topInterval();
   }
-  return topInterval();
+  const auto& cache = queryMode_ ? qival_ : ival_;
+  Interval args[3];
+  for (std::size_t i = 0; i < t->args.size(); ++i) {
+    args[i] = cache.at(t->args[i]);
+  }
+  return ir::nodeInterval(t, std::span<const Interval>(args, t->args.size()));
 }
 
 Interval Optimizer::intervalOf(ir::TermRef root) {
@@ -484,12 +303,12 @@ ir::TermRef Optimizer::rewriteNode(ir::TermRef t) {
   const Interval iv = intervalOf(t);
   if (!t->isConst()) {
     if (t->sort == Sort::Bool) {
-      if (definitelyTrue(iv) || definitelyFalse(iv)) {
+      if (iv.definitelyTrue() || iv.definitelyFalse()) {
         if (t->kind == TermKind::Eq || t->kind == TermKind::Lt ||
             t->kind == TermKind::Le) {
           ++comparisonsDecided_;
         }
-        return arena_.boolConst(definitelyTrue(iv));
+        return arena_.boolConst(iv.definitelyTrue());
       }
     } else if (iv.singleton()) {
       return arena_.intConst(*iv.lo);
@@ -500,11 +319,11 @@ ir::TermRef Optimizer::rewriteNode(ir::TermRef t) {
   switch (t->kind) {
     case TermKind::Ite: {
       const Interval ci = intervalOf(t->args[0]);
-      if (definitelyTrue(ci)) {
+      if (ci.definitelyTrue()) {
         ++itesCollapsed_;
         return ra(1);
       }
-      if (definitelyFalse(ci)) {
+      if (ci.definitelyFalse()) {
         ++itesCollapsed_;
         return ra(2);
       }

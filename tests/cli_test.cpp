@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,6 +60,38 @@ std::string writeTemp(const char* name, const std::string& source) {
     std::fclose(f);
   }
   return path;
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Models that still reach Z3 (DESIGN.md §7): the initial rung enumerates
+// every example model, so the tests that need Z3 write their own.
+
+/// path_server without `assume(waste >= 0)`: the havoc has no bound at all,
+/// so the raw problem declines and the planned one goes to Z3. Each test
+/// names its own copy, since ctest runs tests in parallel processes.
+std::string unboundedPathServer(const char* name) {
+  std::string source = readFile(model("path_server.bfy"));
+  const std::string assume = "  assume(waste >= 0);\n";
+  source.erase(source.find(assume), assume.size());
+  return writeTemp(name, source);
+}
+
+/// fq_buggy with an unbounded havoc in an in-program assert. The assert
+/// holds for every value (h % 2 is 0 or 1), so the optimizer plans it away
+/// and Z3 solves the same problem as for fq_buggy; only the raw
+/// enumeration declines.
+std::string fqBuggyWithUnboundedHavoc() {
+  std::string source = readFile(model("fq_buggy.bfy"));
+  const std::string header = "fq(buffer[N] ibs, buffer ob) {\n";
+  source.insert(source.find(header) + header.size(),
+                "  havoc int h;\n  assert(h % 2 <= 1);\n");
+  return writeTemp("fq_havoc.bfy", source);
 }
 
 TEST(Cli, PrintRoundTrips) {
@@ -330,7 +363,7 @@ TEST(Cli, ExhaustedRlimitEscalatesInsteadOfCanceling) {
   // answer rather than stop at a cancellation (exit 3).
   const auto result = runCli(std::string(resilience::kStarvationVerifyArgs) +
                              "--json --rlimit 300000 " +
-                             model("fq_buggy.bfy"));
+                             fqBuggyWithUnboundedHavoc());
   EXPECT_EQ(result.exitCode, 1) << result.output;
   EXPECT_NE(result.output.find("\"verdict\":\"VIOLATED\""), std::string::npos)
       << result.output;
@@ -407,8 +440,9 @@ TEST(Cli, JsonFormatCarriesVerdictAndAttempts) {
   EXPECT_NE(result.output.find("\"trace\":{"), std::string::npos);
 }
 
-// The initial attempt names its engine (DESIGN.md §7): exhaustive
-// enumeration when every variable is bounded and the work fits, else Z3.
+// The initial attempt names its engine (DESIGN.md §7): memoized
+// enumeration of the raw problem when every variable has a lower bound and
+// the one-sided ones saturate, else Z3.
 TEST(Cli, SmallFiniteDomainQueryEnumerates) {
   const auto result = runCli(std::string(resilience::kCheckArgs) + "--json " +
                              model("round_robin.bfy"));
@@ -421,12 +455,31 @@ TEST(Cli, SmallFiniteDomainQueryEnumerates) {
       << result.output;
 }
 
+TEST(Cli, OneSidedHavocQueryEnumerates) {
+  // path_server's havoc `waste` has a lower bound only; each step's copy
+  // gets a derived threshold, and the attempt reports the search.
+  const auto result = runCli(
+      "check -T 4 -D RATE=1 -D BUCKET=2 --input pin:8:2 --output pout:16 "
+      "--json --query \"path.mserved[T-1] >= 2\" " +
+      model("path_server.bfy"));
+  EXPECT_EQ(result.exitCode, 0) << result.output;
+  EXPECT_NE(result.output.find("\"stage\":\"initial\",\"outcome\":\"sat\","
+                               "\"solver\":\"enumerate\""),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("\"saturated\":4"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("\"visited\":0,"), std::string::npos)
+      << result.output;
+}
+
 TEST(Cli, UnboundedHavocQueryUsesZ3) {
-  // path_server's havoc variables have lower bounds only.
+  // A havoc with no bound declines the enumeration; Z3 answers in the
+  // same attempt.
   const auto result = runCli(
       "check -T 4 -D RATE=1 -D BUCKET=2 --input pin:8:2 --output pout:16 "
       "--json --query \"path.mserved[T-1] >= 0\" " +
-      model("path_server.bfy"));
+      unboundedPathServer("path_unbounded_z3.bfy"));
   EXPECT_EQ(result.exitCode, 0) << result.output;
   EXPECT_NE(result.output.find("\"stage\":\"initial\",\"outcome\":\"sat\","
                                "\"solver\":\"z3\""),
@@ -435,12 +488,22 @@ TEST(Cli, UnboundedHavocQueryUsesZ3) {
 }
 
 TEST(Cli, WorkAboveTheBoundUsesZ3) {
-  // The §6.1 check at T=8: 2^24 arrival assignments, times the DAG.
+  // Three steps of a havoc in [0, 100000] summed into a monitor: the
+  // partial sums hardly repeat, so the search spends its evaluation
+  // budget and declines, and Z3 finds the model in the same attempt.
+  const std::string wide = writeTemp("wide_havoc.bfy",
+                                     "p(buffer ib, buffer ob) {\n"
+                                     "  global monitor int total;\n"
+                                     "  havoc int h;\n"
+                                     "  assume(h >= 0);\n"
+                                     "  assume(h <= 100000);\n"
+                                     "  total = total + h;\n"
+                                     "  move-p(ib, ob, 1);\n"
+                                     "}\n");
   const auto result = runCli(
-      "check -T 8 -D N=2 --input ibs:6:3 --output ob:32 "
-      "--workload fq.ibs.0:0:1 --no-cache --json "
-      "--query \"fq.cdeq.1[T-1] <= 1 & fq.cdeq.0[T-1] >= T-1\" " +
-      model("fq_buggy.bfy"));
+      "check -T 3 --input ib:4:1 --output ob:8 --no-cache --json "
+      "--query \"p.total[T-1] == 299999\" " +
+      wide);
   EXPECT_EQ(result.exitCode, 0) << result.output;
   EXPECT_NE(result.output.find("\"verdict\":\"SATISFIABLE\""),
             std::string::npos)
@@ -453,15 +516,24 @@ TEST(Cli, WorkAboveTheBoundUsesZ3) {
 }
 
 TEST(Cli, JsonFormatCarriesOptBlock) {
-  const auto result =
-      runCli(std::string(resilience::kCheckArgs) + "--format json " +
-             model("round_robin.bfy"));
+  // Only a query that reaches Z3 is planned.
+  const auto result = runCli(
+      "check -T 4 -D RATE=1 -D BUCKET=2 --input pin:8:2 --output pout:16 "
+      "--format json --query \"path.mserved[T-1] >= 0\" " +
+      unboundedPathServer("path_unbounded_opt.bfy"));
   EXPECT_EQ(result.exitCode, 0) << result.output;
   EXPECT_NE(result.output.find("\"opt\":{"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("\"nodesBefore\":"), std::string::npos);
   EXPECT_NE(result.output.find("\"assertionsSliced\":"), std::string::npos);
   EXPECT_NE(result.output.find("\"pass\":\"rewrite\""), std::string::npos);
+  // An enumerated query builds no plan.
+  const auto enumerated =
+      runCli(std::string(resilience::kCheckArgs) + "--format json " +
+             model("round_robin.bfy"));
+  EXPECT_EQ(enumerated.exitCode, 0) << enumerated.output;
+  EXPECT_EQ(enumerated.output.find("\"opt\":{"), std::string::npos)
+      << enumerated.output;
 }
 
 TEST(Cli, StageTimingsCarryPipelineBlock) {

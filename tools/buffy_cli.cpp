@@ -741,6 +741,11 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       json += ",\"seconds\":";
       json += secs;
       json += ",\"rlimitUsed\":" + std::to_string(a.rlimitUsed);
+      json += ",\"visited\":" + std::to_string(a.visited);
+      json += ",\"memoHits\":" + std::to_string(a.memoHits);
+      json += ",\"deadEntries\":" + std::to_string(a.deadEntries);
+      json += ",\"liveWidth\":" + std::to_string(a.liveWidth);
+      json += ",\"saturated\":" + std::to_string(a.saturated);
       if (a.seed) json += ",\"seed\":" + std::to_string(*a.seed);
       if (a.timeoutMs) {
         json += ",\"timeoutMs\":" + std::to_string(*a.timeoutMs);
