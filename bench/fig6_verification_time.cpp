@@ -19,7 +19,9 @@
 // (≈exponential) growth in T — the scalability wall motivating §5's
 // modular analysis — and the shape check runs on it. The enumerate series
 // is what `buffy verify` does with the same query (DESIGN.md §7): memoized
-// enumeration of the raw problem, through T=9, every row VERIFIED.
+// enumeration of the raw problem, through T=9, every row VERIFIED. Its
+// setup column is the part of the time spent constructing the enumerator
+// (domains, thresholds, dead-set layout) before the search.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -146,11 +148,12 @@ int main() {
     constexpr unsigned kWallSeconds = 30;
     constexpr unsigned kRowTimeoutMs = 1000 * kWallSeconds;
     std::printf("property: conservation (buggy FQ)\n");
-    std::printf("%3s | %10s | %10s || %10s | %10s | %9s | %10s | %5s\n",
-                "T", "z3", "time (s)", "enumerate", "time (s)", "engine",
-                "visited", "width");
+    std::printf("%3s | %10s | %10s || %10s | %10s | %9s | %9s | %10s | "
+                "%5s\n",
+                "T", "z3", "time (s)", "enumerate", "time (s)", "setup (s)",
+                "engine", "visited", "width");
     std::printf("----+------------+------------++------------+------------+"
-                "-----------+------------+------\n");
+                "-----------+-----------+------------+------\n");
     double first = -1.0;
     double last = 0.0;
     bool z3Running = true;
@@ -178,9 +181,11 @@ int main() {
       const auto result = analysis.verify(conservationQuery());
       const core::SolveAttempt* attempt =
           result.attempts.empty() ? nullptr : &result.attempts.back();
-      std::printf("%3d | %s || %10s | %10.3f | %9s | %10llu | %5llu\n",
+      std::printf("%3d | %s || %10s | %10.3f | %9.4f | %9s | %10llu | "
+                  "%5llu\n",
                   horizon, z3Cells, core::verdictName(result.verdict),
                   result.solveSeconds,
+                  attempt != nullptr ? attempt->setupSeconds : 0.0,
                   attempt != nullptr ? attempt->solver.c_str() : "-",
                   static_cast<unsigned long long>(
                       attempt != nullptr ? attempt->visited : 0),

@@ -5,10 +5,14 @@
 //   * a standard SMT-LIB2 script of the starvation check, consumable by
 //     any SMT solver.
 //
-// Artifacts are written to fq_scheduler.dfy and fq_starvation.smt2 in the
-// current directory.
+// Writes fq_scheduler.dfy and fq_starvation.smt2 into the directory given
+// as the only argument, or into the current directory without one:
+//
+//   build/examples/dafny_export [output-dir]
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "backends/dafny/dafny_emitter.hpp"
 #include "core/analysis.hpp"
@@ -19,7 +23,21 @@
 
 using namespace buffy;
 
-int main() {
+namespace {
+
+/// Writes `text` to `path`; false, with a message, when it cannot.
+bool writeFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  if (out) return true;
+  std::fprintf(stderr, "dafny_export: cannot write %s\n", path.c_str());
+  return false;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::string dir = argc > 1 ? std::string(argv[1]) + "/" : "";
   constexpr int kQueues = 2;
   constexpr int kHorizon = 4;
 
@@ -38,8 +56,9 @@ int main() {
   dopts.inputParams = {"ibs"};
   dopts.finalAssert = "cdeq[0] <= " + std::to_string(kHorizon);
   const std::string dafny = emitDafny(prog, dopts);
-  std::ofstream("fq_scheduler.dfy") << dafny;
-  std::printf("wrote fq_scheduler.dfy (%zu bytes); first lines:\n", dafny.size());
+  if (!writeFile(dir + "fq_scheduler.dfy", dafny)) return 1;
+  std::printf("wrote %sfq_scheduler.dfy (%zu bytes); first lines:\n",
+              dir.c_str(), dafny.size());
   std::printf("%s...\n\n", dafny.substr(0, 400).c_str());
 
   // --- SMT-LIB2 back-end ---
@@ -62,9 +81,10 @@ int main() {
   const std::string smt =
       analysis.toSmtLib(core::Query::expr("fq.cdeq.0[T-1] >= T-1"),
                         /*forVerify=*/false, sopts);
-  std::ofstream("fq_starvation.smt2") << smt;
-  std::printf("wrote fq_starvation.smt2 (%zu bytes, %zu lines)\n", smt.size(),
-              std::count(smt.begin(), smt.end(), '\n'));
+  if (!writeFile(dir + "fq_starvation.smt2", smt)) return 1;
+  const auto lines = std::count(smt.begin(), smt.end(), '\n');
+  std::printf("wrote %sfq_starvation.smt2 (%zu bytes, %zu lines)\n",
+              dir.c_str(), smt.size(), static_cast<std::size_t>(lines));
 
   // Prove the round trip works: solve the emitted script through Z3's
   // SMT-LIB parser.

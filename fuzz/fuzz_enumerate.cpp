@@ -12,6 +12,11 @@
 //    checks along the way. Steps revisit state values, so cuts share live
 //    values and the memo prunes.
 //
+// Each problem's arena is padded with unrelated terms before and between
+// its own, a number drawn from a generator seeded by the input, so term
+// ids are sparse the way they are in an encoding that answers many
+// queries; the problem a given input decodes to is the same.
+//
 // Invariants: whenever the enumerator answers, Z3Backend::check gives the
 // same status (or Unknown within its timeout); every model the enumerator
 // returns satisfies every constraint under ir::evalTerm; and on a small
@@ -64,6 +69,33 @@ class Reader {
   std::size_t at_ = 0;
 };
 
+/// Interns a random number (0 to 63) of terms that no problem reads: a
+/// fresh variable summed with constants far from any the decoders pick.
+class Padding {
+ public:
+  Padding(buffy::ir::TermArena& arena, const std::uint8_t* data,
+          std::size_t size)
+      : arena_(arena) {
+    for (std::size_t i = 0; i < size; ++i) {
+      state_ = (state_ ^ data[i]) * 1099511628211ULL;  // FNV-1a
+    }
+  }
+
+  void operator()() {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int terms = static_cast<int>(state_ >> 58);
+    TermRef acc = arena_.var("pad" + std::to_string(vars_++), Sort::Int);
+    for (int i = 0; i < terms; ++i) {
+      acc = arena_.add(acc, arena_.intConst(1000003 + i));
+    }
+  }
+
+ private:
+  buffy::ir::TermArena& arena_;
+  std::uint64_t state_ = 14695981039346656037ULL;
+  int vars_ = 0;
+};
+
 struct Problem {
   std::vector<TermRef> ints;
   std::vector<TermRef> bools;
@@ -83,12 +115,14 @@ void noteValue(Problem& p, std::int64_t v) {
   if (v < -kSmall || v > kSmall) p.small = false;
 }
 
-Problem decodeSmall(buffy::ir::TermArena& arena, Reader& in) {
+Problem decodeSmall(buffy::ir::TermArena& arena, Reader& in,
+                    Padding& pad) {
   Problem p;
   p.ints.push_back(arena.intConst(0));
   p.bools.push_back(arena.trueTerm());
   const int vars = 1 + in.byte() % 4;
   for (int i = 0; i < vars; ++i) {
+    pad();
     const std::uint8_t kind = in.byte();
     const std::string name = "v" + std::to_string(i);
     if (kind % 4 == 0) {
@@ -119,6 +153,7 @@ Problem decodeSmall(buffy::ir::TermArena& arena, Reader& in) {
     p.ints.push_back(v);
   }
   for (int op = 0; op < 24 && !in.done(); ++op) {
+    pad();
     const std::uint8_t code = in.byte();
     const TermRef a = pick(p.ints, in.byte());
     const TermRef b = pick(p.ints, in.byte());
@@ -159,13 +194,15 @@ Problem decodeSmall(buffy::ir::TermArena& arena, Reader& in) {
   return p;
 }
 
-Problem decodeLayered(buffy::ir::TermArena& arena, Reader& in) {
+Problem decodeLayered(buffy::ir::TermArena& arena, Reader& in,
+                      Padding& pad) {
   Problem p;
   const auto num = [&arena](std::int64_t v) { return arena.intConst(v); };
   const std::int64_t cap = 1 + in.byte() % 4;
   TermRef state[2] = {num(0), num(in.byte() % 3)};
   const int steps = 2 + in.byte() % 7;
   for (int t = 0; t < steps; ++t) {
+    pad();
     const std::uint8_t kind = in.byte();
     const TermRef a = arena.var("a" + std::to_string(t), Sort::Int);
     const std::int64_t lo = kind % 3;
@@ -278,9 +315,11 @@ std::optional<std::vector<Enumerator::Domain>> smallBox(
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   buffy::ir::TermArena arena;
+  Padding pad(arena, data, size);
+  pad();
   Reader in(data, size);
-  const Problem p = (in.byte() & 1) == 0 ? decodeSmall(arena, in)
-                                         : decodeLayered(arena, in);
+  const Problem p = (in.byte() & 1) == 0 ? decodeSmall(arena, in, pad)
+                                         : decodeLayered(arena, in, pad);
 
   Enumerator enumerator(p.constraints);
   const buffy::enumerate::Outcome out =

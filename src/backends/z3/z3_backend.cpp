@@ -335,10 +335,12 @@ SolveResult Z3Backend::enumerateOrCheck(
     SolveResult searched;
     if (problem.qualifies()) searched = impl_->runEnumeration(problem, budget);
     searched.seconds += setUpSeconds;
+    searched.setupSeconds = setUpSeconds;
     if (searched.enumerated) return searched;
     SolveResult result =
         impl_->checkZ3(planned ? planned() : constraints, budget);
     result.seconds += searched.seconds;
+    result.setupSeconds = setUpSeconds;
     result.search = searched.search;
     return result;
   });

@@ -71,6 +71,9 @@ struct SolveResult {
   std::vector<std::string> overflowVars;
   /// Wall-clock seconds spent inside the solver.
   double seconds = 0.0;
+  /// The part of `seconds` spent constructing the enumerator (domains,
+  /// saturation thresholds, dead-set layout); 0 when none was built.
+  double setupSeconds = 0.0;
   /// Z3's reason when status == Unknown (e.g. "timeout").
   std::string reason;
   /// Z3 resource units consumed by this query alone (the context's

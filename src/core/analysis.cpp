@@ -72,6 +72,7 @@ std::string encodeAttempt(const SolveAttempt& attempt) {
   map.set("outcome", attempt.outcome);
   map.set("reason", attempt.reason);
   map.setDouble("seconds", attempt.seconds);
+  map.setDouble("setupSeconds", attempt.setupSeconds);
   map.setUint("rlimitUsed", attempt.rlimitUsed);
   if (attempt.seed) map.setUint("seed", *attempt.seed);
   if (attempt.timeoutMs) map.setUint("timeoutMs", *attempt.timeoutMs);
@@ -92,6 +93,10 @@ SolveAttempt decodeAttempt(const std::string& bytes) {
   attempt.outcome = map.get("outcome");
   attempt.reason = map.get("reason");
   attempt.seconds = map.getDouble("seconds");
+  // Records written before attempts split out the set-up read as 0.
+  if (map.has("setupSeconds")) {
+    attempt.setupSeconds = map.getDouble("setupSeconds");
+  }
   attempt.rlimitUsed = map.getUint("rlimitUsed");
   if (map.has("seed")) {
     attempt.seed = static_cast<unsigned>(map.getUint("seed"));
@@ -576,6 +581,7 @@ struct Analysis::Impl {
     }
     attempt.reason = sr.reason;
     attempt.seconds = sr.seconds;
+    attempt.setupSeconds = sr.setupSeconds;
     attempt.rlimitUsed = sr.rlimitUsed;
     attempt.seed = budget.randomSeed;
     attempt.timeoutMs = budget.timeoutMs;

@@ -156,6 +156,9 @@ struct SolveAttempt {
   /// Solver's reason when the outcome was "unknown".
   std::string reason;
   double seconds = 0.0;
+  /// The part of `seconds` spent constructing the enumerator (domains,
+  /// saturation thresholds, dead-set layout); 0 when none was built.
+  double setupSeconds = 0.0;
   /// Z3 resource units consumed by this attempt (best-effort).
   std::uint64_t rlimitUsed = 0;
   /// Random seed the attempt ran with, if pinned.

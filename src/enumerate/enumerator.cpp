@@ -1,7 +1,6 @@
 #include "enumerate/enumerator.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "ir/unit_bound.hpp"
 
@@ -15,6 +14,8 @@ using ir::TermRef;
 
 /// The search polls its stop predicate once per this many assignments.
 constexpr std::uint64_t kPollInterval = 4096;
+
+constexpr const char* kMixedArenas = "terms from more than one arena";
 
 /// The top-level conjuncts of `constraints`, with nested Ands split.
 std::vector<TermRef> flattenAnds(std::span<const TermRef> constraints) {
@@ -58,8 +59,60 @@ void Enumerator::decide(Status status, std::string reason) {
 void Enumerator::compile(std::span<const ir::TermRef> constraints) {
   const std::vector<TermRef> conjuncts = flattenAnds(constraints);
 
-  // Domains from the unit-bound conjuncts.
-  std::unordered_map<TermRef, Interval> domain;
+  // Every node the conjuncts reach, in a table indexed by term id: an
+  // argument is interned before its term, so no reachable id exceeds the
+  // largest conjunct's. A second term on a taken id, or an argument whose
+  // id is not below its term's, comes from another arena.
+  std::uint32_t top = 0;
+  for (const TermRef c : conjuncts) top = std::max(top, c->id);
+  std::vector<TermRef> owner(top + 1, nullptr);
+  std::vector<TermRef> walkVars;  // in the walk's (depth-first) order
+  std::vector<TermRef> stack(conjuncts.begin(), conjuncts.end());
+  while (!stack.empty()) {
+    const TermRef t = stack.back();
+    stack.pop_back();
+    if (owner[t->id] == t) continue;
+    if (owner[t->id] != nullptr) {
+      decide(Status::Declined, kMixedArenas);
+      return;
+    }
+    owner[t->id] = t;
+    if (t->kind == TermKind::Var) walkVars.push_back(t);
+    for (const TermRef arg : t->args) {
+      if (arg->id >= t->id) {
+        decide(Status::Declined, kMixedArenas);
+        return;
+      }
+      stack.push_back(arg);
+    }
+  }
+
+  // Slots in term-id order, which is topological and puts the variables
+  // in creation order. A node's level is one past its deepest variable's
+  // position.
+  std::vector<TermRef> nodes;
+  std::vector<std::uint32_t> slotOf(top + 1, 0);
+  for (const TermRef t : owner) {
+    if (t == nullptr) continue;
+    slotOf[t->id] = static_cast<std::uint32_t>(nodes.size());
+    nodes.push_back(t);
+  }
+  std::vector<std::size_t> level(nodes.size(), 0);
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i]->kind != TermKind::Var) continue;
+    vars_.push_back(nodes[i]);
+    varSlot_.push_back(i);
+    level[i] = vars_.size();
+  }
+  // A variable's position in vars_.
+  const auto varIndex = [&](TermRef v) { return level[slotOf[v->id]] - 1; };
+
+  // Domains: each variable's unit bounds, within {0, 1} for a Bool.
+  std::vector<Interval> varDomains;
+  for (const TermRef v : vars_) {
+    varDomains.push_back(v->sort == ir::Sort::Bool ? Interval{0, 1}
+                                                   : Interval{});
+  }
   for (const TermRef c : conjuncts) {
     if (c->sort != ir::Sort::Bool) {
       decide(Status::Declined, "constraint is not boolean");
@@ -71,59 +124,26 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
     }
     const auto shape = ir::seedShape(c);
     if (!shape) continue;
-    auto [it, inserted] = domain.try_emplace(shape->var);
-    if (inserted && shape->var->sort == ir::Sort::Bool) {
-      it->second = Interval{0, 1};
-    }
-    ir::tighten(it->second, *shape);
-    if (it->second.empty()) {
+    Interval& domain = varDomains[varIndex(shape->var)];
+    ir::tighten(domain, *shape);
+    if (domain.empty()) {
       decide(Status::Unsat);
       return;
     }
   }
-
-  // A variable's domain: its unit bounds, or {0, 1} for a Bool.
-  const auto domainOf = [&domain](TermRef v) {
-    const auto it = domain.find(v);
-    if (it != domain.end()) return it->second;
-    return v->sort == ir::Sort::Bool ? Interval{0, 1} : Interval{};
-  };
-
-  // Every node the conjuncts reach. The walk declines at the first
-  // variable without a lower bound.
-  std::vector<TermRef> nodes;
-  std::unordered_map<TermRef, std::uint32_t> slot;
-  std::vector<TermRef> stack(conjuncts.begin(), conjuncts.end());
-  while (!stack.empty()) {
-    const TermRef t = stack.back();
-    stack.pop_back();
-    if (!slot.try_emplace(t, 0).second) continue;
-    nodes.push_back(t);
-    if (t->kind == TermKind::Var && !domainOf(t).lo) {
-      decide(Status::Declined, "unbounded variable " + t->name);
+  // The first variable the walk met without a lower bound declines the
+  // problem.
+  for (const TermRef v : walkVars) {
+    if (!varDomains[varIndex(v)].lo) {
+      decide(Status::Declined, "unbounded variable " + v->name);
       return;
     }
-    for (const TermRef arg : t->args) stack.push_back(arg);
   }
-
-  // Slots in term-id order, which is topological (a term's arguments are
-  // interned before it) and puts the variables in creation order. A
-  // node's level is one past its deepest variable's position.
-  std::sort(nodes.begin(), nodes.end(),
-            [](TermRef a, TermRef b) { return a->id < b->id; });
-  std::vector<std::size_t> level(nodes.size(), 0);
-  std::vector<Interval> varDomains;
-  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-    slot[nodes[i]] = i;
-    if (nodes[i]->kind != TermKind::Var) continue;
-    const Interval iv = domainOf(nodes[i]);
-    vars_.push_back(nodes[i]);
-    varSlot_.push_back(i);
+  for (const Interval& iv : varDomains) {
     lo_.push_back(*iv.lo);
     hi_.push_back(iv.hi.value_or(*iv.lo));  // saturate() sets one-sided
-    varDomains.push_back(iv);
-    level[i] = vars_.size();
   }
+
   std::vector<ArgSlots> args(nodes.size(), ArgSlots{});
   values_.assign(nodes.size(), 0);
   const std::size_t levels = vars_.size() + 1;
@@ -136,7 +156,7 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
     }
     if (t->kind == TermKind::Var) continue;
     for (std::size_t k = 0; k < t->args.size(); ++k) {
-      args[i][k] = slot.at(t->args[k]);
+      args[i][k] = slotOf[t->args[k]->id];
       level[i] = std::max(level[i], level[args[i][k]]);
     }
     for (std::size_t k = t->args.size(); k < 3; ++k) args[i][k] = args[i][0];
@@ -146,7 +166,7 @@ void Enumerator::compile(std::span<const ir::TermRef> constraints) {
   std::vector<std::vector<std::uint32_t>> checksByLevel(levels);
   std::vector<char> isCheck(nodes.size(), 0);
   for (const TermRef c : conjuncts) {
-    const std::uint32_t s = slot.at(c);
+    const std::uint32_t s = slotOf[c->id];
     if (isCheck[s] != 0) continue;
     isCheck[s] = 1;
     checksByLevel[level[s]].push_back(s);
@@ -208,42 +228,24 @@ bool Enumerator::saturate(std::span<const TermRef> nodes,
   };
   for (std::uint32_t s = 0; s < n; ++s) base[s] = intervalAt(s, base);
 
-  // Each node's readers, for the forward cones.
-  std::vector<std::uint32_t> userStart(n + 1, 0);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::size_t k = 0; k < nodes[s]->args.size(); ++k) {
-      ++userStart[args[s][k] + 1];
-    }
-  }
-  for (std::size_t s = 0; s < n; ++s) userStart[s + 1] += userStart[s];
-  std::vector<std::uint32_t> users(userStart[n]);
-  {
-    std::vector<std::uint32_t> fill(userStart.begin(), userStart.end() - 1);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      for (std::size_t k = 0; k < nodes[s]->args.size(); ++k) {
-        users[fill[args[s][k]]++] = s;
-      }
-    }
-  }
-
   std::vector<Interval> iv = base;
   std::vector<char> dep(n, 0);
   std::vector<char> inCone(n, 0);
   std::vector<std::uint32_t> cone;
   for (const std::size_t i : oneSided) {
+    // The variable's forward cone, ascending: slots are topological, so
+    // one pass over the slots after its own finds every reader.
     const std::uint32_t sv = varSlot_[i];
     cone.assign(1, sv);
     inCone[sv] = 1;
-    for (std::size_t at = 0; at < cone.size(); ++at) {
-      for (std::uint32_t u = userStart[cone[at]]; u < userStart[cone[at] + 1];
-           ++u) {
-        if (inCone[users[u]] == 0) {
-          inCone[users[u]] = 1;
-          cone.push_back(users[u]);
-        }
+    for (std::uint32_t s = sv + 1; s < n; ++s) {
+      const ArgSlots& a = args[s];
+      if (!nodes[s]->args.empty() &&
+          (inCone[a[0]] | inCone[a[1]] | inCone[a[2]]) != 0) {
+        inCone[s] = 1;
+        cone.push_back(s);
       }
     }
-    std::sort(cone.begin(), cone.end());
 
     // True when, with v in [u, ∞), no conjunct depends on v: a node with a
     // singleton interval does not, an ite with a decided guard depends

@@ -42,6 +42,14 @@
 //
 // Budget. The search counts node evaluations and declines once they pass
 // kMaxEvaluations, so a problem too large to enumerate goes on to Z3.
+//
+// Set-up. Construction keeps its side tables (the reach walk's, the slot
+// of each term) in vectors indexed by term id, sized by the largest
+// constraint's id plus one (ir/term.hpp), and finds each one-sided
+// variable's forward cone in one pass over the slots after its own. So
+// every constraint must come from one arena: ids from a second arena would
+// collide. A problem whose DAG mixes arenas is declined with "terms from
+// more than one arena".
 #pragma once
 
 #include <array>
@@ -98,7 +106,8 @@ struct Outcome {
   /// Sat: a value for every variable of the problem (Bools as 0/1).
   ir::Assignment model;
   /// Declined: why ("unbounded variable x", "no saturation threshold for
-  /// x", "evaluations above 2^27", "int64 overflow").
+  /// x", "evaluations above 2^27", "int64 overflow", "terms from more than
+  /// one arena").
   std::string reason;
   SearchStats stats;
 };

@@ -116,16 +116,9 @@ TermRef TermArena::intern(TermKind kind, Sort sort, std::int64_t value,
     throw BudgetExceeded("term-nodes", nodeLimit_, SourceLoc{});
   }
 
-  auto term = std::make_unique<Term>();
-  term->kind = kind;
-  term->sort = sort;
-  term->id = static_cast<std::uint32_t>(terms_.size());
-  term->value = value;
-  term->name.assign(name);
-  term->args.assign(args.begin(), args.end());
-  Term* const ref = term.get();
-  owned_.push_back(std::move(term));
-  terms_.push_back(ref);
+  const TermRef ref = &terms_.emplace_back(
+      Term{kind, sort, static_cast<std::uint32_t>(terms_.size()), value,
+           std::string(name), TermArgs(args)});
   table_[i] = Slot{hash, ref};
   ++tableUsed_;
   return ref;

@@ -12,10 +12,23 @@
 // of `mod` is always non-negative) so that folded constants agree with the
 // Z3 backend; division by zero is defined as 0 (the Z3 lowering guards it
 // the same way).
+//
+// Storage is dense. An arena keeps its terms contiguously, in blocks that
+// never move, each term with its arguments inline (no operator takes more
+// than three). A term's id is its creation index, and its arguments are
+// interned before it, so ids are a topological order of the DAG. A pass
+// over the terms reachable from some roots can therefore keep its side
+// tables in vectors indexed by id, sized by the largest root id plus one.
+// Such a table holds only terms of one arena: ids from a second arena
+// collide. ir::evalTerms and the enumerator check this and fail loudly.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -52,13 +65,39 @@ struct Term;
 /// TermArena.
 using TermRef = const Term*;
 
+/// A term's arguments, stored inline. It reads like a const
+/// std::vector<TermRef>.
+class TermArgs {
+ public:
+  /// The widest operator, Ite, takes three.
+  static constexpr std::size_t kCapacity = 3;
+
+  TermArgs() = default;
+  explicit TermArgs(std::span<const TermRef> args)
+      : size_(static_cast<std::uint8_t>(args.size())) {
+    assert(args.size() <= kCapacity);
+    std::copy(args.begin(), args.end(), items_.begin());
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  const TermRef& operator[](std::size_t i) const { return items_[i]; }
+  [[nodiscard]] const TermRef* data() const { return items_.data(); }
+  [[nodiscard]] const TermRef* begin() const { return items_.data(); }
+  [[nodiscard]] const TermRef* end() const { return items_.data() + size_; }
+
+ private:
+  std::array<TermRef, kCapacity> items_{};
+  std::uint8_t size_ = 0;
+};
+
 struct Term {
   TermKind kind;
   Sort sort;
-  std::uint32_t id;          // dense, per-arena; stable iteration order
+  std::uint32_t id;          // dense, per-arena creation index
   std::int64_t value = 0;    // ConstInt / ConstBool payload
   std::string name;          // Var payload
-  std::vector<TermRef> args;
+  TermArgs args;
 
   [[nodiscard]] bool isConst() const {
     return kind == TermKind::ConstInt || kind == TermKind::ConstBool;
@@ -160,7 +199,7 @@ class TermArena {
   /// fields: a hit probes with a string_view/span and allocates nothing.
   struct Slot {
     std::size_t hash = 0;
-    Term* term = nullptr;  // nullptr marks an empty slot
+    TermRef term = nullptr;  // nullptr marks an empty slot
   };
 
   TermRef intern(TermKind kind, Sort sort, std::int64_t value,
@@ -177,8 +216,9 @@ class TermArena {
 
   std::vector<Slot> table_;  // power-of-two capacity, linear probing
   std::size_t tableUsed_ = 0;
-  std::vector<std::unique_ptr<Term>> owned_;
-  std::vector<TermRef> terms_;  // creation order
+  /// Every term, in creation order (index = id). A deque grows in blocks
+  /// and never moves an element, so a TermRef stays valid.
+  std::deque<Term> terms_;
   std::vector<TermRef> vars_;
   std::unordered_map<std::string, TermRef> varByName_;
   std::uint64_t freshCounter_ = 0;

@@ -1,6 +1,6 @@
 #include "ir/term_eval.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 #include <vector>
 
 #include "support/error.hpp"
@@ -12,6 +12,9 @@ namespace {
 std::uint64_t toU(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
 
+constexpr const char* kMixedArenas =
+    "evalTerms: terms from more than one arena";
+
 }  // namespace
 
 std::int64_t evalTerm(TermRef term, const Assignment& assignment) {
@@ -20,17 +23,33 @@ std::int64_t evalTerm(TermRef term, const Assignment& assignment) {
 
 std::vector<std::int64_t> evalTerms(std::span<const TermRef> terms,
                                     const Assignment& assignment) {
-  std::unordered_map<const Term*, std::int64_t> memo;
+  // The memo is indexed by term id. Every reachable id is at most the
+  // largest root's, because an argument is interned before its term.
+  std::uint32_t top = 0;
+  for (const TermRef t : terms) top = std::max(top, t->id);
+  std::vector<std::int64_t> memo(top + 1, 0);
+  // The term whose value memo[id] holds; nullptr until it is evaluated.
+  std::vector<TermRef> owner(top + 1, nullptr);
+  const auto known = [&owner](TermRef t) {
+    const TermRef held = owner[t->id];
+    if (held != nullptr && held != t) {
+      throw Error(kMixedArenas);
+    }
+    return held != nullptr;
+  };
   std::vector<TermRef> stack(terms.begin(), terms.end());
   while (!stack.empty()) {
     const TermRef t = stack.back();
-    if (memo.count(t) != 0) {
+    if (known(t)) {
       stack.pop_back();
       continue;
     }
     bool ready = true;
     for (const TermRef arg : t->args) {
-      if (memo.count(arg) == 0) {
+      if (arg->id >= t->id) {
+        throw Error(kMixedArenas);
+      }
+      if (!known(arg)) {
         stack.push_back(arg);
         ready = false;
       }
@@ -38,7 +57,7 @@ std::vector<std::int64_t> evalTerms(std::span<const TermRef> terms,
     if (!ready) continue;
     stack.pop_back();
 
-    auto arg = [&](std::size_t i) { return memo.at(t->args[i]); };
+    auto arg = [&](std::size_t i) { return memo[t->args[i]->id]; };
     std::int64_t v = 0;
     switch (t->kind) {
       case TermKind::ConstInt:
@@ -67,11 +86,12 @@ std::vector<std::int64_t> evalTerms(std::span<const TermRef> terms,
       case TermKind::Implies: v = (arg(0) == 0 || arg(1) != 0) ? 1 : 0; break;
       case TermKind::Ite: v = arg(0) != 0 ? arg(1) : arg(2); break;
     }
-    memo.emplace(t, v);
+    memo[t->id] = v;
+    owner[t->id] = t;
   }
   std::vector<std::int64_t> values;
   values.reserve(terms.size());
-  for (const TermRef t : terms) values.push_back(memo.at(t));
+  for (const TermRef t : terms) values.push_back(memo[t->id]);
   return values;
 }
 

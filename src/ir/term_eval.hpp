@@ -25,6 +25,9 @@ using Assignment = std::map<std::string, std::int64_t>;
 /// Evaluates every term of `terms` under `assignment` with one memo, so a
 /// subterm they share is evaluated once (a witness trace's series share
 /// most of the encoding). Element i of the result is evalTerm(terms[i]).
+/// The memo is a dense array indexed by term id, sized by the largest id
+/// in `terms`, so every term must come from one arena: ids from a second
+/// arena would collide. A DAG that mixes arenas throws buffy::Error.
 [[nodiscard]] std::vector<std::int64_t> evalTerms(
     std::span<const TermRef> terms, const Assignment& assignment);
 

@@ -475,17 +475,16 @@ void Optimizer::certify(Component& comp) {
     }
     candidate[v->name] = value;
   }
-  const ir::Assignment zeros;  // evalTerm defaults absent variables to 0
+  const ir::Assignment zeros;  // evalTerms defaults absent variables to 0
   const ir::Assignment* const attempts[] = {&candidate, &zeros};
+  std::vector<TermRef> asserts;
+  asserts.reserve(comp.assertIdx.size());
+  for (const std::size_t idx : comp.assertIdx) {
+    asserts.push_back(structural_[idx]);
+  }
   for (const ir::Assignment* attempt : attempts) {
-    bool sat = true;
-    for (const std::size_t idx : comp.assertIdx) {
-      if (ir::evalTerm(structural_[idx], *attempt) == 0) {
-        sat = false;
-        break;
-      }
-    }
-    if (sat) {
+    const std::vector<std::int64_t> values = ir::evalTerms(asserts, *attempt);
+    if (std::find(values.begin(), values.end(), 0) == values.end()) {
       comp.state = 1;
       if (attempt == &zeros) {
         comp.witness.clear();

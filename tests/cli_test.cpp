@@ -85,13 +85,23 @@ std::string unboundedPathServer(const char* name) {
 /// fq_buggy with an unbounded havoc in an in-program assert. The assert
 /// holds for every value (h % 2 is 0 or 1), so the optimizer plans it away
 /// and Z3 solves the same problem as for fq_buggy; only the raw
-/// enumeration declines.
-std::string fqBuggyWithUnboundedHavoc() {
+/// enumeration declines. Tests that run in parallel name their own copy.
+std::string fqBuggyWithUnboundedHavoc(const char* name = "fq_havoc.bfy") {
   std::string source = readFile(model("fq_buggy.bfy"));
   const std::string header = "fq(buffer[N] ibs, buffer ob) {\n";
   source.insert(source.find(header) + header.size(),
                 "  havoc int h;\n  assert(h % 2 <= 1);\n");
-  return writeTemp("fq_havoc.bfy", source);
+  return writeTemp(name, source);
+}
+
+/// The number after the first `"key":` in `json` at or after `from`; -1
+/// when there is none.
+double jsonNumber(const std::string& json, const std::string& key,
+                  std::size_t from) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = json.find(tag, from);
+  if (at == std::string::npos) return -1;
+  return std::stod(json.substr(at + tag.size()));
 }
 
 TEST(Cli, PrintRoundTrips) {
@@ -384,13 +394,20 @@ TEST(Cli, ExhaustedRlimitEscalatesInsteadOfCanceling) {
 
 TEST(Cli, StarvationViolationFitsDeterministicRlimit) {
   // A guard against a slow native solve path that does not depend on host
-  // speed: rlimit counts solver work, and the one-shot path needs ~0.42M
-  // units here.
-  const auto result = runCli(std::string(resilience::kStarvationVerifyArgs) +
-                             "--rlimit 3000000 --no-retry " +
-                             model("fq_buggy.bfy"));
+  // speed: rlimit counts solver work. The unbounded havoc declines the
+  // enumeration, so Z3 answers the §6.1 verify at T=10; its one-shot solve
+  // used 599,009 units (Z3 4.8.12), a fifth of the limit.
+  const auto result = runCli(
+      std::string(resilience::kStarvationVerifyArgs) +
+      "--json --rlimit 3000000 --no-retry " +
+      fqBuggyWithUnboundedHavoc("fq_havoc_rlimit.bfy"));
   EXPECT_EQ(result.exitCode, 1) << result.output;
-  EXPECT_NE(result.output.find("VIOLATED"), std::string::npos)
+  EXPECT_NE(result.output.find("\"verdict\":\"VIOLATED\""), std::string::npos)
+      << result.output;
+  // Fails loudly if enumeration takes the problem over again.
+  EXPECT_NE(result.output.find("\"stage\":\"initial\",\"outcome\":\"sat\","
+                               "\"solver\":\"z3\""),
+            std::string::npos)
       << result.output;
 }
 
@@ -471,6 +488,24 @@ TEST(Cli, OneSidedHavocQueryEnumerates) {
       << result.output;
   EXPECT_EQ(result.output.find("\"visited\":0,"), std::string::npos)
       << result.output;
+}
+
+TEST(Cli, EnumeratedAttemptSplitsOutItsSetUp) {
+  // The enumerator's construction (domains, the one-sided havocs'
+  // thresholds, the dead-set layout) is part of the attempt's time.
+  const auto result = runCli(
+      "check -T 4 -D RATE=1 -D BUCKET=2 --input pin:8:2 --output pout:16 "
+      "--json --no-cache --query \"path.mserved[T-1] >= 2\" " +
+      model("path_server.bfy"));
+  EXPECT_EQ(result.exitCode, 0) << result.output;
+  const std::size_t attempt =
+      result.output.find("\"stage\":\"initial\",\"outcome\":\"sat\","
+                         "\"solver\":\"enumerate\"");
+  ASSERT_NE(attempt, std::string::npos) << result.output;
+  const double seconds = jsonNumber(result.output, "seconds", attempt);
+  const double setup = jsonNumber(result.output, "setupSeconds", attempt);
+  EXPECT_GT(setup, 0.0) << result.output;
+  EXPECT_LE(setup, seconds) << result.output;
 }
 
 TEST(Cli, UnboundedHavocQueryUsesZ3) {

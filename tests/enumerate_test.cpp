@@ -12,6 +12,7 @@
 #include <chrono>
 #include <climits>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -505,6 +506,130 @@ TEST_F(EnumerateTest, MemoSkipsPrefixesThatReachARefutedState) {
   EXPECT_LT(out.stats.visited, 200u);
 }
 
+// ---- term ids: sparse, and from one arena only ---------------------------
+
+/// Eight steps of a counter clamped at 3, some inputs bounded below only,
+/// a Bool gate and checks along the way. `pad` runs before every term the
+/// problem interns; it may intern terms of its own that share none with
+/// the problem.
+std::vector<TermRef> paddedCounter(ir::TermArena& arena,
+                                   const std::function<void()>& pad) {
+  const auto num = [&](std::int64_t v) {
+    pad();
+    return arena.intConst(v);
+  };
+  std::vector<TermRef> cs;
+  TermRef count = num(0);
+  for (int t = 0; t < 8; ++t) {
+    pad();
+    const TermRef a = arena.var("a" + std::to_string(t), Sort::Int);
+    cs.push_back(arena.le(num(t % 2), a));
+    if (t % 3 != 2) cs.push_back(arena.le(a, num(2)));
+    pad();
+    const TermRef gate = arena.var("g" + std::to_string(t), Sort::Bool);
+    pad();
+    count = arena.ite(gate, arena.min(arena.add(count, a), num(3)), count);
+    if (t % 4 == 3) {
+      pad();
+      cs.push_back(arena.le(num(1), count));
+    }
+  }
+  pad();
+  cs.push_back(arena.eq(count, num(3)));
+  return cs;
+}
+
+void expectSameOutcome(const Outcome& a, const Outcome& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.reason, b.reason);
+  EXPECT_EQ(a.stats.visited, b.stats.visited);
+  EXPECT_EQ(a.stats.evaluations, b.stats.evaluations);
+  EXPECT_EQ(a.stats.memoHits, b.stats.memoHits);
+  EXPECT_EQ(a.stats.deadEntries, b.stats.deadEntries);
+  EXPECT_EQ(a.stats.liveWidth, b.stats.liveWidth);
+  EXPECT_EQ(a.stats.saturated, b.stats.saturated);
+}
+
+TEST_F(EnumerateTest, SparseIdsChangeNothing) {
+  // The tables are indexed by term id: a problem whose terms sit far apart
+  // in a large arena must search exactly as it does in a fresh one.
+  const std::vector<TermRef> dense = paddedCounter(arena, [] {});
+  ir::TermArena padded;
+  int padding = 0;
+  const auto pad = [&] {
+    // Unrelated terms, none of them shared with the problem.
+    const TermRef p = padded.var("pad" + std::to_string(padding), Sort::Int);
+    TermRef acc = p;
+    for (int i = 0; i < 150; ++i) {
+      acc = padded.add(acc, padded.intConst(1000000 + padding * 150 + i));
+    }
+    ++padding;
+  };
+  const std::vector<TermRef> sparse = paddedCounter(padded, pad);
+  ASSERT_GT(padded.size(), 10 * arena.size());
+
+  Enumerator a(dense);
+  Enumerator b(sparse);
+  ASSERT_TRUE(a.qualifies());
+  ASSERT_TRUE(b.qualifies());
+  const auto boxA = a.domains();
+  const auto boxB = b.domains();
+  ASSERT_EQ(boxA.size(), boxB.size());
+  for (std::size_t i = 0; i < boxA.size(); ++i) {
+    EXPECT_EQ(boxA[i].var->name, boxB[i].var->name);
+    EXPECT_EQ(boxA[i].lo, boxB[i].lo);
+    EXPECT_EQ(boxA[i].hi, boxB[i].hi);
+  }
+  const Outcome outA = a.run(kNeverStop);
+  const Outcome outB = b.run(kNeverStop);
+  ASSERT_EQ(outA.status, Status::Sat);
+  EXPECT_GT(outA.stats.saturated, 0u);
+  expectSameOutcome(outA, outB);
+
+  // The same with the final value out of reach: the whole space is
+  // refuted through the memo.
+  std::vector<TermRef> denseUnsat = dense;
+  std::vector<TermRef> sparseUnsat = sparse;
+  denseUnsat.push_back(arena.mkNot(dense.back()));
+  sparseUnsat.push_back(padded.mkNot(sparse.back()));
+  const Outcome unsatA = Enumerator(denseUnsat).run(kNeverStop);
+  const Outcome unsatB = Enumerator(sparseUnsat).run(kNeverStop);
+  EXPECT_EQ(unsatA.status, Status::Unsat);
+  expectSameOutcome(unsatA, unsatB);
+}
+
+TEST_F(EnumerateTest, TermsFromTwoArenasDecline) {
+  // x and y share an id in their own arenas, so a constraint reading both
+  // would alias them in any id-indexed table.
+  ir::TermArena other;
+  const TermRef x = arena.var("x", Sort::Int);
+  const TermRef y = other.var("y", Sort::Int);
+  ASSERT_EQ(x->id, y->id);
+  std::vector<TermRef> cs;
+  bound(cs, x, 0, 3);
+  cs.push_back(other.ge(y, other.intConst(0)));
+  cs.push_back(other.le(y, other.intConst(3)));
+  cs.push_back(arena.lt(x, y));
+  Enumerator problem(cs);
+  EXPECT_FALSE(problem.qualifies());
+  EXPECT_TRUE(problem.domains().empty());
+  const Outcome out = problem.run(kNeverStop);
+  EXPECT_EQ(out.status, Status::Declined);
+  EXPECT_EQ(out.reason, "terms from more than one arena");
+  EXPECT_THROW((void)ir::evalTerms(cs, {{"x", 0}, {"y", 1}}), Error);
+
+  // A term of the other arena whose id lies above its reader's: no id is
+  // shared, but id order is no longer topological.
+  for (int i = 0; i < 100; ++i) (void)other.intConst(100 + i);
+  const TermRef late = other.var("late", Sort::Int);
+  ASSERT_GT(late->id, arena.size());
+  const std::vector<TermRef> reads = {arena.le(arena.intConst(0), late)};
+  EXPECT_EQ(Enumerator(reads).run(kNeverStop).reason,
+            "terms from more than one arena");
+  EXPECT_THROW((void)ir::evalTerm(reads.front(), {{"late", 1}}), Error);
+}
+
 // ---- the solver protocol around an enumerated attempt -------------------
 
 TEST_F(EnumerateTest, EnumeratedAttemptReportsItsEngine) {
@@ -683,8 +808,59 @@ std::vector<TermRef> rawProblem(core::Encoding& enc, const core::Query& query,
   return cs;
 }
 
+/// The search counters of every golden cell: goldenScopes() order, check
+/// before verify, the holding property first. The search order and the
+/// memo alone decide them, so a change to how problems are compiled (term
+/// layout, side tables) must leave all of them as they are.
+struct PinnedCounters {
+  const char* model;
+  bool forVerify;
+  bool holds;
+  std::uint64_t visited;
+  std::uint64_t memoHits;
+  std::uint64_t deadEntries;
+  std::uint64_t liveWidth;
+  std::uint64_t saturated;
+};
+
+constexpr PinnedCounters kPinned[] = {
+    {"aimd", false, true, 8, 0, 0, 10, 0},
+    {"aimd", false, false, 1518, 230, 505, 11, 0},
+    {"aimd", true, true, 480, 228, 159, 10, 0},
+    {"aimd", true, false, 8, 0, 0, 11, 0},
+    {"delay_server", false, true, 8, 0, 0, 3, 4},
+    {"delay_server", false, false, 6, 0, 3, 1, 4},
+    {"delay_server", true, true, 1240, 353, 131, 3, 4},
+    {"delay_server", true, false, 8, 0, 0, 1, 4},
+    {"drr", false, true, 8, 0, 0, 26, 0},
+    {"drr", false, false, 120, 0, 39, 26, 0},
+    {"drr", true, true, 120, 0, 39, 26, 0},
+    {"drr", true, false, 8, 0, 0, 26, 0},
+    {"fq_buggy", false, true, 10, 0, 0, 25, 0},
+    {"fq_buggy", false, false, 17336, 6375, 4333, 25, 0},
+    {"fq_buggy", true, true, 17336, 6375, 4333, 25, 0},
+    {"fq_buggy", true, false, 10, 0, 0, 25, 0},
+    {"fq_fixed", false, true, 10, 0, 0, 25, 0},
+    {"fq_fixed", false, false, 15056, 5037, 3763, 25, 0},
+    {"fq_fixed", true, true, 15056, 5037, 3763, 25, 0},
+    {"fq_fixed", true, false, 10, 0, 0, 25, 0},
+    {"path_server", false, true, 8, 0, 0, 4, 4},
+    {"path_server", false, false, 255, 137, 85, 4, 4},
+    {"path_server", true, true, 255, 137, 85, 4, 4},
+    {"path_server", true, false, 8, 0, 0, 4, 4},
+    {"round_robin", false, true, 8, 0, 0, 12, 0},
+    {"round_robin", false, false, 1392, 332, 463, 12, 0},
+    {"round_robin", true, true, 1392, 332, 463, 12, 0},
+    {"round_robin", true, false, 8, 0, 0, 12, 0},
+    {"strict_priority", false, true, 8, 0, 0, 9, 0},
+    {"strict_priority", false, false, 630, 289, 209, 7, 0},
+    {"strict_priority", true, true, 945, 391, 314, 9, 0},
+    {"strict_priority", true, false, 8, 0, 0, 7, 0},
+};
+
 TEST(EnumerateDifferential, EveryExampleModelAgreesWithZ3) {
   std::uint64_t saturated = 0;
+  std::size_t cell = 0;
   for (const ModelConfig& m : goldenScopes()) {
     core::ProgramSpec spec;
     spec.source = readModel(m.name);
@@ -719,6 +895,16 @@ TEST(EnumerateDifferential, EveryExampleModelAgreesWithZ3) {
             << out.reason;
         // check SAT iff the property can hold; verify SAT iff it can fail.
         EXPECT_EQ(out.status == Status::Sat, holds != forVerify);
+        ASSERT_LT(cell, std::size(kPinned));
+        const PinnedCounters& pin = kPinned[cell++];
+        EXPECT_STREQ(pin.model, m.name);
+        EXPECT_EQ(pin.forVerify, forVerify);
+        EXPECT_EQ(pin.holds, holds);
+        EXPECT_EQ(out.stats.visited, pin.visited);
+        EXPECT_EQ(out.stats.memoHits, pin.memoHits);
+        EXPECT_EQ(out.stats.deadEntries, pin.deadEntries);
+        EXPECT_EQ(out.stats.liveWidth, pin.liveWidth);
+        EXPECT_EQ(out.stats.saturated, pin.saturated);
         backends::Z3Backend z3;
         EXPECT_EQ(out.status == Status::Sat ? SolveStatus::Sat
                                             : SolveStatus::Unsat,
@@ -733,6 +919,7 @@ TEST(EnumerateDifferential, EveryExampleModelAgreesWithZ3) {
     }
   }
   EXPECT_GT(saturated, 0u);  // the havoc models' one-sided variables
+  EXPECT_EQ(cell, std::size(kPinned));
 }
 
 }  // namespace

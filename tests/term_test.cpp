@@ -196,6 +196,62 @@ TEST_F(TermTest, DeepChainIsStackSafe) {
   EXPECT_EQ(evalTerm(acc, {{"x", 1}, {"y", 1}}), 100001);
 }
 
+TEST_F(TermTest, EarlierTermsKeepAddressAndFieldsAsTheArenaGrows) {
+  // Terms live in blocks that never move: a TermRef taken early still
+  // reads the same node after the arena has grown past 100,000 terms.
+  const std::string longName = "a_variable_name_past_the_small_string_size";
+  const TermRef x = arena.var("x", Sort::Int);
+  const TermRef y = arena.var(longName, Sort::Int);
+  const TermRef c = arena.intConst(-42);
+  const TermRef pick = arena.ite(arena.lt(x, y), x, c);
+  struct Seen {
+    TermRef ref;
+    TermKind kind;
+    std::uint32_t id;
+    std::int64_t value;
+    std::string name;
+    std::vector<TermRef> args;
+  };
+  std::vector<Seen> seen;
+  for (const TermRef t : {x, y, c, pick, pick->args[0]}) {
+    seen.push_back(Seen{t, t->kind, t->id, t->value, t->name,
+                        std::vector<TermRef>(t->args.begin(), t->args.end())});
+  }
+  TermRef acc = pick;
+  for (int i = 0; i < 100000; ++i) acc = arena.add(acc, arena.intConst(i));
+  ASSERT_GT(arena.size(), 100000u);
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.ref->kind, s.kind);
+    EXPECT_EQ(s.ref->id, s.id);
+    EXPECT_EQ(s.ref->value, s.value);
+    EXPECT_EQ(s.ref->name, s.name);
+    EXPECT_EQ(std::vector<TermRef>(s.ref->args.begin(), s.ref->args.end()),
+              s.args);
+  }
+  // Interning still finds them, and ids stay creation indices.
+  EXPECT_EQ(arena.var("x", Sort::Int), x);
+  EXPECT_EQ(arena.ite(arena.lt(x, y), x, c), pick);
+  EXPECT_EQ(acc->id, arena.size() - 1);
+  ASSERT_EQ(pick->args.size(), 3u);
+  EXPECT_EQ(pick->args[1], x);
+  EXPECT_EQ(pick->args[2], c);
+  EXPECT_EQ(evalTerm(pick, {{"x", 1}, {longName, 2}}), 1);
+}
+
+TEST_F(TermTest, EvalTermsRejectsTermsFromTwoArenas) {
+  // The memo is indexed by term id, so a DAG reading a second arena's term
+  // must fail loudly rather than read a colliding entry.
+  TermArena other;
+  const TermRef x = arena.var("x", Sort::Int);
+  const TermRef y = other.var("y", Sort::Int);  // the same id as x
+  ASSERT_EQ(x->id, y->id);
+  const TermRef mixed = arena.add(x, y);
+  EXPECT_THROW((void)evalTerm(mixed, {{"x", 1}, {"y", 2}}), Error);
+  const std::vector<TermRef> roots = {arena.add(x, arena.intConst(1)),
+                                      other.add(y, other.intConst(1))};
+  EXPECT_THROW((void)evalTerms(roots, {{"x", 1}, {"y", 2}}), Error);
+}
+
 // Property-style sweep: folding agrees with direct evaluation for a grid
 // of operand values.
 class FoldProperty : public ::testing::TestWithParam<std::pair<int, int>> {};

@@ -740,6 +740,9 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       std::snprintf(secs, sizeof secs, "%.6f", a.seconds);
       json += ",\"seconds\":";
       json += secs;
+      std::snprintf(secs, sizeof secs, "%.6f", a.setupSeconds);
+      json += ",\"setupSeconds\":";
+      json += secs;
       json += ",\"rlimitUsed\":" + std::to_string(a.rlimitUsed);
       json += ",\"visited\":" + std::to_string(a.visited);
       json += ",\"memoHits\":" + std::to_string(a.memoHits);
