@@ -53,12 +53,15 @@ ChcResult proveSafety(const core::TransitionSystem& system,
   if (property->sort != ir::Sort::Bool) {
     throw BackendError("chc: property must be boolean");
   }
-  if (interrupt && interrupt->interrupted()) {
+  const auto interruptedResult = [](double seconds) {
     ChcResult result;
     result.status = ChcStatus::Unknown;
+    result.seconds = seconds;
     result.detail = "interrupted";
     return result;
-  }
+  };
+  if (interrupt && interrupt->interrupted()) return interruptedResult(0.0);
+  auto start = std::chrono::steady_clock::now();
   try {
     z3::context ctx;
     const ChcInterruptHandle::Registration registration(interrupt, &ctx);
@@ -142,7 +145,7 @@ ChcResult proveSafety(const core::TransitionSystem& system,
     }
 
     ChcResult result;
-    const auto start = std::chrono::steady_clock::now();
+    start = std::chrono::steady_clock::now();
     z3::expr query = bad();
     const z3::check_result status = fp.query(query);
     result.seconds =
@@ -164,6 +167,14 @@ ChcResult proveSafety(const core::TransitionSystem& system,
     }
     return result;
   } catch (const z3::exception& e) {
+    // Spacer may raise ("canceled") instead of answering unknown when its
+    // context is interrupted mid-query.
+    if (interrupt && interrupt->interrupted()) {
+      return interruptedResult(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count());
+    }
     throw BackendError(std::string("z3 (spacer): ") + e.msg());
   }
 }

@@ -44,7 +44,9 @@ struct ChcResult {
 /// Proves that `property` (a boolean term over the system's *pre-state*
 /// variables) holds in every reachable state, and that every in-program
 /// assert holds at every step. When `interrupt` is non-null the query
-/// registers with it so it can be cancelled from another thread.
+/// registers with it so it can be cancelled from another thread; an
+/// interrupted query returns Unknown/"interrupted", whether Spacer answers
+/// unknown or raises. Any other Spacer failure throws BackendError.
 ChcResult proveSafety(const core::TransitionSystem& system,
                       ir::TermRef property,
                       std::optional<unsigned> timeoutMs = 60000,
@@ -54,8 +56,8 @@ ChcResult proveSafety(const core::TransitionSystem& system,
 /// Analysis::interrupt's discipline: interrupt() is callable from ANY
 /// thread, cancels the in-flight query (if one is registered), and
 /// permanently cancels the handle — queries started after it return
-/// Unknown/"interrupted" without touching the solver. Portfolio racing
-/// uses this to stop the CHC member when a sibling wins.
+/// Unknown/"interrupted" without touching the solver. `buffy prove`
+/// fires it from its shutdown token on SIGINT/SIGTERM.
 class ChcInterruptHandle {
  public:
   void interrupt();

@@ -3,9 +3,8 @@
 // Every way Buffy can discharge (or render) an analysis problem — the
 // native Z3 engine, the SMT-LIB2 emit+reparse path, the Dafny text
 // emitter, and the concrete interpreter — registers a SolverBackend with
-// capability flags. Callers (the CLI's --backend flag, a future portfolio
-// mode) look backends up by name and validate capabilities instead of
-// hardcoding call sites.
+// capability flags. Callers (the CLI's --backend flag) look backends up by
+// name and validate capabilities instead of hardcoding call sites.
 #pragma once
 
 #include <memory>

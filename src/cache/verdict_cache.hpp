@@ -1,7 +1,6 @@
 // Content-addressed verdict cache (DESIGN.md §14): a two-tier
 // (in-memory LRU + optional on-disk directory) key -> bytes store, shared
-// by Analysis, sweeps, portfolio races, the synthesizer, and
-// `buffy --worker` subprocesses. The values are core's verdict records
+// by Analysis, sweeps, the synthesizer, and `buffy --worker` subprocesses. The values are core's verdict records
 // (core::encodeVerdict, the bytes a worker sends back over its pipe); this
 // layer never looks inside them.
 //

@@ -301,7 +301,6 @@ struct Analysis::Impl {
     budget.timeoutMs = options.timeoutMs;
     budget.rlimit = options.rlimit;
     budget.maxMemoryMb = options.maxMemoryMb;
-    budget.randomSeed = options.randomSeed;
     return budget;
   }
 
@@ -820,14 +819,6 @@ AnalysisResult Analysis::check(const Query& query) {
 
 AnalysisResult Analysis::verify(const Query& query) {
   return impl_->solveQuery(query, true);
-}
-
-std::optional<AnalysisResult> Analysis::probeCache(const Query& query,
-                                                   bool forVerify) {
-  if (!impl_->options.cache) return std::nullopt;
-  Encoding& enc = impl_->ensureEncoding();
-  const Impl::Keyed keyed = impl_->keyedProblem(query, forVerify, enc, true);
-  return impl_->tryCacheHit(keyed.key, enc, forVerify);
 }
 
 ConcreteArrivals Analysis::arrivalsFromTrace(const Trace& trace) const {

@@ -72,11 +72,6 @@ struct AnalysisOptions {
   std::optional<unsigned> rlimit;
   /// Solver memory cap in megabytes; nullopt disables it.
   std::optional<unsigned> maxMemoryMb;
-  /// Pins the solver's random seed for every query (nullopt leaves Z3's
-  /// default). Portfolio racing uses this to derive seed-variant members
-  /// from one option set; the retry ladder's reseed rung still overrides
-  /// it on its own attempt.
-  std::optional<unsigned> randomSeed;
   /// Unknown-verdict retry/escalation ladder (DESIGN.md §8).
   RetryPolicy retry;
   /// Cross-check every witness/counterexample trace by replaying its
@@ -113,8 +108,8 @@ struct AnalysisOptions {
   /// pre-optimizer constraint set and consults the cache before running
   /// the solver; conclusive, non-canceled verdicts are stored back.
   /// Shared (it is thread-safe) across every engine of a run — sweep
-  /// points, race members, synth workers — and, via its disk tier, across
-  /// processes. Null disables caching entirely.
+  /// points, synth workers — and, via its disk tier, across processes.
+  /// Null disables caching entirely.
   std::shared_ptr<cache::VerdictCache> cache;
   /// Re-validate cached Sat/Violated hits by replaying their witness trace
   /// through the concrete interpreter before trusting them (--cache-verify).
@@ -271,14 +266,6 @@ class Analysis {
   AnalysisResult check(const Query& query);
   /// Verification: do assumptions imply query ∧ all in-program asserts?
   AnalysisResult verify(const Query& query);
-
-  /// Cache-only probe: derives the query's cache key (building the
-  /// encoding if needed) and returns the cached result on a hit, nullopt on
-  /// a miss — without ever running the solver.
-  /// The portfolio uses this to short-circuit a whole race. Nullopt when
-  /// no cache is configured.
-  std::optional<AnalysisResult> probeCache(const Query& query,
-                                           bool forVerify);
 
   /// Cooperative cancellation, callable from ANY thread (the engine's only
   /// thread-safe entry point). Cancels the in-flight solver query and

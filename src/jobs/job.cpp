@@ -13,8 +13,6 @@ std::function<void()> JobContext::onInterrupt(std::function<void()> hook) {
   return hook;
 }
 
-bool JobContext::canceled() const { return pool_.canceled(); }
-
 void JobPool::run(const RunSpec& spec) {
   if (spec.jobs == 0 || !spec.body) return;
   const std::size_t workers =
@@ -64,7 +62,6 @@ void JobPool::workerLoop(const RunSpec& spec, std::size_t w) {
     // or this load observes the new cutoff and skips — so a job at or
     // below the cutoff can never be wrongly canceled.
     slot.current.store(idx);
-    if (canceledAll_.load()) break;
     // A job past an already-decided winner cannot matter.
     if (idx > cutoff_.load()) continue;
     spec.body(ctx, idx);
@@ -83,15 +80,6 @@ void JobPool::cutAt(std::size_t cut) {
   for (const auto& slot : slots_) {
     const std::size_t inFlight = slot->current.load();
     if (inFlight == kNone || inFlight <= cut) continue;
-    interruptSlot(*slot);
-  }
-}
-
-void JobPool::cancelAll() {
-  canceledAll_.store(true);
-  const std::lock_guard<std::mutex> lock(slotsMu_);
-  for (const auto& slot : slots_) {
-    if (slot->current.load() == kNone) continue;
     interruptSlot(*slot);
   }
 }

@@ -1,21 +1,17 @@
 // The reusable job layer (DESIGN.md §12): the firstOnly cancellation
 // machinery that grew inside the synthesizer, lifted out so every consumer
-// that fans work across threads — candidate enumeration, portfolio racing,
-// horizon sharding — shares one implementation of the hard part:
-// cooperative interrupt with deterministic result selection.
+// that fans work across threads — candidate enumeration and horizon
+// sharding — shares one implementation of the hard part: cooperative
+// interrupt with deterministic result selection.
 //
 // A JobPool runs an index space [0, jobs) over a fixed set of workers.
 // Results are keyed by job index, never by completion order, so a
-// consumer's report is identical under any thread count. Two cancellation
-// primitives exist:
-//
-//  * cutAt(c) — monotone cutoff: job c "won", every job with a HIGHER
-//    index can no longer matter. In-flight higher jobs are interrupted
-//    through their worker's published hook; unclaimed higher jobs are
-//    skipped. Jobs at or below the cutoff always run to completion (the
-//    publish-claim-before-checking-cutoff ordering below).
-//  * cancelAll() — a race winner needs no survivors: every in-flight job
-//    is interrupted and nothing new starts.
+// consumer's report is identical under any thread count. The one
+// cancellation primitive is cutAt(c), a monotone cutoff: job c "won", and
+// every job with a HIGHER index can no longer matter. In-flight higher jobs
+// are interrupted through their worker's published hook; unclaimed higher
+// jobs are skipped. Jobs at or below the cutoff always run to completion
+// (the publish-claim-before-checking-cutoff ordering below).
 //
 // Per-job solver budgets stay the consumer's business: a job body builds
 // its engine with whatever SolveBudget it wants and publishes an interrupt
@@ -35,9 +31,8 @@ namespace buffy::jobs {
 class JobPool;
 
 /// One worker's handle into the pool: where the interrupt hook is
-/// published and the cancellation state is polled. Passed to the worker
-/// setup and to every job body the worker runs; valid only inside
-/// JobPool::run.
+/// published. Passed to the worker setup and to every job body the worker
+/// runs; valid only inside JobPool::run.
 class JobContext {
  public:
   /// This worker's index in [0, workers).
@@ -45,17 +40,13 @@ class JobContext {
 
   /// Publishes `hook` as this worker's interrupt hook, replacing (and
   /// returning) the previous one; pass nullptr to retract. The pool fires
-  /// the hook from cutAt/cancelAll — on the canceller's thread — whenever
-  /// this worker's in-flight job must stop. The hook must therefore be
+  /// the hook from cutAt — on the canceller's thread — whenever this
+  /// worker's in-flight job must stop. The hook must therefore be
   /// callable from any thread (Analysis::interrupt is). The exchange is
   /// mutex-ordered against an in-flight interrupt: after onInterrupt
   /// returns, the displaced hook will never be fired again, so whatever it
   /// pointed at may be destroyed.
   std::function<void()> onInterrupt(std::function<void()> hook);
-
-  /// True once cancelAll() has been called (cutAt does not set this; a job
-  /// at or below the cutoff keeps running).
-  [[nodiscard]] bool canceled() const;
 
  private:
   friend class JobPool;
@@ -101,7 +92,7 @@ class JobPool {
     /// a throw retires it too.
     std::function<bool(JobContext&)> setup;
     /// The job body. Claims arrive in fetch-add order; a body is only
-    /// invoked for claims that survived the cutoff/cancel checks.
+    /// invoked for claims that survived the cutoff check.
     std::function<void(JobContext&, std::size_t index)> body;
   };
 
@@ -109,8 +100,8 @@ class JobPool {
   JobPool(const JobPool&) = delete;
   JobPool& operator=(const JobPool&) = delete;
 
-  /// Runs the index space to completion (or cancellation) and joins every
-  /// worker. May be called once per pool instance.
+  /// Runs the index space to completion (or to the cutoff) and joins
+  /// every worker. May be called once per pool instance.
   void run(const RunSpec& spec);
 
   /// Deterministic winner cutoff: monotonically lowers the cutoff to
@@ -119,18 +110,11 @@ class JobPool {
   /// Callable from job bodies and from outside threads.
   void cutAt(std::size_t cut);
 
-  /// Interrupts every in-flight job and prevents any new claim from
-  /// running. Callable from job bodies and from outside threads.
-  void cancelAll();
-
   /// The current cutoff (kNone until the first cutAt).
   [[nodiscard]] std::size_t cutoff() const { return cutoff_.load(); }
 
-  /// True once cancelAll() has been called.
-  [[nodiscard]] bool canceled() const { return canceledAll_.load(); }
-
-  /// Jobs whose body ran to completion (claims skipped by the cutoff or
-  /// cancelAll are not counted).
+  /// Jobs whose body ran to completion (claims skipped by the cutoff are
+  /// not counted).
   [[nodiscard]] std::size_t completed() const { return completed_.load(); }
 
  private:
@@ -159,7 +143,7 @@ class JobPool {
   void interruptSlot(WorkerSlot& slot);
 
   /// Guards the slot vector's STRUCTURE (build in run() vs iteration in
-  /// cutAt/cancelAll, which are callable from outside threads even while
+  /// cutAt, which is callable from outside threads even while
   /// run() is still starting up). Individual slots have their own mutex;
   /// workers address their slot lock-free — the vector never changes
   /// after run() releases this mutex, and worker threads are created
@@ -168,7 +152,6 @@ class JobPool {
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
   std::atomic<std::size_t> next_{0};
   std::atomic<std::size_t> cutoff_{kNone};
-  std::atomic<bool> canceledAll_{false};
   std::atomic<std::size_t> completed_{0};
 };
 

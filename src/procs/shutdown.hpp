@@ -1,9 +1,9 @@
 // Cooperative process-wide shutdown (satellite of DESIGN.md §13): a
 // SIGINT/SIGTERM watcher that flips a flag and fires registered
-// cancellation callbacks, so long-running races/sweeps stop their solver
-// engines, the CLI emits a partial report with "status": "interrupted",
-// and the process exits 130 — instead of dying mid-write with orphaned
-// state.
+// cancellation callbacks, so long-running solves, sweeps and proofs stop
+// their solver engines, the CLI emits a partial report with "status":
+// "interrupted", and the process exits 130 — instead of dying mid-write
+// with orphaned state.
 //
 // Design notes:
 //  * all state is leaked on purpose (function-local `new` singletons) so
@@ -15,7 +15,8 @@
 //    them. The first signal requests shutdown; a second one _exit()s
 //    immediately (the escape hatch when cancellation itself wedges);
 //  * callbacks run on the watcher thread — they must be thread-safe and
-//    fast (Analysis::interrupt and Job::cancel both qualify).
+//    fast (Analysis::interrupt, UnboundedAnalysis::interrupt and
+//    Job::cancel all qualify).
 #pragma once
 
 #include <cstdint>

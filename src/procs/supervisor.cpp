@@ -278,7 +278,6 @@ WireResult Supervisor::Job::run(WireJob job, const Fallback& fallback) {
       case ReadStatus::Timeout:
         // Hung worker: deadline kill.
         sup.discard(std::move(worker), true);
-        sup.count(&ProcsStats::timeouts);
         sup.count(&ProcsStats::kills);
         count(&JobStats::kills);
         failure = "deadline kill";
@@ -359,8 +358,8 @@ std::vector<core::AnalysisResult> solveIsolated(Supervisor& supervisor,
                         std::to_string(queries) + " queries");
   }
   if (cache) {
-    // Feed the caller's memory tier, so sibling members and later points
-    // hit without a disk round-trip.
+    // Feed the caller's memory tier, so later points hit without a disk
+    // round-trip.
     for (const auto& result : reply.verdicts) {
       core::storeVerdict(*cache, result);
     }

@@ -54,13 +54,12 @@ struct ProcsStats {
   std::uint64_t restarts = 0;        // worker died (Eof) -> respawned
   std::uint64_t retries = 0;         // job attempts after the first
   std::uint64_t kills = 0;           // deadline/garble kills
-  std::uint64_t timeouts = 0;        // deadline expiries
   std::uint64_t protocolErrors = 0;  // garbled/torn/malformed frames
   std::uint64_t degradedJobs = 0;    // jobs answered by the fallback
   bool degraded = false;             // supervisor gave up on spawning
 };
 
-/// Per-job supervision counters (portfolio member / sweep point reports).
+/// Per-job supervision counters (sweep point reports).
 struct JobStats {
   unsigned retries = 0;
   unsigned restarts = 0;
@@ -159,8 +158,8 @@ class Supervisor {
   std::thread spawner_;
 };
 
-/// The isolated solve shared by `--race` members and `--sweep` horizons
-/// (DESIGN.md §12, §13). Runs `job` through `supervisor` while `ctx` and
+/// The isolated solve behind `--sweep --isolate` horizons (DESIGN.md §12,
+/// §13). Runs `job` through `supervisor` while `ctx` and
 /// the shutdown watcher can cancel it; the in-process fallback (serveJob)
 /// runs only when no worker can be spawned. `job.options.cache` is the
 /// caller's cache: its settings travel with the job, and the worker's

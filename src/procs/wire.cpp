@@ -208,7 +208,6 @@ void encodeOptions(const core::AnalysisOptions& options, WireMap& map) {
   setMaybeUint(map, "timeoutMs", options.timeoutMs);
   setMaybeUint(map, "rlimit", options.rlimit);
   setMaybeUint(map, "maxMemoryMb", options.maxMemoryMb);
-  setMaybeUint(map, "randomSeed", options.randomSeed);
   map.setBool("retry.enabled", options.retry.enabled);
   map.setBool("replayWitness", options.replayWitness);
   if (options.faultPlan) {
@@ -232,7 +231,6 @@ core::AnalysisOptions decodeOptions(const WireMap& map) {
   options.timeoutMs = getMaybeUint(map, "timeoutMs");
   options.rlimit = getMaybeUint(map, "rlimit");
   options.maxMemoryMb = getMaybeUint(map, "maxMemoryMb");
-  options.randomSeed = getMaybeUint(map, "randomSeed");
   options.retry.enabled = map.getBool("retry.enabled");
   options.replayWitness = map.getBool("replayWitness");
   if (map.has("faultPlan")) {
@@ -273,7 +271,6 @@ std::string encodeJob(const WireJob& job) {
     map.setUint("cache.maxDiskBytes", job.cache->maxDiskBytes);
   }
   map.setBool("verify", job.verify);
-  map.setBool("viaSmtLib", job.viaSmtLib);
   setStringList(map, "query", job.queries);
   setStringList(map, "workload", job.workloadSpecs);
   map.set("faultScope", job.faultScope);
@@ -303,7 +300,6 @@ WireJob decodeJob(const WireMap& map) {
     job.cache = std::move(settings);
   }
   job.verify = map.getBool("verify");
-  job.viaSmtLib = map.getBool("viaSmtLib");
   job.queries = getStringList(map, "query");
   job.workloadSpecs = getStringList(map, "workload");
   job.faultScope = map.get("faultScope");

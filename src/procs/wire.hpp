@@ -42,9 +42,6 @@ struct WireJob {
   core::AnalysisOptions options;
   std::optional<cache::VerdictCacheOptions> cache;
   bool verify = false;
-  /// Solve through SMT-LIB emission + reparse instead of the native
-  /// engine (the portfolio's "smtlib" member).
-  bool viaSmtLib = false;
   /// Query texts, answered in order through one shared engine.
   std::vector<std::string> queries;
   /// CLI-format workload specs ("B:lo:hi" / "B@t:lo:hi"), re-parsed by the

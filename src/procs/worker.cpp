@@ -54,10 +54,8 @@ WireResult serveJob(const WireJob& job) {
     }
     for (const auto& text : job.queries) {
       const core::Query query = core::Query::expr(text);
-      result.verdicts.push_back(
-          job.viaSmtLib ? engine.solveViaSmtLib(query, job.verify)
-          : job.verify  ? engine.verify(query)
-                        : engine.check(query));
+      result.verdicts.push_back(job.verify ? engine.verify(query)
+                                           : engine.check(query));
     }
   } catch (const std::exception& e) {
     // A clean in-worker failure: the job was *answered*, with a failure —

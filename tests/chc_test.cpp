@@ -1,6 +1,9 @@
 // Tests of the CHC/Spacer backend: unbounded-horizon safety proofs.
 #include "backends/chc/chc_backend.hpp"
 
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
@@ -140,6 +143,27 @@ TEST(Chc, StateNamesExposed) {
   UnboundedAnalysis analysis(rrNet());
   const auto names = analysis.stateNames();
   EXPECT_EQ(names.size(), 12u);
+}
+
+TEST(Chc, InterruptStopsARunningProof) {
+  // Spacer takes about 11 s to refute this on the list-model fq_buggy. An
+  // interrupt from another thread must end the proof early with
+  // Unknown/"interrupted" — Spacer raises "canceled" — and never throw.
+  core::TransitionOptions opts;
+  opts.model = buffers::ModelKind::List;
+  UnboundedAnalysis analysis(schedulerNet(models::kFairQueueBuggy, "fq", 2),
+                             opts);
+  std::thread interrupter([&analysis] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    analysis.interrupt();
+  });
+  ChcResult result;
+  EXPECT_NO_THROW(
+      result = analysis.prove("fq.cdeq.0[0] <= fq.cdeq.1[0] + 10", 20000));
+  interrupter.join();
+  EXPECT_EQ(result.status, ChcStatus::Unknown);
+  EXPECT_EQ(result.detail, "interrupted");
+  EXPECT_LT(result.seconds, 5.0);
 }
 
 TEST(Chc, StatusNames) {

@@ -1,20 +1,17 @@
-// Job-layer tests (DESIGN.md §12): JobPool claim/cutoff/cancel semantics
-// and RaceGroup winner selection. These are pure threading tests — no
-// solver — so they are cheap enough to hammer under TSan (the `jobs`
-// ctest label feeds the thread-sanitizer CI job).
+// Job-layer tests (DESIGN.md §12): JobPool claim and cutoff semantics.
+// These are pure threading tests — no solver — so they are cheap enough to
+// hammer under TSan (the `jobs` ctest label feeds the thread-sanitizer CI
+// job).
 #include "jobs/job.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "jobs/race.hpp"
 
 namespace buffy::jobs {
 namespace {
@@ -30,7 +27,6 @@ TEST(JobPool, RunsEveryJobOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(pool.completed(), hits.size());
   EXPECT_EQ(pool.cutoff(), JobPool::kNone);
-  EXPECT_FALSE(pool.canceled());
 }
 
 TEST(JobPool, SingleWorkerRunsInlineInClaimOrder) {
@@ -66,7 +62,6 @@ TEST(JobPool, CutoffSkipsHigherUnclaimedJobs) {
   EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(pool.completed(), 3u);
   EXPECT_EQ(pool.cutoff(), 2u);
-  EXPECT_FALSE(pool.canceled());
 }
 
 TEST(JobPool, CutoffResolvesToLowestIndex) {
@@ -128,31 +123,6 @@ TEST(JobPool, CutInterruptsInFlightJobAboveCutoff) {
   EXPECT_TRUE(interrupted.load());
 }
 
-TEST(JobPool, CancelAllStopsNewClaimsAndInterruptsInFlight) {
-  std::atomic<bool> interrupted{false};
-  std::atomic<std::size_t> ran{0};
-  JobPool pool;
-  JobPool::RunSpec spec;
-  spec.jobs = 64;
-  spec.workers = 2;
-  spec.body = [&](JobContext& ctx, std::size_t idx) {
-    ran.fetch_add(1);
-    if (idx == 0) {
-      const ScopedInterrupt guard(ctx, [&] { interrupted.store(true); });
-      while (!interrupted.load() && !ctx.canceled()) {
-        std::this_thread::yield();
-      }
-    } else {
-      pool.cancelAll();
-    }
-  };
-  pool.run(spec);
-  EXPECT_TRUE(pool.canceled());
-  // Job 0 (in flight) was interrupted or saw the cancel flag; almost all
-  // of the remaining 62 claims were skipped before their body ran.
-  EXPECT_LT(ran.load(), 64u);
-}
-
 TEST(JobPool, SetupFailureRetiresWorkerAndDrainsQueue) {
   // Worker 1's setup fails; worker 0 must still run the whole index space.
   std::atomic<std::size_t> ran{0};
@@ -175,9 +145,9 @@ TEST(JobPool, SetupFailureRetiresWorkerAndDrainsQueue) {
 
 TEST(JobPool, HookExchangeIsSafeAgainstConcurrentCancel) {
   // Publish/retract hooks in a tight loop on every job while an outside
-  // thread spams cancelAll: no hook may fire after it was retracted (the
-  // flag it writes is stack-local to the job body). TSan validates the
-  // mutex ordering; the assert validates the exchange contract.
+  // thread cuts at 0: no hook may fire after it was retracted (the flag it
+  // writes is stack-local to the job body). TSan validates the mutex
+  // ordering; the assert validates the exchange contract.
   JobPool pool;
   JobPool::RunSpec spec;
   spec.jobs = 200;
@@ -192,128 +162,11 @@ TEST(JobPool, HookExchangeIsSafeAgainstConcurrentCancel) {
   };
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    pool.cancelAll();
+    pool.cutAt(0);
   });
   pool.run(spec);
   canceller.join();
-  EXPECT_TRUE(pool.canceled());
-}
-
-using StringRace = RaceGroup<std::string>;
-
-bool soundString(const std::string& s) { return s.rfind("sound", 0) == 0; }
-
-TEST(RaceGroup, FirstSoundAnswerWins) {
-  // Member 0 answers fast but unsound; member 1 is sound. The unsound
-  // answer must never win, whatever the schedule.
-  std::vector<StringRace::Member> members;
-  members.push_back({"fast-unknown", [](JobContext&) {
-                       return std::string("unknown");
-                     }});
-  members.push_back({"slow-sound", [](JobContext&) {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(5));
-                       return std::string("sound:B");
-                     }});
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    const auto outcome = StringRace::run(members, threads, soundString);
-    ASSERT_TRUE(outcome.result.has_value());
-    EXPECT_EQ(*outcome.result, "sound:B");
-    EXPECT_EQ(outcome.winner, 1u);
-    EXPECT_TRUE(outcome.members[1].won);
-    EXPECT_FALSE(outcome.members[0].won);
-  }
-}
-
-TEST(RaceGroup, WinnerInterruptsLosers) {
-  std::atomic<bool> loserInterrupted{false};
-  std::atomic<bool> hookPublished{false};
-  std::vector<StringRace::Member> members;
-  members.push_back({"hang", [&](JobContext& ctx) {
-                       const ScopedInterrupt guard(
-                           ctx, [&] { loserInterrupted.store(true); });
-                       hookPublished.store(true);
-                       while (!loserInterrupted.load()) {
-                         std::this_thread::yield();
-                       }
-                       return std::string("late");
-                     }});
-  members.push_back({"win", [&](JobContext&) {
-                       // Only win once the loser is interruptible, so the
-                       // cancel provably lands on the published hook.
-                       while (!hookPublished.load()) {
-                         std::this_thread::yield();
-                       }
-                       return std::string("sound:win");
-                     }});
-  const auto outcome = StringRace::run(members, 2, soundString);
-  ASSERT_TRUE(outcome.result.has_value());
-  EXPECT_EQ(*outcome.result, "sound:win");
-  EXPECT_TRUE(loserInterrupted.load());
-  // The loser still ran to completion after the interrupt; its (unsound)
-  // result is logged but did not win.
-  EXPECT_TRUE(outcome.members[0].finished);
-  EXPECT_FALSE(outcome.members[0].won);
-}
-
-TEST(RaceGroup, AllUnsoundFallsBackToLowestIndexDeterministically) {
-  std::vector<StringRace::Member> members;
-  members.push_back({"a", [](JobContext&) {
-                       std::this_thread::sleep_for(
-                           std::chrono::milliseconds(3));
-                       return std::string("unknown:a");
-                     }});
-  members.push_back({"b", [](JobContext&) { return std::string("unknown:b"); }});
-  for (int repeat = 0; repeat < 5; ++repeat) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      const auto outcome = StringRace::run(members, threads, soundString);
-      ASSERT_TRUE(outcome.result.has_value());
-      // Member b always finishes first chronologically, but the fallback
-      // is by index, not by completion order.
-      EXPECT_EQ(*outcome.result, "unknown:a");
-      EXPECT_EQ(outcome.winner, JobPool::kNone);
-    }
-  }
-}
-
-TEST(RaceGroup, ThrowingMemberIsLoggedNotFatal) {
-  std::vector<StringRace::Member> members;
-  members.push_back({"boom", [](JobContext&) -> std::string {
-                       throw std::runtime_error("solver crashed");
-                     }});
-  members.push_back({"ok", [](JobContext&) { return std::string("sound:ok"); }});
-  const auto outcome = StringRace::run(members, 2, soundString);
-  ASSERT_TRUE(outcome.result.has_value());
-  EXPECT_EQ(*outcome.result, "sound:ok");
-  EXPECT_EQ(outcome.members[0].error, "solver crashed");
-  EXPECT_FALSE(outcome.members[0].finished);
-}
-
-TEST(RaceGroup, DeterministicAcrossThreadCountsAndSchedules) {
-  // One sound member among unsound siblings with randomized-ish delays:
-  // whatever the schedule or thread count, the selected result is the
-  // sound one. This is the schedule-invariance contract the portfolio
-  // relies on.
-  for (int repeat = 0; repeat < 10; ++repeat) {
-    std::vector<StringRace::Member> members;
-    for (int m = 0; m < 4; ++m) {
-      const bool sound = m == 2;
-      members.push_back(
-          {"m" + std::to_string(m), [m, sound, repeat](JobContext&) {
-             std::this_thread::sleep_for(
-                 std::chrono::microseconds(((m * 7 + repeat * 13) % 5) * 100));
-             return sound ? std::string("sound:m2")
-                          : std::string("unknown:m" + std::to_string(m));
-           }});
-    }
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
-      const auto outcome = StringRace::run(members, threads, soundString);
-      ASSERT_TRUE(outcome.result.has_value());
-      EXPECT_EQ(*outcome.result, "sound:m2")
-          << "threads=" << threads << " repeat=" << repeat;
-    }
-  }
+  EXPECT_EQ(pool.cutoff(), 0u);
 }
 
 }  // namespace

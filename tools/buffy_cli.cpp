@@ -34,19 +34,15 @@
 //                         z3 (default for check/verify), smtlib,
 //                         interp (default for simulate), dafny (emit-only)
 //   --stage-timings       report per-stage pipeline wall time/node counts
-//   --race                check/verify: race a solver portfolio (retry
-//                         ladder, seed variants, smtlib one-shot, CHC) —
-//                         first sound verdict wins, losers are interrupted
 //   --sweep LO:HI         check/verify: answer every --query at every
 //                         horizon in [LO, HI] (repeat --query to batch)
 //   --shards N            worker shards for --sweep (default 1, max 1024);
 //                         each shard reuses one engine per horizon
-//   --threads N           worker threads for --race (0 = one per member)
-//                         and synth (default 1); max 1024
+//   --threads N           synth: worker threads (default 1, max 1024)
 //   --jobs N              print/lint: compile the given model files over N
 //                         worker threads (default 1, max 1024);
 //                         diagnostics stay in input order
-//   --isolate             race/sweep: run each member/horizon job in a
+//   --isolate             --sweep: run each horizon's job in a
 //                         crash-isolated `buffy --worker` subprocess with
 //                         supervision — hung workers are killed at a
 //                         deadline, crashed ones restarted and the job
@@ -98,8 +94,9 @@
 //      (timeout / rlimit / memory budget exhausted)
 //   4  internal error (solver crash, unexpected exception)
 //   5  compile budget exceeded (unroll/inline bomb, term explosion, ...)
-//   130  interrupted (SIGINT/SIGTERM): in-flight solves were cancelled and
-//        a partial report with "status": "interrupted" was emitted
+//   130  interrupted (SIGINT/SIGTERM): in-flight solves and proofs were
+//        cancelled and a partial report with "status": "interrupted" (or,
+//        for prove, UNKNOWN and "interrupted") was emitted
 //
 // Hidden modes/seams:
 //   buffy --worker        serve serialized analysis jobs on stdin/stdout
@@ -130,7 +127,6 @@
 #include "backends/dafny/dafny_emitter.hpp"
 #include "backends/registry.hpp"
 #include "core/analysis.hpp"
-#include "core/portfolio.hpp"
 #include "core/sweep.hpp"
 #include "core/workload.hpp"
 #include "lang/printer.hpp"
@@ -195,16 +191,14 @@ struct Options {
   /// Every --query in order (--sweep batches them; other commands take
   /// exactly one).
   std::vector<std::string> queries;
-  /// --race: portfolio racing for check/verify.
-  bool race = false;
   /// --sweep LO:HI horizon range.
   std::optional<std::pair<int, int>> sweep;
   /// --shards for the sweep's JobPool.
   std::size_t shards = 1;
-  /// --threads for --race (0 = one per member) and synth.
-  int threads = 0;
-  /// --isolate: run race members / sweep horizons in supervised
-  /// `buffy --worker` subprocesses (DESIGN.md §13).
+  /// --threads: synth's worker threads (1 when not given).
+  std::optional<int> threads;
+  /// --isolate: run sweep horizons in supervised `buffy --worker`
+  /// subprocesses (DESIGN.md §13).
   bool isolate = false;
   /// --retries: worker attempts after the first (--isolate only).
   unsigned retries = 2;
@@ -355,8 +349,6 @@ Options parseArgs(int argc, char** argv) {
       opts.arrivals[kv[0]] = std::move(counts);
     } else if (arg == "--query") {
       opts.queries.push_back(next());
-    } else if (arg == "--race") {
-      opts.race = true;
     } else if (arg == "--sweep") {
       const auto range = split(next(), ':');
       if (range.size() != 2) throw CliError("--sweep expects LO:HI");
@@ -365,9 +357,8 @@ Options parseArgs(int argc, char** argv) {
       opts.shards = static_cast<std::size_t>(
           parseCount("--shards", next(), 1, 1024));
     } else if (arg == "--threads") {
-      // 0 is documented auto (one thread per member for --race).
       opts.threads =
-          static_cast<int>(parseCount("--threads", next(), 0, 1024));
+          static_cast<int>(parseCount("--threads", next(), 1, 1024));
     } else if (arg == "--jobs") {
       opts.jobs =
           static_cast<std::size_t>(parseCount("--jobs", next(), 1, 1024));
@@ -469,20 +460,17 @@ Options parseArgs(int argc, char** argv) {
   if (opts.queries.size() > 1 && !opts.sweep) {
     throw CliError("multiple --query flags need --sweep");
   }
-  if (opts.race && opts.sweep) {
-    throw CliError("--race and --sweep are mutually exclusive");
-  }
-  if (opts.race && opts.command != "check" && opts.command != "verify") {
-    throw CliError("--race applies to check/verify only");
-  }
   if (opts.sweep && opts.command != "check" && opts.command != "verify") {
     throw CliError("--sweep applies to check/verify only");
   }
   if (opts.shards > 1 && !opts.sweep) {
     throw CliError("--shards needs --sweep");
   }
-  if (opts.isolate && !opts.race && !opts.sweep) {
-    throw CliError("--isolate needs --race or --sweep");
+  if (opts.threads && opts.command != "synth") {
+    throw CliError("--threads needs synth");
+  }
+  if (opts.isolate && !opts.sweep) {
+    throw CliError("--isolate needs --sweep");
   }
   if (opts.retriesSet && !opts.isolate) {
     throw CliError("--retries needs --isolate");
@@ -532,13 +520,12 @@ void printTrace(const Options& opts, const core::Trace& trace) {
 /// delay|corrupt-witness (param: reason text, or delay in ms) hit the nth
 /// solver check in scope. Worker kinds crash|hang|garble|partial are
 /// interpreted by the `buffy --worker` loop instead, keyed on the job's
-/// retry attempt ordinal: "race:ladder@0:crash" crashes the worker that
-/// takes the ladder member's first attempt; "sweep:h3@0:hang" hangs
-/// horizon 3's first attempt until the supervisor's deadline kill. Faults
-/// land in the empty scope — the one plain Analysis queries run in —
-/// unless a scope@ prefix targets a named scope (portfolio members run
-/// under "race:<member>", so "race:ladder@0:delay:50" delays the ladder's
-/// first solver call).
+/// retry attempt ordinal: "sweep:h3@0:crash" crashes the worker that takes
+/// horizon 3's first attempt; "sweep:h3@0:hang" hangs it until the
+/// supervisor's deadline kill. Faults land in the empty scope — the one
+/// plain Analysis queries run in — unless a scope@ prefix targets a named
+/// scope (sweep horizons run under "sweep:h<T>", so "sweep:h3@0:delay:50"
+/// delays horizon 3's first solver call).
 backends::FaultPlanPtr buildFaultPlan(const Options& opts) {
   if (opts.injectFaults.empty()) return nullptr;
   auto plan = std::make_shared<backends::FaultPlan>();
@@ -613,7 +600,7 @@ std::string jsonEscape(const std::string& s) {
 
 /// Renders the supervisor's cumulative accounting as one JSON object —
 /// the ops counters --isolate promises (spawns/reaps for the zero-orphan
-/// check, restarts, retries, kills, timeouts, degradations).
+/// check, restarts, retries, kills, protocol errors, degradations).
 std::string procsJson(const procs::ProcsStats& s) {
   std::string json = "{\"jobs\":" + std::to_string(s.jobs);
   json += ",\"workersSpawned\":" + std::to_string(s.workersSpawned);
@@ -621,7 +608,6 @@ std::string procsJson(const procs::ProcsStats& s) {
   json += ",\"restarts\":" + std::to_string(s.restarts);
   json += ",\"retries\":" + std::to_string(s.retries);
   json += ",\"kills\":" + std::to_string(s.kills);
-  json += ",\"timeouts\":" + std::to_string(s.timeouts);
   json += ",\"protocolErrors\":" + std::to_string(s.protocolErrors);
   json += ",\"degradedJobs\":" + std::to_string(s.degradedJobs);
   json += ",\"degraded\":";
@@ -630,8 +616,7 @@ std::string procsJson(const procs::ProcsStats& s) {
   return json;
 }
 
-/// A race member's or sweep point's crash-isolation keys; nothing on the
-/// in-process path.
+/// A sweep point's crash-isolation keys; nothing on the in-process path.
 std::string isolationJson(const std::optional<procs::JobStats>& s) {
   if (!s) return "";
   std::string json = ",\"isolated\":true";
@@ -694,15 +679,11 @@ void printCacheStats(const cache::CacheStats& s) {
 
 /// Renders a check/verify result and returns the process exit code. The
 /// json format carries the full resilience story (verdict, exit code,
-/// attempt log, trace) in one machine-readable object; with --race the
-/// "race" block logs every portfolio member and the winner, and with
-/// --isolate the "procs" block logs the supervision counters. A run cut
-/// short by SIGINT/SIGTERM reports "status":"interrupted" (the caller
-/// then exits 130 regardless of the verdict's own code).
+/// attempt log, trace) in one machine-readable object. A run cut short by
+/// SIGINT/SIGTERM reports "status":"interrupted" (the caller then exits
+/// 130 regardless of the verdict's own code).
 int reportResult(const Options& opts, const core::AnalysisResult& result,
-                 const core::PortfolioResult* race = nullptr,
-                 const procs::ProcsStats* stats = nullptr,
-                 const cache::VerdictCache* cache = nullptr) {
+                 const cache::VerdictCache* cache) {
   const int code = exitCodeFor(result.verdict);
   if (opts.format == "json") {
     std::string json = "{\"verdict\":\"";
@@ -756,43 +737,6 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       json += "}";
     }
     json += "]";
-    if (race != nullptr) {
-      json += ",\"race\":{\"winner\":\"" + jsonEscape(race->winner) + "\"";
-      std::snprintf(secs, sizeof secs, "%.6f", race->seconds);
-      json += ",\"seconds\":";
-      json += secs;
-      json += ",\"members\":[";
-      for (std::size_t i = 0; i < race->members.size(); ++i) {
-        const auto& m = race->members[i];
-        if (i > 0) json += ",";
-        json += "{\"name\":\"" + jsonEscape(m.name) + "\"";
-        if (!m.verdict.empty()) {
-          json += ",\"verdict\":\"" + jsonEscape(m.verdict) + "\"";
-        }
-        json += ",\"started\":";
-        json += m.started ? "true" : "false";
-        json += ",\"finished\":";
-        json += m.finished ? "true" : "false";
-        json += ",\"sound\":";
-        json += m.sound ? "true" : "false";
-        json += ",\"won\":";
-        json += m.won ? "true" : "false";
-        if (!m.error.empty()) {
-          json += ",\"error\":\"" + jsonEscape(m.error) + "\"";
-        }
-        std::snprintf(secs, sizeof secs, "%.6f", m.seconds);
-        json += ",\"seconds\":";
-        json += secs;
-        json += ",\"cached\":";
-        json += m.cached ? "true" : "false";
-        json += isolationJson(m.isolation);
-        json += "}";
-      }
-      json += "]}";
-    }
-    if (stats != nullptr) {
-      json += ",\"procs\":" + procsJson(*stats);
-    }
     if (cache != nullptr) {
       json += ",\"cache\":" + cacheJson(cache->stats());
     }
@@ -837,23 +781,6 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
               result.solveSeconds, result.cached ? " [cached]" : "");
   if (procs::shutdownRequested()) std::printf("  interrupted\n");
   if (!result.detail.empty()) std::printf("  %s\n", result.detail.c_str());
-  if (race != nullptr) {
-    std::printf("  race: winner=%s (%.3f s)\n",
-                race->winner.empty() ? "<fallback>" : race->winner.c_str(),
-                race->seconds);
-    for (const auto& m : race->members) {
-      std::printf("    %-12s %-14s%s%s%s%s%s\n", m.name.c_str(),
-                  m.verdict.empty()
-                      ? (m.started ? "interrupted" : "not-started")
-                      : m.verdict.c_str(),
-                  m.won ? " WON" : "", m.cached ? " [cached]" : "",
-                  m.isolation ? " [isolated]" : "",
-                  m.error.empty() ? "" : " error: ", m.error.c_str());
-    }
-  }
-  if (stats != nullptr && (opts.stageTimings || stats->jobs > 0)) {
-    printProcsStats(*stats);
-  }
   if (cache != nullptr) {
     const cache::CacheStats cs = cache->stats();
     if (opts.stageTimings || cs.hits > 0 || cs.validationFailures > 0) {
@@ -1072,21 +999,20 @@ backends::SolverBackend& backendFor(const Options& opts,
   return *backend;
 }
 
-/// --race and --sweep both run the z3 engine (a race adds its own smtlib
-/// and CHC members; a sweep shard answers every query at its horizon
+/// --sweep runs the z3 engine (a shard answers every query at its horizon
 /// through one engine), so any other --backend is a usage error rather
 /// than silently ignored. The reason is named so the exit-2 diagnostic is
 /// actionable.
-void requireZ3Engine(const Options& opts, const char* flag) {
+void requireZ3Engine(const Options& opts) {
   const backends::SolverBackend& backend = backendFor(opts, "z3");
   const std::string name = backend.name();
   if (!backend.capabilities().solve) {
-    throw CliError(std::string(flag) + ": backend '" + name +
+    throw CliError("--sweep: backend '" + name +
                    "' cannot solve queries (use z3)");
   }
   if (name != "z3") {
-    throw CliError(std::string(flag) + ": runs the z3 engine only, not '" +
-                   name + "' (use z3)");
+    throw CliError("--sweep: runs the z3 engine only, not '" + name +
+                   "' (use z3)");
   }
 }
 
@@ -1230,10 +1156,20 @@ int run(const Options& opts) {
       }
       return 0;
     }
-    const auto result =
-        unbounded.prove(opts.query, opts.timeoutMs);
+    // A shutdown signal interrupts Spacer; the proof reports UNKNOWN
+    // "interrupted" and the run exits 130.
+    backends::ChcResult result;
+    {
+      const procs::ShutdownToken stopToken(
+          [&unbounded] { unbounded.interrupt(); });
+      result = unbounded.prove(opts.query, opts.timeoutMs);
+    }
     std::printf("%s (%.3f s)\n", backends::chcStatusName(result.status),
                 result.seconds);
+    if (procs::shutdownRequested()) {
+      std::printf("  interrupted\n");
+      return kExitInterrupted;
+    }
     switch (result.status) {
       case backends::ChcStatus::Proved: return kExitOk;
       case backends::ChcStatus::Violated: return kExitViolation;
@@ -1257,10 +1193,10 @@ int run(const Options& opts) {
   aopts.budget = opts.budget;
   // Verdict cache (DESIGN.md §14): the in-memory tier is always on unless
   // --no-cache; --cache-dir adds the cross-run disk tier. One instance per
-  // run, shared by every path below (plain solve, sweep shards, race
-  // members, synth workers) — isolated workers rebuild an equivalent cache
-  // from the same options on their side of the pipe and report their keys
-  // back, so the parent's tiers fill either way.
+  // run, shared by every path below (plain solve, sweep shards, synth
+  // workers) — isolated workers rebuild an equivalent cache from the same
+  // options on their side of the pipe and report their keys back, so the
+  // parent's tiers fill either way.
   std::shared_ptr<cache::VerdictCache> verdictCache;
   if (!opts.noCache) {
     cache::VerdictCacheOptions cacheOpts;
@@ -1303,7 +1239,7 @@ int run(const Options& opts) {
   if (opts.command == "synth") {
     synth::Synthesizer synthesizer(net, aopts);
     synth::SynthesisOptions sopts;
-    sopts.threads = std::max(1, opts.threads);
+    sopts.threads = opts.threads.value_or(1);
     sopts.firstOnly = opts.firstOnly;
     sopts.prescreen = !opts.noPrescreen;
     sopts.negativeCache = !opts.noCache;
@@ -1317,59 +1253,39 @@ int run(const Options& opts) {
     return 0;
   }
   if (opts.command == "check" || opts.command == "verify") {
-    if (opts.sweep || opts.race) {
-      requireZ3Engine(opts, opts.sweep ? "--sweep" : "--race");
-      // --isolate: one supervisor serves every sweep horizon or race member.
+    if (opts.sweep) {
+      requireZ3Engine(opts);
+      // --isolate: one supervisor serves every sweep horizon.
       std::unique_ptr<procs::Supervisor> supervisor;
       if (opts.isolate) {
         procs::SupervisorOptions svopts;
         svopts.maxRetries = opts.retries;
         supervisor = std::make_unique<procs::Supervisor>(svopts);
       }
+      std::vector<core::Query> queries;
+      for (const auto& text : opts.queries) {
+        queries.push_back(core::Query::expr(text));
+      }
+      if (queries.empty()) queries.push_back(core::Query::always());
+      core::SweepOptions sopts;
+      sopts.fromHorizon = opts.sweep->first;
+      sopts.toHorizon = opts.sweep->second;
+      sopts.shards = opts.shards;
+      sopts.verify = opts.command == "verify";
+      sopts.supervisor = supervisor.get();
+      sopts.workloadSpecs = opts.workloads;
+      core::HorizonSweep sweep(net, aopts);
+      const auto result = sweep.run(
+          queries, [&opts](int h) { return buildWorkloadAt(opts, h); },
+          sopts);
       // Drains the idle pool first, so the report shows every worker reaped.
       std::optional<procs::ProcsStats> stats;
-      const auto finishSupervision = [&] {
-        if (!supervisor) return;
+      if (supervisor) {
         supervisor->shutdownWorkers();
         stats = supervisor->stats();
-      };
-      int code = kExitOk;
-      if (opts.sweep) {
-        std::vector<core::Query> queries;
-        for (const auto& text : opts.queries) {
-          queries.push_back(core::Query::expr(text));
-        }
-        if (queries.empty()) queries.push_back(core::Query::always());
-        core::SweepOptions sopts;
-        sopts.fromHorizon = opts.sweep->first;
-        sopts.toHorizon = opts.sweep->second;
-        sopts.shards = opts.shards;
-        sopts.verify = opts.command == "verify";
-        sopts.supervisor = supervisor.get();
-        sopts.workloadSpecs = opts.workloads;
-        core::HorizonSweep sweep(net, aopts);
-        const auto result = sweep.run(
-            queries, [&opts](int h) { return buildWorkloadAt(opts, h); },
-            sopts);
-        finishSupervision();
-        code = reportSweep(opts, result, stats ? &*stats : nullptr,
-                           verdictCache.get());
-      } else {
-        core::Portfolio portfolio(unit, aopts);
-        core::PortfolioOptions raceOpts;
-        raceOpts.threads =
-            opts.threads > 0 ? static_cast<std::size_t>(opts.threads) : 0;
-        raceOpts.supervisor = supervisor.get();
-        raceOpts.workloadSpecs = opts.workloads;
-        const core::Workload workload = buildWorkload(opts);
-        const core::PortfolioResult pr =
-            opts.command == "verify"
-                ? portfolio.verify(query, workload, raceOpts)
-                : portfolio.check(query, workload, raceOpts);
-        finishSupervision();
-        code = reportResult(opts, pr.result, &pr, stats ? &*stats : nullptr,
-                            verdictCache.get());
       }
+      const int code = reportSweep(opts, result, stats ? &*stats : nullptr,
+                                   verdictCache.get());
       return procs::shutdownRequested() ? kExitInterrupted : code;
     }
     backends::SolverBackend& backend = backendFor(opts, "z3");
@@ -1383,8 +1299,7 @@ int run(const Options& opts) {
         [&analysis] { analysis.interrupt(); });
     const auto result =
         backend.solve(analysis, query, opts.command == "verify");
-    const int code = reportResult(opts, result, nullptr, nullptr,
-                                  verdictCache.get());
+    const int code = reportResult(opts, result, verdictCache.get());
     return procs::shutdownRequested() ? kExitInterrupted : code;
   }
   throw CliError("unknown command " + opts.command);
