@@ -171,12 +171,7 @@ void CounterBuffer::accept(const PacketBatch& batch, ir::TermRef guard) {
 }
 
 std::unique_ptr<SymBuffer> CounterBuffer::clone() const {
-  auto copy =
-      std::make_unique<CounterBuffer>(config(), arena_, sideConstraints_);
-  copy->pkts_ = pkts_;
-  copy->dropped_ = dropped_;
-  copy->classCounts_ = classCounts_;
-  return copy;
+  return std::unique_ptr<SymBuffer>(new CounterBuffer(*this));
 }
 
 void CounterBuffer::mergeElse(ir::TermRef cond, const SymBuffer& other) {

@@ -42,6 +42,8 @@ class CounterBuffer final : public SymBuffer {
   void havocState(std::vector<ir::TermRef>& constraints) override;
 
  private:
+  CounterBuffer(const CounterBuffer&) = default;  // clone()
+
   [[nodiscard]] bool classified() const { return config().classDomain > 0; }
   void emit(ir::TermRef constraint);
   /// Pops exactly `m` (clamped) packets, distributing class counts

@@ -175,11 +175,7 @@ void ListBuffer::accept(const PacketBatch& batch, ir::TermRef guard) {
 }
 
 std::unique_ptr<SymBuffer> ListBuffer::clone() const {
-  auto copy = std::make_unique<ListBuffer>(config(), arena_);
-  copy->len_ = len_;
-  copy->dropped_ = dropped_;
-  copy->slots_ = slots_;
-  return copy;
+  return std::unique_ptr<SymBuffer>(new ListBuffer(*this));
 }
 
 void ListBuffer::mergeElse(ir::TermRef cond, const SymBuffer& other) {

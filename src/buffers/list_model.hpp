@@ -37,6 +37,8 @@ class ListBuffer final : public SymBuffer {
   [[nodiscard]] ir::TermRef fieldAt(int i, const std::string& field) const;
 
  private:
+  ListBuffer(const ListBuffer&) = default;  // clone()
+
   /// Bytes length of slot i (the "bytes" field, or constant 1).
   [[nodiscard]] ir::TermRef bytesAt(int i) const;
   /// Pops exactly `m` packets (m already clamped to [0, len]).

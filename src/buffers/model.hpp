@@ -92,13 +92,13 @@ struct PacketBatch {
 /// Symbolic state of one packet buffer at the current evaluation point.
 class SymBuffer {
  public:
-  explicit SymBuffer(BufferConfig config) : config_(std::move(config)) {}
+  explicit SymBuffer(BufferConfig config)
+      : config_(std::make_shared<const BufferConfig>(std::move(config))) {}
   virtual ~SymBuffer() = default;
-  SymBuffer(const SymBuffer&) = delete;
   SymBuffer& operator=(const SymBuffer&) = delete;
 
   [[nodiscard]] virtual ModelKind kind() const = 0;
-  [[nodiscard]] const BufferConfig& config() const { return config_; }
+  [[nodiscard]] const BufferConfig& config() const { return *config_; }
 
   /// Number of packets / bytes currently enqueued.
   [[nodiscard]] virtual ir::TermRef backlogP() const = 0;
@@ -121,7 +121,9 @@ class SymBuffer {
   /// Appends a compact batch at the tail, dropping what exceeds capacity.
   virtual void accept(const PacketBatch& batch, ir::TermRef guard) = 0;
 
-  /// Deep copy of the symbolic state (for branch evaluation).
+  /// A copy of the symbolic state. eval::Store calls it when a branch
+  /// first writes a state that a store snapshot still shares; it copies
+  /// the state terms as they are and interns nothing.
   [[nodiscard]] virtual std::unique_ptr<SymBuffer> clone() const = 0;
   /// Makes this state ite(cond, *this, other). `other` must come from a
   /// clone() of the same buffer.
@@ -144,8 +146,12 @@ class SymBuffer {
   /// initial queue state (FPerf-style).
   virtual void havocState(std::vector<ir::TermRef>& constraints) = 0;
 
+ protected:
+  /// For clone(): a copy shares the (immutable) configuration.
+  SymBuffer(const SymBuffer&) = default;
+
  private:
-  BufferConfig config_;
+  std::shared_ptr<const BufferConfig> config_;
 };
 
 /// Creates an empty symbolic buffer of the requested model kind.

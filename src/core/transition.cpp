@@ -461,7 +461,8 @@ class TransitionBuilder {
   }
 
   /// Reads the post value of a named state element back from the store.
-  ir::TermRef postFromStore(eval::Store& store, const std::string& name) {
+  ir::TermRef postFromStore(const eval::Store& store,
+                            const std::string& name) {
     // Buffer state: "<buf>.<element>" where <buf> is a registered buffer.
     for (const auto& bufName : store.bufferNames()) {
       if (name.size() > bufName.size() + 1 &&

@@ -1,5 +1,7 @@
 #include "eval/evaluator.hpp"
 
+#include <utility>
+
 #include "ir/term_printer.hpp"
 #include "support/error.hpp"
 
@@ -36,19 +38,58 @@ void Evaluator::execStep(const lang::Ast& ast, int step) {
   step_ = step;
   execCount_ = 0;  // maxExecStmts is a per-step allowance
   path_ = arena_.trueTerm();
-  bufferArraySizes_.clear();
-  paramTypes_.clear();
-  for (const auto& p : ast.program.params) {
-    paramTypes_[p.name] = p.type;
-    if (p.type.kind == TypeKind::BufferArray) {
-      bufferArraySizes_[p.name] = p.type.size;
+  if (resolvedFor_ != &ast.arena) {
+    bufferArraySizes_.clear();
+    for (const auto& p : ast.program.params) {
+      if (p.type.kind == TypeKind::BufferArray) {
+        bufferArraySizes_[p.name] = p.type.size;
+      }
     }
   }
+  useArena(ast.arena);
   store_->clearLocals();
   store_->pushScope();
   execBlock(ast.program.body);
   store_->popScope();
   ast_ = nullptr;
+}
+
+void Evaluator::useArena(const lang::AstArena& arena) {
+  if (resolvedFor_ == &arena) return;
+  resolvedFor_ = &arena;
+  resolved_.clear();
+}
+
+Evaluator::Resolved& Evaluator::resolve(lang::NameId name) {
+  if (resolved_.size() <= name.idx) resolved_.resize(name.idx + 1);
+  Resolved& r = resolved_[name.idx];
+  if (!r.done) {
+    r.qualified = prefix_ + ast().str(name);
+    r.var = store_->var(r.qualified);
+    r.done = true;
+  }
+  return r;
+}
+
+const Evaluator::Resolved& Evaluator::resolveBuffers(lang::NameId name) {
+  Resolved& r = resolve(name);
+  if (!r.buffersDone) {
+    Store::BufferId id = 0;
+    const std::string& param = ast().str(name);
+    if (store_->findBuffer(bufferStoreName(param), id)) r.buffer = id;
+    const auto sizeIt = bufferArraySizes_.find(param);
+    if (sizeIt != bufferArraySizes_.end()) {
+      r.arraySize = sizeIt->second;
+      for (int i = 0; i < r.arraySize; ++i) {
+        r.elements.emplace_back();
+        if (store_->findBuffer(bufferStoreName(param, i), id)) {
+          r.elements.back() = id;
+        }
+      }
+    }
+    r.buffersDone = true;
+  }
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -91,7 +132,7 @@ void Evaluator::execStmt(StmtId id) {
     case StmtKind::ListPush: {
       const auto& s = stmt.listPush;
       const ir::TermRef value = eval(s.value);
-      SymList& list = findList(ast().str(s.list), loc);
+      SymList& list = findList(s.list, loc);
       list.pushBack(value, arena_.trueTerm());
       sinks_.soundness->push_back(
           arena_.implies(path_, arena_.mkNot(list.overflowedTerm())));
@@ -99,9 +140,9 @@ void Evaluator::execStmt(StmtId id) {
     }
     case StmtKind::PopFront: {
       const auto& s = stmt.popFront;
-      SymList& list = findList(ast().str(s.list), loc);
+      SymList& list = findList(s.list, loc);
       const ir::TermRef popped = list.popFront(arena_.trueTerm());
-      Value* target = store_->find(qualify(ast().str(s.target)));
+      Value* target = store_->find(resolve(s.target).var);
       if (target == nullptr || target->kind != Value::Kind::Scalar) {
         throw AnalysisError("pop_front target '" + ast().str(s.target) +
                                 "' is not a scalar variable",
@@ -161,37 +202,37 @@ Value Evaluator::defaultValue(const Type& type, const std::string& name) const {
 
 void Evaluator::execDecl(StmtId id) {
   const auto& decl = ast().stmt(id).decl;
-  const std::string name = qualify(ast().str(decl.name));
+  const Resolved& name = resolve(decl.name);
   if (decl.storage == lang::Storage::Havoc) {
     // A fresh nondeterministic value every execution (paper §6: havoc
     // variables, constrained by subsequent assume statements).
     const ir::Sort sort = decl.declType.kind == lang::TypeKind::Bool
                               ? ir::Sort::Bool
                               : ir::Sort::Int;
-    store_->declareLocal(name,
-                         Value::makeScalar(arena_.freshVar(name, sort)));
+    store_->declareLocal(
+        name.var, Value::makeScalar(arena_.freshVar(name.qualified, sort)));
     return;
   }
   const bool persistent = decl.storage != lang::Storage::Local;
   if (persistent) {
-    if (step_ > 0 || store_->hasGlobal(name)) return;  // persists across steps
-    Value v = defaultValue(decl.declType, name);
+    if (step_ > 0 || store_->hasGlobal(name.var)) return;  // persists
+    Value v = defaultValue(decl.declType, name.qualified);
     if (decl.init.valid()) v.scalar = eval(decl.init);
-    store_->defineGlobal(name, std::move(v),
+    store_->defineGlobal(name.var, std::move(v),
                          decl.storage == lang::Storage::Monitor);
     return;
   }
-  Value v = defaultValue(decl.declType, name);
+  Value v = defaultValue(decl.declType, name.qualified);
   if (decl.init.valid()) v.scalar = eval(decl.init);
-  store_->declareLocal(name, std::move(v));
+  store_->declareLocal(name.var, std::move(v));
 }
 
 void Evaluator::execAssign(StmtId id) {
   const auto& stmt = ast().stmt(id).assign;
   const SourceLoc loc = ast().stmtLoc(id);
-  const std::string targetName = ast().str(stmt.target);
+  const std::string& targetName = ast().str(stmt.target);
   const ir::TermRef value = eval(stmt.value);
-  Value* target = store_->find(qualify(targetName));
+  Value* target = store_->find(resolve(stmt.target).var);
   if (target == nullptr) {
     throw AnalysisError("assignment to unknown variable '" + targetName + "'",
                         loc);
@@ -244,7 +285,7 @@ void Evaluator::execIf(StmtId id) {
   }
 
   const ir::TermRef pathIn = path_;
-  Store snapshot = *store_;  // deep copy
+  Store snapshot = *store_;  // shares every buffer state until written
 
   path_ = arena_.mkAnd(pathIn, cond);
   execBlock(stmt.thenBlock);
@@ -276,7 +317,7 @@ void Evaluator::execFor(StmtId id) {
   const auto stmt = ast().stmt(id).fors;
   const std::int64_t lo = requireConst(stmt.lo, "loop lower bound");
   const std::int64_t hi = requireConst(stmt.hi, "loop upper bound");
-  const std::string var = qualify(ast().str(stmt.var));
+  const Store::VarId var = resolve(stmt.var).var;
   for (std::int64_t i = lo; i < hi; ++i) {
     store_->pushScope();
     store_->declareLocal(var, Value::makeScalar(arena_.intConst(i)));
@@ -300,7 +341,7 @@ void Evaluator::execMove(StmtId id) {
         throw AnalysisError("move destination cannot be a filtered view",
                             loc);
       }
-      if (src.buf == dst.buf) {
+      if (src.buffer == dst.buffer) {
         // Symbolic selection may alias; a self-move is a no-op, so only
         // reject it when it is unconditional.
         if (src.cond->isTrue() && dst.cond->isTrue()) {
@@ -310,10 +351,12 @@ void Evaluator::execMove(StmtId id) {
         continue;
       }
       const ir::TermRef guard = arena_.mkAnd(src.cond, dst.cond);
+      buffers::SymBuffer& from = store_->buffer(src.buffer);
+      buffers::SymBuffer& to = store_->buffer(dst.buffer);
       if (stmt.packets) {
-        buffers::moveP(*src.buf, *dst.buf, amount, guard, arena_);
+        buffers::moveP(from, to, amount, guard, arena_);
       } else {
-        buffers::moveB(*src.buf, *dst.buf, amount, guard, arena_);
+        buffers::moveB(from, to, amount, guard, arena_);
       }
     }
   }
@@ -323,10 +366,11 @@ void Evaluator::execMove(StmtId id) {
 // Expressions
 // ---------------------------------------------------------------------------
 
-SymList& Evaluator::findList(const std::string& name, SourceLoc loc) {
-  Value* v = store_->find(qualify(name));
+SymList& Evaluator::findList(lang::NameId name, SourceLoc loc) {
+  Value* v = store_->find(resolve(name).var);
   if (v == nullptr || v->kind != Value::Kind::List) {
-    throw AnalysisError("'" + name + "' is not a list in the store", loc);
+    throw AnalysisError("'" + ast().str(name) + "' is not a list in the store",
+                        loc);
   }
   return v->asList();
 }
@@ -336,21 +380,31 @@ std::vector<Evaluator::BufferChoice> Evaluator::evalBufferChoices(ExprId id) {
   const SourceLoc loc = ast().exprLoc(id);
   switch (expr.kind) {
     case ExprKind::VarRef: {
-      const std::string name = ast().str(expr.varRef.name);
-      buffers::SymBuffer* buf = store_->buffer(bufferStoreName(name));
-      if (buf == nullptr) {
-        throw AnalysisError("buffer '" + name + "' is not registered", loc);
+      const Resolved& r = resolveBuffers(expr.varRef.name);
+      if (!r.buffer) {
+        throw AnalysisError(
+            "buffer '" + ast().str(expr.varRef.name) + "' is not registered",
+            loc);
       }
-      return {BufferChoice{buf, arena_.trueTerm(), std::nullopt}};
+      return {BufferChoice{*r.buffer, arena_.trueTerm(), std::nullopt}};
     }
     case ExprKind::Index: {
-      const std::string base = ast().str(expr.index.base);
-      const auto sizeIt = bufferArraySizes_.find(base);
-      if (sizeIt == bufferArraySizes_.end()) {
+      const std::string& base = ast().str(expr.index.base);
+      const Resolved& r = resolveBuffers(expr.index.base);
+      if (r.arraySize < 0) {
         throw AnalysisError("'" + base + "' is not a buffer array", loc);
       }
-      const int n = sizeIt->second;
+      const int n = r.arraySize;
       const ir::TermRef index = eval(expr.index.index);
+      const auto element = [&](int i) {
+        const auto& buffer = r.elements[static_cast<std::size_t>(i)];
+        if (!buffer) {
+          throw AnalysisError("buffer '" + base + "[" + std::to_string(i) +
+                                  "]' is not registered",
+                              loc);
+        }
+        return *buffer;
+      };
       std::vector<BufferChoice> choices;
       if (const auto c = ir::constValue(index)) {
         if (*c < 0 || *c >= n) {
@@ -358,26 +412,14 @@ std::vector<Evaluator::BufferChoice> Evaluator::evalBufferChoices(ExprId id) {
                                   " out of bounds for '" + base + "'",
                               loc);
         }
-        buffers::SymBuffer* buf = store_->buffer(
-            bufferStoreName(base, static_cast<int>(*c)));
-        if (buf == nullptr) {
-          throw AnalysisError("buffer '" + base + "[" + std::to_string(*c) +
-                                  "]' is not registered",
-                              loc);
-        }
-        choices.push_back({buf, arena_.trueTerm(), std::nullopt});
+        choices.push_back(
+            {element(static_cast<int>(*c)), arena_.trueTerm(), std::nullopt});
         return choices;
       }
       // Symbolic buffer selection: one guarded choice per element.
       for (int i = 0; i < n; ++i) {
-        buffers::SymBuffer* buf = store_->buffer(bufferStoreName(base, i));
-        if (buf == nullptr) {
-          throw AnalysisError("buffer '" + base + "[" + std::to_string(i) +
-                                  "]' is not registered",
-                              loc);
-        }
         choices.push_back(
-            {buf, arena_.eq(index, arena_.intConst(i)), std::nullopt});
+            {element(i), arena_.eq(index, arena_.intConst(i)), std::nullopt});
       }
       return choices;
     }
@@ -403,12 +445,13 @@ ir::TermRef Evaluator::evalBacklog(ExprId id) {
   // Out-of-range symbolic selection (e.g. head == -1) yields backlog 0.
   ir::TermRef result = arena_.intConst(0);
   for (const auto& choice : choices) {
+    const buffers::SymBuffer& buf = std::as_const(*store_).buffer(choice.buffer);
     ir::TermRef backlog = nullptr;
     if (choice.filter) {
-      backlog = expr.packets ? choice.buf->backlogP(*choice.filter)
-                             : choice.buf->backlogB(*choice.filter);
+      backlog = expr.packets ? buf.backlogP(*choice.filter)
+                             : buf.backlogB(*choice.filter);
     } else {
-      backlog = expr.packets ? choice.buf->backlogP() : choice.buf->backlogB();
+      backlog = expr.packets ? buf.backlogP() : buf.backlogB();
     }
     result = arena_.ite(choice.cond, backlog, result);
   }
@@ -419,6 +462,7 @@ ir::TermRef Evaluator::evalExpr(const lang::AstArena& arena,
                                 lang::ExprId expr) {
   const lang::AstArena* saved = ast_;
   ast_ = &arena;
+  useArena(arena);
   const ir::TermRef result = eval(expr);
   ast_ = saved;
   return result;
@@ -433,19 +477,20 @@ ir::TermRef Evaluator::eval(ExprId id) {
     case ExprKind::BoolLit:
       return arena_.boolConst(expr.boolLit.value);
     case ExprKind::VarRef: {
-      const std::string name = ast().str(expr.varRef.name);
-      const Value* v = store_->find(qualify(name));
+      const Value* v = store_->find(resolve(expr.varRef.name).var);
       if (v == nullptr) {
-        throw AnalysisError("unknown variable '" + name + "'", loc);
+        throw AnalysisError(
+            "unknown variable '" + ast().str(expr.varRef.name) + "'", loc);
       }
       if (v->kind != Value::Kind::Scalar) {
-        throw AnalysisError("'" + name + "' is not a scalar here", loc);
+        throw AnalysisError(
+            "'" + ast().str(expr.varRef.name) + "' is not a scalar here", loc);
       }
       return v->scalar;
     }
     case ExprKind::Index: {
-      const std::string base = ast().str(expr.index.base);
-      const Value* v = store_->find(qualify(base));
+      const std::string& base = ast().str(expr.index.base);
+      const Value* v = store_->find(resolve(expr.index.base).var);
       if (v == nullptr || v->kind != Value::Kind::Array) {
         throw AnalysisError("'" + base + "' is not an array", loc);
       }
@@ -497,12 +542,11 @@ ir::TermRef Evaluator::eval(ExprId id) {
     case ExprKind::Filter:
       throw AnalysisError("filtered buffer used as a value", loc);
     case ExprKind::ListHas:
-      return findList(ast().str(expr.listOp.list), loc)
-          .hasTerm(eval(expr.listOp.value));
+      return findList(expr.listOp.list, loc).hasTerm(eval(expr.listOp.value));
     case ExprKind::ListEmpty:
-      return findList(ast().str(expr.listOp.list), loc).emptyTerm();
+      return findList(expr.listOp.list, loc).emptyTerm();
     case ExprKind::ListLen:
-      return findList(ast().str(expr.listOp.list), loc).lenTerm();
+      return findList(expr.listOp.list, loc).lenTerm();
     case ExprKind::Call: {
       const auto& e = expr.call;
       const std::string callee = ast().str(e.callee);

@@ -16,6 +16,7 @@
 // blocks.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -78,14 +79,35 @@ class Evaluator {
 
  private:
   struct BufferChoice {
-    buffers::SymBuffer* buf = nullptr;
+    Store::BufferId buffer = 0;
     ir::TermRef cond = nullptr;
     std::optional<buffers::Filter> filter;
+  };
+
+  /// What a name of the current program denotes, worked out on its first
+  /// use: its qualified name, its store variable and, once the name is
+  /// used as a buffer, the store buffers it selects.
+  struct Resolved {
+    bool done = false;
+    std::string qualified;  // prefix + name
+    Store::VarId var = 0;
+    bool buffersDone = false;
+    /// `name` as a buffer parameter, if registered.
+    std::optional<Store::BufferId> buffer;
+    /// `name` as a buffer-array parameter: its size (-1 when it is not
+    /// one) and the registered buffer of each element.
+    int arraySize = -1;
+    std::vector<std::optional<Store::BufferId>> elements;
   };
 
   /// The arena of the program currently being executed (valid only inside
   /// execStep / the public evalExpr).
   const lang::AstArena& ast() const { return *ast_; }
+  /// Points the name cache at `arena`, dropping it if it was built for
+  /// another program.
+  void useArena(const lang::AstArena& arena);
+  [[nodiscard]] Resolved& resolve(lang::NameId name);
+  [[nodiscard]] const Resolved& resolveBuffers(lang::NameId name);
 
   void execBlock(lang::StmtId block);
   void execStmt(lang::StmtId stmt);
@@ -98,12 +120,11 @@ class Evaluator {
   [[nodiscard]] ir::TermRef eval(lang::ExprId expr);
   [[nodiscard]] Value defaultValue(const lang::Type& type,
                                    const std::string& name) const;
+  /// The buffers `expr` selects, by store id: a move takes each through
+  /// the store's write accessor, a backlog through the read accessor.
   [[nodiscard]] std::vector<BufferChoice> evalBufferChoices(lang::ExprId expr);
   [[nodiscard]] ir::TermRef evalBacklog(lang::ExprId expr);
-  [[nodiscard]] SymList& findList(const std::string& name, SourceLoc loc);
-  [[nodiscard]] std::string qualify(const std::string& name) const {
-    return prefix_ + name;
-  }
+  [[nodiscard]] SymList& findList(lang::NameId name, SourceLoc loc);
   [[nodiscard]] std::int64_t requireConst(lang::ExprId expr, const char* what);
 
   ir::TermArena& arena_;
@@ -115,9 +136,12 @@ class Evaluator {
   int step_ = 0;
   CompileBudget budget_ = CompileBudget::defaults();
   std::size_t execCount_ = 0;  // statements executed in the current step
-  /// Buffer-array parameter sizes, by parameter name.
+  /// The name cache, by NameId of the arena it was built for. A deque,
+  /// so a Resolved& stays valid while later names are added.
+  const lang::AstArena* resolvedFor_ = nullptr;
+  std::deque<Resolved> resolved_;
+  /// Buffer-array parameter sizes of the current program, by name.
   std::map<std::string, int> bufferArraySizes_;
-  std::map<std::string, lang::Type> paramTypes_;
 };
 
 }  // namespace buffy::eval

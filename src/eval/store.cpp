@@ -1,5 +1,7 @@
 #include "eval/store.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace buffy::eval {
@@ -21,104 +23,183 @@ Value Value::makeArray(std::vector<ir::TermRef> elems) {
 Value Value::makeList(SymList l) {
   Value v;
   v.kind = Kind::List;
-  v.list.push_back(std::move(l));
+  v.list.emplace(std::move(l));
   return v;
 }
 
 SymList& Value::asList() {
-  if (kind != Kind::List || list.empty()) {
+  if (kind != Kind::List || !list) {
     throw AnalysisError("value is not a list");
   }
-  return list.front();
+  return *list;
 }
 
 const SymList& Value::asList() const {
-  if (kind != Kind::List || list.empty()) {
+  if (kind != Kind::List || !list) {
     throw AnalysisError("value is not a list");
   }
-  return list.front();
+  return *list;
 }
 
-Store::Store(const Store& other)
-    : arena_(other.arena_),
-      globals_(other.globals_),
-      monitors_(other.monitors_),
-      bufferOrder_(other.bufferOrder_),
-      scopes_(other.scopes_) {
-  for (const auto& [name, buf] : other.buffers_) {
-    buffers_.emplace(name, buf->clone());
+Store::Store(ir::TermArena& arena)
+    : arena_(&arena), names_(std::make_shared<Names>()) {}
+
+Store::VarId Store::var(const std::string& name) {
+  Names& names = *names_;
+  const auto [it, added] =
+      names.varIds.emplace(name, static_cast<VarId>(names.vars.size()));
+  if (!added) return it->second;
+  const VarId id = it->second;
+  names.vars.push_back(name);
+  const auto pos = std::lower_bound(
+      names.varsByName.begin(), names.varsByName.end(), name,
+      [&names](VarId v, const std::string& n) { return names.vars[v] < n; });
+  const auto from = names.varsByName.insert(pos, id) - names.varsByName.begin();
+  names.rank.push_back(0);
+  for (auto r = static_cast<std::size_t>(from); r < names.varsByName.size();
+       ++r) {
+    names.rank[names.varsByName[r]] = static_cast<std::uint32_t>(r);
   }
+  return id;
 }
 
-Store& Store::operator=(const Store& other) {
-  if (this == &other) return *this;
-  arena_ = other.arena_;
-  globals_ = other.globals_;
-  monitors_ = other.monitors_;
-  bufferOrder_ = other.bufferOrder_;
-  scopes_ = other.scopes_;
-  buffers_.clear();
-  for (const auto& [name, buf] : other.buffers_) {
-    buffers_.emplace(name, buf->clone());
+const std::string& Store::varName(VarId id) const {
+  return names_->vars.at(id);
+}
+
+bool Store::lookupVar(const std::string& name, VarId& id) const {
+  const auto it = names_->varIds.find(name);
+  if (it == names_->varIds.end()) return false;
+  id = it->second;
+  return true;
+}
+
+void Store::defineGlobal(VarId id, Value v, bool monitor) {
+  if (hasGlobal(id)) {
+    throw AnalysisError("global '" + varName(id) + "' already defined");
   }
-  return *this;
+  if (globals_.size() <= id) globals_.resize(id + 1);
+  globals_[id] = Global{true, monitor, std::move(v)};
 }
 
 void Store::defineGlobal(const std::string& name, Value v, bool monitor) {
-  if (globals_.count(name) != 0) {
-    throw AnalysisError("global '" + name + "' already defined");
-  }
-  globals_.emplace(name, std::move(v));
-  if (monitor) monitors_.insert(name);
+  defineGlobal(var(name), std::move(v), monitor);
+}
+
+bool Store::hasGlobal(VarId id) const {
+  return id < globals_.size() && globals_[id].defined;
 }
 
 bool Store::hasGlobal(const std::string& name) const {
-  return globals_.count(name) != 0;
+  VarId id = 0;
+  return lookupVar(name, id) && hasGlobal(id);
+}
+
+std::set<std::string> Store::monitors() const {
+  std::set<std::string> out;
+  for (VarId id = 0; id < globals_.size(); ++id) {
+    if (globals_[id].defined && globals_[id].monitor) {
+      out.insert(varName(id));
+    }
+  }
+  return out;
 }
 
 void Store::addBuffer(const std::string& name,
                       std::unique_ptr<buffers::SymBuffer> buffer) {
-  if (buffers_.count(name) != 0) {
+  Names& names = *names_;
+  const auto [it, added] = names.bufferIds.emplace(
+      name, static_cast<BufferId>(names.buffers.size()));
+  const BufferId id = it->second;
+  if (hasBuffer(id)) {
     throw AnalysisError("buffer '" + name + "' already defined");
   }
-  buffers_.emplace(name, std::move(buffer));
-  bufferOrder_.push_back(name);
+  if (added) {
+    names.buffers.push_back(name);
+    const auto pos = std::lower_bound(
+        names.buffersByName.begin(), names.buffersByName.end(), name,
+        [&names](BufferId b, const std::string& n) {
+          return names.buffers[b] < n;
+        });
+    names.buffersByName.insert(pos, id);
+  }
+  if (buffers_.size() <= id) buffers_.resize(id + 1);
+  buffers_[id] = std::move(buffer);
+}
+
+bool Store::findBuffer(const std::string& name, BufferId& id) const {
+  const auto it = names_->bufferIds.find(name);
+  if (it == names_->bufferIds.end() || !hasBuffer(it->second)) return false;
+  id = it->second;
+  return true;
+}
+
+buffers::SymBuffer& Store::buffer(BufferId id) {
+  if (!hasBuffer(id)) throw AnalysisError("no buffer with that id");
+  std::shared_ptr<buffers::SymBuffer>& state = buffers_[id];
+  if (state.use_count() > 1) state = state->clone();
+  return *state;
+}
+
+const buffers::SymBuffer& Store::buffer(BufferId id) const {
+  if (!hasBuffer(id)) throw AnalysisError("no buffer with that id");
+  return *buffers_[id];
 }
 
 buffers::SymBuffer* Store::buffer(const std::string& name) {
-  const auto it = buffers_.find(name);
-  return it != buffers_.end() ? it->second.get() : nullptr;
+  BufferId id = 0;
+  return findBuffer(name, id) ? &buffer(id) : nullptr;
 }
 
 const buffers::SymBuffer* Store::buffer(const std::string& name) const {
-  const auto it = buffers_.find(name);
-  return it != buffers_.end() ? it->second.get() : nullptr;
+  BufferId id = 0;
+  return findBuffer(name, id) ? &buffer(id) : nullptr;
 }
 
-void Store::pushScope() { scopes_.emplace_back(); }
+void Store::pushScope() { scopes_.push_back(locals_.size()); }
 
 void Store::popScope() {
   if (scopes_.empty()) throw AnalysisError("popScope on empty scope stack");
+  locals_.resize(scopes_.back());
   scopes_.pop_back();
 }
 
-void Store::declareLocal(const std::string& name, Value v) {
+void Store::declareLocal(VarId id, Value v) {
   if (scopes_.empty()) throw AnalysisError("local declared outside any scope");
-  if (scopes_.back().count(name) != 0) {
-    throw AnalysisError("local '" + name + "' already declared in scope");
+  const std::vector<std::uint32_t>& rank = names_->rank;
+  auto pos = locals_.begin() + static_cast<std::ptrdiff_t>(scopes_.back());
+  for (; pos != locals_.end() && rank[pos->id] <= rank[id]; ++pos) {
+    if (pos->id == id) {
+      throw AnalysisError("local '" + varName(id) +
+                          "' already declared in scope");
+    }
   }
-  scopes_.back().emplace(name, std::move(v));
+  locals_.insert(pos, Local{id, std::move(v)});
 }
 
-void Store::clearLocals() { scopes_.clear(); }
+void Store::declareLocal(const std::string& name, Value v) {
+  declareLocal(var(name), std::move(v));
+}
+
+void Store::clearLocals() {
+  locals_.clear();
+  scopes_.clear();
+}
+
+Value* Store::find(VarId id) {
+  for (auto it = locals_.rbegin(); it != locals_.rend(); ++it) {
+    if (it->id == id) return &it->value;
+  }
+  return hasGlobal(id) ? &globals_[id].value : nullptr;
+}
+
+const Value* Store::find(VarId id) const {
+  return const_cast<Store*>(this)->find(id);
+}
 
 Value* Store::find(const std::string& name) {
-  for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-    const auto found = it->find(name);
-    if (found != it->end()) return &found->second;
-  }
-  const auto found = globals_.find(name);
-  return found != globals_.end() ? &found->second : nullptr;
+  VarId id = 0;
+  return lookupVar(name, id) ? find(id) : nullptr;
 }
 
 const Value* Store::find(const std::string& name) const {
@@ -149,31 +230,51 @@ void Store::mergeValue(ir::TermArena& arena, ir::TermRef cond, Value& mine,
 }
 
 void Store::mergeElse(ir::TermRef cond, const Store& other) {
+  if (names_ != other.names_) {
+    throw AnalysisError("merge on stores that are not copies of one store");
+  }
   if (scopes_.size() != other.scopes_.size()) {
     throw AnalysisError("merge on stores with different scope depth");
   }
-  for (auto& [name, value] : globals_) {
-    const auto it = other.globals_.find(name);
-    if (it == other.globals_.end()) {
-      throw AnalysisError("merge: global '" + name + "' missing in branch");
+  for (const VarId id : names_->varsByName) {
+    if (!hasGlobal(id)) continue;
+    if (!other.hasGlobal(id)) {
+      throw AnalysisError("merge: global '" + varName(id) +
+                          "' missing in branch");
     }
-    mergeValue(*arena_, cond, value, it->second, name);
+    mergeValue(*arena_, cond, globals_[id].value, other.globals_[id].value,
+               varName(id));
   }
   for (std::size_t s = 0; s < scopes_.size(); ++s) {
-    for (auto& [name, value] : scopes_[s]) {
-      const auto it = other.scopes_[s].find(name);
-      if (it == other.scopes_[s].end()) {
-        throw AnalysisError("merge: local '" + name + "' missing in branch");
+    const std::size_t end =
+        s + 1 < scopes_.size() ? scopes_[s + 1] : locals_.size();
+    const std::size_t otherEnd = s + 1 < other.scopes_.size()
+                                     ? other.scopes_[s + 1]
+                                     : other.locals_.size();
+    for (std::size_t i = scopes_[s]; i < end; ++i) {
+      Local& mine = locals_[i];
+      const Local* theirs = nullptr;
+      for (std::size_t j = other.scopes_[s]; j < otherEnd; ++j) {
+        if (other.locals_[j].id == mine.id) {
+          theirs = &other.locals_[j];
+          break;
+        }
       }
-      mergeValue(*arena_, cond, value, it->second, name);
+      if (theirs == nullptr) {
+        throw AnalysisError("merge: local '" + varName(mine.id) +
+                            "' missing in branch");
+      }
+      mergeValue(*arena_, cond, mine.value, theirs->value, varName(mine.id));
     }
   }
-  for (auto& [name, buf] : buffers_) {
-    const auto it = other.buffers_.find(name);
-    if (it == other.buffers_.end()) {
-      throw AnalysisError("merge: buffer '" + name + "' missing in branch");
+  for (const BufferId id : names_->buffersByName) {
+    if (!hasBuffer(id)) continue;
+    if (!other.hasBuffer(id)) {
+      throw AnalysisError("merge: buffer '" + names_->buffers[id] +
+                          "' missing in branch");
     }
-    buf->mergeElse(cond, *it->second);
+    if (buffers_[id] == other.buffers_[id]) continue;  // neither side wrote
+    buffer(id).mergeElse(cond, *other.buffers_[id]);
   }
 }
 

@@ -1,5 +1,11 @@
 #include "ir/term.hpp"
 
+#include <sanitizer/asan_interface.h>
+
+#include <algorithm>
+#include <memory>
+#include <new>
+
 #include "support/error.hpp"
 
 namespace buffy::ir {
@@ -76,8 +82,34 @@ bool TermArena::matches(const Term& term, TermKind kind, Sort sort,
   return true;
 }
 
+namespace {
+constexpr std::size_t kFirstTableSlots = 1024;
+constexpr std::size_t kFirstBlockTerms = 64;
+constexpr std::size_t kMaxBlockTerms = 2048;
+// The most storage a thread keeps for its next arena: a table of 8,192
+// slots (128 KiB) and 640 KiB of blocks, enough for every paper encoding.
+constexpr std::size_t kMaxSpareSlots = 8192;
+constexpr std::size_t kMaxSpareTerms = 8192;
+
+// Set when this thread's spare storage is destroyed. Trivially
+// destructible, so it can still be read by an arena that outlives the
+// thread's other thread_locals (one owned by a static object, say).
+thread_local bool spareGone = false;
+}  // namespace
+
+TermArena::Storage* TermArena::spare() {
+  struct Holder {
+    Storage storage;
+    ~Holder() { spareGone = true; }
+  };
+  if (spareGone) return nullptr;
+  thread_local Holder holder;
+  return &holder.storage;
+}
+
 void TermArena::growTable() {
-  const std::size_t capacity = table_.empty() ? 1024 : table_.size() * 2;
+  const std::size_t capacity =
+      table_.empty() ? kFirstTableSlots : table_.size() * 2;
   std::vector<Slot> grown(capacity);
   const std::size_t mask = capacity - 1;
   for (const Slot& slot : table_) {
@@ -90,9 +122,59 @@ void TermArena::growTable() {
 }
 
 TermArena::TermArena() {
-  growTable();
+  if (Storage* spare = TermArena::spare()) {
+    table_ = std::move(spare->table);
+    std::fill(table_.begin(), table_.end(), Slot{});
+    blocks_ = std::move(spare->blocks);
+    *spare = Storage{};
+  }
+  if (table_.empty()) growTable();
+  startBlock(0);
   true_ = intern(TermKind::ConstBool, Sort::Bool, 1, "", {});
   false_ = intern(TermKind::ConstBool, Sort::Bool, 0, "", {});
+}
+
+TermArena::~TermArena() {
+  std::size_t remaining = size_;
+  std::size_t capacity = 0;
+  for (const Block& block : blocks_) {
+    const std::size_t built = std::min(remaining, block.capacity);
+    std::destroy_n(block.terms.get(), built);
+    remaining -= built;
+    capacity += block.capacity;
+  }
+  // Keep the largest table and blocks, within bounds, for the next arena.
+  Storage* spare = TermArena::spare();
+  if (spare == nullptr) return;
+  if (table_.size() <= kMaxSpareSlots && table_.size() > spare->table.size()) {
+    spare->table = std::move(table_);
+  }
+  std::size_t spareCapacity = 0;
+  for (const Block& block : spare->blocks) spareCapacity += block.capacity;
+  if (capacity <= kMaxSpareTerms && capacity > spareCapacity) {
+    // Under ASan a stale TermRef into kept storage still faults.
+    for (const Block& block : blocks_) {
+      ASAN_POISON_MEMORY_REGION(block.terms.get(),
+                                block.capacity * sizeof(Term));
+    }
+    spare->blocks = std::move(blocks_);
+  }
+}
+
+void TermArena::startBlock(std::size_t index) {
+  if (index == blocks_.size()) {
+    const std::size_t capacity =
+        blocks_.empty() ? kFirstBlockTerms
+                        : std::min(blocks_.back().capacity * 2, kMaxBlockTerms);
+    blocks_.push_back(Block{
+        std::unique_ptr<Term, Block::Free>(
+            static_cast<Term*>(::operator new(capacity * sizeof(Term)))),
+        capacity});
+  }
+  block_ = index;
+  next_ = blocks_[index].terms.get();
+  end_ = next_ + blocks_[index].capacity;
+  ASAN_UNPOISON_MEMORY_REGION(next_, blocks_[index].capacity * sizeof(Term));
 }
 
 TermRef TermArena::intern(TermKind kind, Sort sort, std::int64_t value,
@@ -112,19 +194,30 @@ TermRef TermArena::intern(TermKind kind, Sort sort, std::int64_t value,
   }
 
   // Only genuinely new nodes count against the limit; cache hits are free.
-  if (nodeLimit_ != 0 && terms_.size() >= nodeLimit_) {
+  if (nodeLimit_ != 0 && size_ >= nodeLimit_) {
     throw BudgetExceeded("term-nodes", nodeLimit_, SourceLoc{});
   }
 
-  const TermRef ref = &terms_.emplace_back(
-      Term{kind, sort, static_cast<std::uint32_t>(terms_.size()), value,
-           std::string(name), TermArgs(args)});
+  if (next_ == end_) startBlock(block_ + 1);
+  const TermRef ref = new (next_) Term{kind, sort,
+                                       static_cast<std::uint32_t>(size_),
+                                       value, std::string(name),
+                                       TermArgs(args)};
+  ++next_;
+  ++size_;
   table_[i] = Slot{hash, ref};
   ++tableUsed_;
   return ref;
 }
 
 TermRef TermArena::intConst(std::int64_t v) {
+  if (v >= kSmallMin && v < kSmallMax) {
+    TermRef& small = smallInts_[static_cast<std::size_t>(v - kSmallMin)];
+    if (small == nullptr) {
+      small = intern(TermKind::ConstInt, Sort::Int, v, "", {});
+    }
+    return small;
+  }
   return intern(TermKind::ConstInt, Sort::Int, v, "", {});
 }
 

@@ -28,7 +28,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -130,6 +130,7 @@ std::optional<std::int64_t> foldNeg(std::int64_t a);
 class TermArena {
  public:
   TermArena();
+  ~TermArena();
   TermArena(const TermArena&) = delete;
   TermArena& operator=(const TermArena&) = delete;
 
@@ -184,7 +185,7 @@ class TermArena {
   [[nodiscard]] const std::vector<TermRef>& variables() const {
     return vars_;
   }
-  [[nodiscard]] std::size_t size() const { return terms_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Caps the number of distinct interned nodes; creating a node past the
   /// limit throws buffy::BudgetExceeded. 0 (the default) disables the cap.
@@ -214,11 +215,51 @@ class TermArena {
                       std::span<const TermRef> args);
   void growTable();
 
+  /// Raw storage for `capacity` terms, constructed in place in id order.
+  struct Block {
+    struct Free {
+      void operator()(Term* terms) const { ::operator delete(terms); }
+    };
+    std::unique_ptr<Term, Free> terms;
+    std::size_t capacity = 0;
+  };
+
+  /// The intern table and term blocks a thread keeps for its next arena
+  /// (spare()): the largest a destroyed arena left, within a cap. A new
+  /// arena clears the kept table and starts on it and the kept blocks, so
+  /// it grows no table its thread has needed before. Engines are built
+  /// one after another; freeing an arena's memory let malloc trim the
+  /// heap top, and the next arena, and the query layers after it,
+  /// faulted the same pages back in.
+  struct Storage {
+    std::vector<Slot> table;
+    std::vector<Block> blocks;
+  };
+  /// This thread's kept storage; null once the thread's thread_locals are
+  /// destroyed.
+  static Storage* spare();
+
+  /// Fills blocks_[index] next, allocating it when index is past the
+  /// last block. The first block is small, so an arena of a few dozen
+  /// terms (a concrete replay, a synthesis prescreen) stays small, and
+  /// each later block doubles up to kMaxBlockTerms.
+  void startBlock(std::size_t index);
+
+  /// Constants in [kSmallMin, kSmallMax) are looked up in smallInts_
+  /// instead of the intern table, once interned.
+  static constexpr std::int64_t kSmallMin = -16;
+  static constexpr std::int64_t kSmallMax = 128;
+
   std::vector<Slot> table_;  // power-of-two capacity, linear probing
   std::size_t tableUsed_ = 0;
-  /// Every term, in creation order (index = id). A deque grows in blocks
-  /// and never moves an element, so a TermRef stays valid.
-  std::deque<Term> terms_;
+  /// Every term, in creation order (the i-th constructed term has id i),
+  /// in blocks that never move, so a TermRef stays valid.
+  std::vector<Block> blocks_;
+  std::size_t block_ = 0;  // the block being filled
+  Term* next_ = nullptr;   // its next free slot
+  Term* end_ = nullptr;    // one past its last slot
+  std::size_t size_ = 0;
+  std::array<TermRef, kSmallMax - kSmallMin> smallInts_{};
   std::vector<TermRef> vars_;
   std::unordered_map<std::string, TermRef> varByName_;
   std::uint64_t freshCounter_ = 0;

@@ -1,6 +1,7 @@
 #include "pipeline/encoder.hpp"
 
 #include <map>
+#include <utility>
 
 #include "buffers/counter_model.hpp"
 #include "buffers/list_model.hpp"
@@ -231,9 +232,9 @@ std::unique_ptr<core::Encoding> buildEncoding(
       }
     }
 
-    // 4. Record buffer statistics.
+    // 4. Record buffer statistics (through the read accessor).
     for (const auto& name : enc->store.bufferNames()) {
-      const buffers::SymBuffer* buf = enc->store.buffer(name);
+      const buffers::SymBuffer* buf = std::as_const(enc->store).buffer(name);
       appendSeries(*enc, name + ".backlog", t, buf->backlogP());
       appendSeries(*enc, name + ".dropped", t, buf->droppedP());
     }

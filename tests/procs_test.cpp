@@ -674,6 +674,12 @@ TEST(CliProcs, CountFlagsAreValidatedAtParseTime) {
       {"synth --threads 0", "--threads expects an integer"},
       {"check --threads 1", "--threads needs synth"},
       {"verify --sweep 2:3 --threads 4", "--threads needs synth"},
+      // Every mode-specific flag is rejected outside its mode, at any
+      // value.
+      {"check --shards 1", "--shards needs --sweep"},
+      {"check --jobs 4", "--jobs needs print or lint"},
+      {"check --first-only", "--first-only needs synth"},
+      {"verify --no-prescreen", "--no-prescreen needs synth"},
       {"check --sweep 2:3 --isolate --retries 99999999999999999999",
        "--retries expects an integer"},
       {"check --sweep 2:3 --isolate --retries 1025",

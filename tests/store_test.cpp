@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "buffers/list_model.hpp"
 #include "ir/term_eval.hpp"
 #include "support/error.hpp"
@@ -108,6 +110,69 @@ TEST_F(StoreTest, DeepCopyClonesBuffers) {
   copy.buffer("b")->accept(batch, arena.trueTerm());
   EXPECT_EQ(ir::evalTerm(copy.buffer("b")->backlogP(), {}), 1);
   EXPECT_EQ(ir::evalTerm(store.buffer("b")->backlogP(), {}), 0);
+}
+
+void acceptOne(buffers::SymBuffer& buffer, ir::TermArena& arena, int value) {
+  buffers::PacketBatch batch;
+  batch.slots.push_back({arena.trueTerm(), {{"val", arena.intConst(value)}}});
+  buffer.accept(batch, arena.trueTerm());
+}
+
+TEST_F(StoreTest, CopySharesBuffersUntilWritten) {
+  store.addBuffer("b", std::make_unique<buffers::ListBuffer>(cfg("b"), arena));
+  const Store copy = store;
+  // Reads go through the const accessor and never clone.
+  EXPECT_EQ(std::as_const(store).buffer("b"), copy.buffer("b"));
+}
+
+TEST_F(StoreTest, FirstWriteUnsharesTheState) {
+  store.addBuffer("b", std::make_unique<buffers::ListBuffer>(cfg("b"), arena));
+  Store copy = store;
+  const buffers::SymBuffer* shared = std::as_const(store).buffer("b");
+  buffers::SymBuffer* written = copy.buffer("b");  // the write accessor
+  EXPECT_NE(written, shared);
+  EXPECT_EQ(copy.buffer("b"), written);  // unshared once, then kept
+  acceptOne(*written, arena, 1);
+  EXPECT_EQ(ir::evalTerm(std::as_const(copy).buffer("b")->backlogP(), {}), 1);
+  EXPECT_EQ(std::as_const(store).buffer("b"), shared);
+  EXPECT_EQ(ir::evalTerm(std::as_const(store).buffer("b")->backlogP(), {}),
+            0);
+}
+
+TEST_F(StoreTest, MergeLeavesUnwrittenBuffersShared) {
+  store.addBuffer("a", std::make_unique<buffers::ListBuffer>(cfg("a"), arena));
+  store.addBuffer("b", std::make_unique<buffers::ListBuffer>(cfg("b"), arena));
+  store.defineGlobal("x", Value::makeScalar(arena.intConst(1)));
+  Store elseStore = store;
+  acceptOne(*store.buffer("b"), arena, 1);
+  const buffers::SymBuffer* untouched = std::as_const(store).buffer("a");
+  const ir::TermRef c = arena.var("c", ir::Sort::Bool);
+  const std::size_t before = arena.size();
+  Store unwritten = elseStore;
+  unwritten.mergeElse(c, elseStore);
+  EXPECT_EQ(arena.size(), before);  // nothing differs, nothing is interned
+  store.mergeElse(c, elseStore);
+  EXPECT_EQ(std::as_const(store).buffer("a"), untouched);
+  EXPECT_EQ(std::as_const(elseStore).buffer("a"), untouched);
+  EXPECT_EQ(ir::evalTerm(std::as_const(store).buffer("b")->backlogP(),
+                         {{"c", 1}}),
+            1);
+  EXPECT_EQ(ir::evalTerm(std::as_const(store).buffer("b")->backlogP(),
+                         {{"c", 0}}),
+            0);
+}
+
+TEST_F(StoreTest, MergeUnsharesBeforeWriting) {
+  // An outer snapshot still shares the state this store merges into.
+  store.addBuffer("b", std::make_unique<buffers::ListBuffer>(cfg("b"), arena));
+  const Store outer = store;
+  Store elseStore = store;
+  acceptOne(*elseStore.buffer("b"), arena, 1);
+  store.mergeElse(arena.var("c", ir::Sort::Bool), elseStore);
+  EXPECT_EQ(ir::evalTerm(outer.buffer("b")->backlogP(), {}), 0);
+  EXPECT_EQ(
+      ir::evalTerm(std::as_const(store).buffer("b")->backlogP(), {{"c", 0}}),
+      1);
 }
 
 TEST_F(StoreTest, MergeScalarsAndArrays) {

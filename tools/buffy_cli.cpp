@@ -36,12 +36,14 @@
 //   --stage-timings       report per-stage pipeline wall time/node counts
 //   --sweep LO:HI         check/verify: answer every --query at every
 //                         horizon in [LO, HI] (repeat --query to batch)
-//   --shards N            worker shards for --sweep (default 1, max 1024);
+//   --shards N            --sweep: worker shards (default 1, max 1024);
 //                         each shard reuses one engine per horizon
 //   --threads N           synth: worker threads (default 1, max 1024)
 //   --jobs N              print/lint: compile the given model files over N
 //                         worker threads (default 1, max 1024);
 //                         diagnostics stay in input order
+//                         (each of these three, and --first-only and
+//                         --no-prescreen, exits 2 outside its mode)
 //   --isolate             --sweep: run each horizon's job in a
 //                         crash-isolated `buffy --worker` subprocess with
 //                         supervision — hung workers are killed at a
@@ -178,8 +180,9 @@ struct Options {
   /// Every model file in argument order (print/lint accept several; the
   /// other commands take exactly one — `file` is always files.front()).
   std::vector<std::string> files;
-  /// --jobs: parallel compile workers for multi-file print/lint.
-  std::size_t jobs = 1;
+  /// --jobs: parallel compile workers for multi-file print/lint (1 when
+  /// not given).
+  std::optional<std::size_t> jobs;
   int horizon = 4;
   std::map<std::string, std::int64_t> constants;
   std::string instance;
@@ -193,8 +196,8 @@ struct Options {
   std::vector<std::string> queries;
   /// --sweep LO:HI horizon range.
   std::optional<std::pair<int, int>> sweep;
-  /// --shards for the sweep's JobPool.
-  std::size_t shards = 1;
+  /// --shards for the sweep's JobPool (1 when not given).
+  std::optional<std::size_t> shards;
   /// --threads: synth's worker threads (1 when not given).
   std::optional<int> threads;
   /// --isolate: run sweep horizons in supervised `buffy --worker`
@@ -463,11 +466,20 @@ Options parseArgs(int argc, char** argv) {
   if (opts.sweep && opts.command != "check" && opts.command != "verify") {
     throw CliError("--sweep applies to check/verify only");
   }
-  if (opts.shards > 1 && !opts.sweep) {
+  if (opts.shards && !opts.sweep) {
     throw CliError("--shards needs --sweep");
   }
   if (opts.threads && opts.command != "synth") {
     throw CliError("--threads needs synth");
+  }
+  if (opts.jobs && opts.command != "print" && opts.command != "lint") {
+    throw CliError("--jobs needs print or lint");
+  }
+  if (opts.firstOnly && opts.command != "synth") {
+    throw CliError("--first-only needs synth");
+  }
+  if (opts.noPrescreen && opts.command != "synth") {
+    throw CliError("--no-prescreen needs synth");
   }
   if (opts.isolate && !opts.sweep) {
     throw CliError("--isolate needs --sweep");
@@ -1043,7 +1055,8 @@ int runMultiFile(const Options& opts) {
 
   const pipeline::CompilerDriver driver(popts);
   const pipeline::CompileAllResult all =
-      driver.compileAll(std::move(networks), frontModeFor(opts), opts.jobs);
+      driver.compileAll(std::move(networks), frontModeFor(opts),
+                        opts.jobs.value_or(1));
 
   if (opts.command == "lint") {
     bool findings = false;
@@ -1270,7 +1283,7 @@ int run(const Options& opts) {
       core::SweepOptions sopts;
       sopts.fromHorizon = opts.sweep->first;
       sopts.toHorizon = opts.sweep->second;
-      sopts.shards = opts.shards;
+      sopts.shards = opts.shards.value_or(1);
       sopts.verify = opts.command == "verify";
       sopts.supervisor = supervisor.get();
       sopts.workloadSpecs = opts.workloads;
