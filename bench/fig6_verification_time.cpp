@@ -27,13 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "backends/z3/z3_backend.hpp"
 #include "core/analysis.hpp"
 #include "core/sweep.hpp"
 #include "models/library.hpp"
-#include "opt/optimizer.hpp"
-#include "pipeline/driver.hpp"
-#include "pipeline/encoder.hpp"
+#include "z3_column.hpp"
 
 using namespace buffy;
 
@@ -95,42 +92,6 @@ core::Query conservationQuery() {
       });
 }
 
-/// One Z3 check of the planned conservation proof at `horizon`: the
-/// optimizer's plan of the negated query, as the Z3 rungs of `verify`
-/// solve it.
-backends::SolveResult z3Conservation(int horizon, unsigned timeoutMs) {
-  core::AnalysisOptions opts;
-  opts.horizon = horizon;
-  const pipeline::CompilerDriver driver(core::pipelineOptionsFor(opts));
-  const pipeline::CompilationUnitPtr unit =
-      driver.compile(fqNet(models::kFairQueueBuggy));
-  const auto enc = pipeline::buildEncoding(*unit, core::Workload{}, nullptr);
-  std::vector<ir::TermRef> structural = enc->assumptions;
-  structural.insert(structural.end(), enc->soundness.begin(),
-                    enc->soundness.end());
-  opt::Optimizer optimizer(enc->arena, structural, opts.opt);
-  ir::TermRef goal = conservationQuery().build(enc->seriesView(), enc->arena);
-  for (const auto& obligation : enc->obligations) {
-    goal = enc->arena.mkAnd(goal, obligation.cond);
-  }
-  std::vector<ir::TermRef> delta = enc->workloadTerms;
-  delta.push_back(enc->arena.mkNot(goal));
-  const opt::Optimizer::Plan plan = optimizer.plan(delta);
-  std::vector<ir::TermRef> problem = plan.structural;
-  problem.insert(problem.end(), plan.delta.begin(), plan.delta.end());
-  backends::Z3Backend z3;
-  return z3.check(problem, backends::SolveBudget(timeoutMs));
-}
-
-const char* statusName(backends::SolveStatus status) {
-  switch (status) {
-    case backends::SolveStatus::Sat: return "VIOLATED";
-    case backends::SolveStatus::Unsat: return "VERIFIED";
-    case backends::SolveStatus::Unknown: return "UNKNOWN";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main() {
@@ -161,9 +122,11 @@ int main() {
     for (int horizon = 1; horizon <= 9; ++horizon) {
       char z3Cells[64] = "         -- |         --";
       if (z3Running) {
-        const backends::SolveResult z3 = z3Conservation(horizon, kRowTimeoutMs);
+        const backends::SolveResult z3 =
+            bench::z3VerifyPlanned(fqNet(models::kFairQueueBuggy),
+                                   conservationQuery(), horizon, kRowTimeoutMs);
         std::snprintf(z3Cells, sizeof z3Cells, "%10s | %10.3f",
-                      statusName(z3.status), z3.seconds);
+                      bench::verifyVerdictName(z3.status), z3.seconds);
         if (first < 0) first = z3.seconds;
         last = z3.seconds;
         if (z3.status == backends::SolveStatus::Unknown) {

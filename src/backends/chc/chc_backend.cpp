@@ -144,6 +144,13 @@ ChcResult proveSafety(const core::TransitionSystem& system,
                   ctx.str_symbol(("assert" + std::to_string(i)).c_str()));
     }
 
+    // Z3 (4.8.12) drops an interrupt() issued before fixedpoint::query
+    // starts, so one that landed while the rules were built is caught
+    // here. The window left is inside Z3: from this check until the query
+    // is far enough in to honour an interrupt.
+    if (interrupt && interrupt->interrupted()) {
+      return interruptedResult(0.0);
+    }
     ChcResult result;
     start = std::chrono::steady_clock::now();
     z3::expr query = bad();

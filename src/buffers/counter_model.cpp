@@ -56,10 +56,9 @@ ir::TermRef CounterBuffer::backlogB(const Filter& filter) const {
 
 PacketBatch CounterBuffer::popCount(ir::TermRef m) {
   PacketBatch batch;
+  batch.count = m;
   batch.slots.resize(static_cast<std::size_t>(config().capacity));
-  for (int k = 0; k < config().capacity; ++k) {
-    auto& slot = batch.slots[static_cast<std::size_t>(k)];
-    slot.present = arena_.lt(arena_.intConst(k), m);
+  for (auto& slot : batch.slots) {
     // Contents are unknown at counter precision; only "bytes" is defined
     // (constant packet size abstraction).
     slot.fields[BufferSchema::kBytesField] =
@@ -109,7 +108,7 @@ PacketBatch CounterBuffer::popB(ir::TermRef bytes, ir::TermRef guard) {
 PacketBatch CounterBuffer::popAll() { return popCount(pkts_); }
 
 void CounterBuffer::accept(const PacketBatch& batch, ir::TermRef guard) {
-  const ir::TermRef incoming = batch.count(arena_);
+  const ir::TermRef incoming = batch.count;
   const ir::TermRef room =
       arena_.sub(arena_.intConst(config().capacity), pkts_);
   ir::TermRef accepted = arena_.min(incoming, room);
@@ -122,7 +121,8 @@ void CounterBuffer::accept(const PacketBatch& batch, ir::TermRef guard) {
     const std::string& field = config().classField;
     const int domain = config().classDomain;
     // Per-class incoming counts: prefer aggregate counts from the batch,
-    // else derive them from per-slot fields.
+    // else derive them from per-slot fields (slot k holds a packet iff
+    // k < count).
     std::vector<ir::TermRef> in(static_cast<std::size_t>(domain),
                                 arena_.intConst(0));
     const auto aggIt = batch.classCounts.find(field);
@@ -133,16 +133,19 @@ void CounterBuffer::accept(const PacketBatch& batch, ir::TermRef guard) {
       }
       in = aggIt->second;
     } else {
-      for (const auto& slot : batch.slots) {
-        const auto fieldIt = slot.fields.find(field);
-        if (fieldIt == slot.fields.end()) {
+      for (std::size_t k = 0; k < batch.slots.size(); ++k) {
+        const auto& fields = batch.slots[k].fields;
+        const auto fieldIt = fields.find(field);
+        if (fieldIt == fields.end()) {
           throw AnalysisError(
               "batch entering classified buffer '" + config().name +
               "' lacks class field '" + field + "'");
         }
+        const ir::TermRef present = arena_.lt(
+            arena_.intConst(static_cast<std::int64_t>(k)), batch.count);
         for (int c = 0; c < domain; ++c) {
           const ir::TermRef matches = arena_.mkAnd(
-              slot.present, arena_.eq(fieldIt->second, arena_.intConst(c)));
+              present, arena_.eq(fieldIt->second, arena_.intConst(c)));
           in[static_cast<std::size_t>(c)] =
               arena_.add(in[static_cast<std::size_t>(c)],
                          arena_.ite(matches, arena_.intConst(1),

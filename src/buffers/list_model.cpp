@@ -80,29 +80,30 @@ ir::TermRef ListBuffer::backlogB(const Filter& filter) const {
 PacketBatch ListBuffer::popCount(ir::TermRef m) {
   const int cap = config().capacity;
   PacketBatch batch;
-  batch.slots.resize(static_cast<std::size_t>(cap));
-  for (int k = 0; k < cap; ++k) {
-    batch.slots[static_cast<std::size_t>(k)].present =
-        arena_.lt(arena_.intConst(k), m);
-    batch.slots[static_cast<std::size_t>(k)].fields =
-        slots_[static_cast<std::size_t>(k)];
-  }
-
-  // Shift the remaining packets to the front: slot i takes old slot i+d
-  // where d == m. Values above the new length are don't-care.
-  std::vector<std::map<std::string, ir::TermRef>> shifted = slots_;
-  for (int i = 0; i < cap; ++i) {
-    for (auto& [field, value] : shifted[static_cast<std::size_t>(i)]) {
-      ir::TermRef acc = value;  // d == 0 (or don't-care)
-      for (int d = 1; i + d < cap; ++d) {
-        acc = arena_.ite(arena_.eq(m, arena_.intConst(d)),
-                         slots_[static_cast<std::size_t>(i + d)].at(field),
-                         acc);
+  batch.count = m;
+  if (config().schema.fields.empty()) {
+    // No contents to hand over or shift. The empty slots still tell a
+    // fielded consumer every position a packet can land in.
+    batch.slots.resize(static_cast<std::size_t>(cap));
+  } else {
+    batch.slots.reserve(static_cast<std::size_t>(cap));
+    for (const auto& slot : slots_) batch.slots.push_back(PacketSlot{slot});
+    // Shift the remaining packets to the front: slot i takes old slot i+d
+    // where d == m. Values above the new length are don't-care. Slot i is
+    // rewritten in place; it reads only the slots above it, which still
+    // hold their old contents.
+    for (int i = 0; i < cap; ++i) {
+      for (auto& [field, value] : slots_[static_cast<std::size_t>(i)]) {
+        ir::TermRef acc = value;  // d == 0 (or don't-care)
+        for (int d = 1; i + d < cap; ++d) {
+          acc = arena_.ite(arena_.eq(m, arena_.intConst(d)),
+                           slots_[static_cast<std::size_t>(i + d)].at(field),
+                           acc);
+        }
+        value = acc;
       }
-      value = acc;
     }
   }
-  slots_ = std::move(shifted);
   len_ = arena_.sub(len_, m);
   return batch;
 }
@@ -139,7 +140,7 @@ void ListBuffer::accept(const PacketBatch& batch, ir::TermRef guard) {
         "precision");
   }
   const int cap = config().capacity;
-  const ir::TermRef incoming = batch.count(arena_);
+  const ir::TermRef incoming = batch.count;
   const ir::TermRef room = arena_.sub(arena_.intConst(cap), len_);
   ir::TermRef accepted = arena_.min(incoming, room);
   accepted = arena_.ite(guard, accepted, arena_.intConst(0));

@@ -12,13 +12,6 @@ bool BufferSchema::hasField(const std::string& name) const {
   return std::find(fields.begin(), fields.end(), name) != fields.end();
 }
 
-ir::TermRef PacketBatch::count(ir::TermArena& arena) const {
-  std::vector<ir::TermRef> flags;
-  flags.reserve(slots.size());
-  for (const auto& slot : slots) flags.push_back(slot.present);
-  return arena.countTrue(flags);
-}
-
 std::unique_ptr<SymBuffer> makeBuffer(ModelKind kind, BufferConfig config,
                                       ir::TermArena& arena) {
   switch (kind) {

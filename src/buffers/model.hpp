@@ -68,25 +68,27 @@ struct BufferConfig {
 
 enum class ModelKind { List, Counter };
 
-/// One slot of a batch of packets in flight between buffers. `present`
-/// says whether the slot carries a packet; fields may be empty when the
-/// producing model does not track contents (counter model).
+/// One slot of a batch of packets in flight between buffers: the fields
+/// of the packet it may hold, by name. A producer that does not track a
+/// field leaves it out (a field-less list tracks none).
 struct PacketSlot {
-  ir::TermRef present = nullptr;
   std::map<std::string, ir::TermRef> fields;
 };
 
-/// A compact batch of packets (slot k present implies slots 0..k-1 are
-/// present). Produced by pops/arrivals, consumed by accepts.
+/// A compact batch of packets, produced by pops/arrivals and consumed by
+/// accepts. Invariant: slot k holds a packet iff k < count. The code that
+/// builds a batch sets `count` to the size it already has as a term (a
+/// pop's clamped m, an arrival's n), and every state the encoding admits
+/// keeps it within [0, slots.size()]; slots at or past count are
+/// don't-care.
 struct PacketBatch {
   std::vector<PacketSlot> slots;
+  /// Number of packets in the batch.
+  ir::TermRef count = nullptr;
   /// Optional aggregate per-class counts (field -> count per class value),
   /// produced by classified counter buffers so class information survives
   /// counter->counter flushes.
   std::map<std::string, std::vector<ir::TermRef>> classCounts;
-
-  /// Number of present packets, as a term.
-  [[nodiscard]] ir::TermRef count(ir::TermArena& arena) const;
 };
 
 /// Symbolic state of one packet buffer at the current evaluation point.

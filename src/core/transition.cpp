@@ -259,7 +259,7 @@ class TransitionBuilder {
         if (options_.trackTotals) {
           setPost(*ts, unit.qualified + ".outTotal",
                   arena.add(preOf(*ts, unit.qualified + ".outTotal"),
-                            batch.count(arena)));
+                            batch.count));
         }
       }
     }
@@ -435,6 +435,7 @@ class TransitionBuilder {
     ts.constraints.push_back(
         arena.le(av.count, arena.intConst(spec.maxArrivalsPerStep)));
     buffers::PacketBatch batch;
+    batch.count = av.count;
     for (int i = 0; i < spec.maxArrivalsPerStep; ++i) {
       std::map<std::string, ir::TermRef> fields;
       for (const auto& field : spec.schema.fields) {
@@ -453,8 +454,7 @@ class TransitionBuilder {
         }
       }
       av.slots.push_back(fields);
-      batch.slots.push_back(buffers::PacketSlot{
-          arena.lt(arena.intConst(i), av.count), std::move(fields)});
+      batch.slots.push_back(buffers::PacketSlot{std::move(fields)});
     }
     buf->accept(batch, arena.trueTerm());
     out[unit.qualified].push_back(std::move(av));

@@ -423,12 +423,4 @@ TermRef TermArena::ite(TermRef cond, TermRef thenT, TermRef elseT) {
   return intern(TermKind::Ite, thenT->sort, 0, "", args);
 }
 
-TermRef TermArena::countTrue(std::span<const TermRef> flags) {
-  TermRef acc = intConst(0);
-  for (const TermRef f : flags) {
-    acc = add(acc, ite(f, intConst(1), intConst(0)));
-  }
-  return acc;
-}
-
 }  // namespace buffy::ir

@@ -178,8 +178,6 @@ class TermArena {
   TermRef boolIte(TermRef cond, TermRef thenT, TermRef elseT) {
     return ite(cond, thenT, elseT);
   }
-  /// Counts how many of `flags` are true (sum of 0/1 terms).
-  TermRef countTrue(std::span<const TermRef> flags);
 
   /// All variables created so far (in creation order).
   [[nodiscard]] const std::vector<TermRef>& variables() const {

@@ -54,8 +54,7 @@ void emitArrivals(Encoding& enc, const BufferUnit& bu, int t,
         fields[field] = arena.intConst(value);
       }
       av.slots.push_back(fields);
-      batch.slots.push_back(
-          buffers::PacketSlot{arena.trueTerm(), std::move(fields)});
+      batch.slots.push_back(buffers::PacketSlot{std::move(fields)});
     }
   } else {
     const std::string stem = bu.qualified + ".t" + std::to_string(t);
@@ -80,11 +79,11 @@ void emitArrivals(Encoding& enc, const BufferUnit& bu, int t,
         }
       }
       av.slots.push_back(fields);
-      batch.slots.push_back(buffers::PacketSlot{
-          arena.lt(arena.intConst(i), av.count), std::move(fields)});
+      batch.slots.push_back(buffers::PacketSlot{std::move(fields)});
     }
   }
 
+  batch.count = av.count;
   buf->accept(batch, arena.trueTerm());
   appendSeries(enc, bu.qualified + ".arrived", t, av.count);
   for (std::size_t i = 0; i < av.slots.size(); ++i) {
@@ -107,7 +106,7 @@ void contractStep(const CompilationUnit& unit, Encoding& enc,
     buffers::SymBuffer* buf = enc.store.buffer(bu.qualified);
     if (bu.spec->role == BufferSpec::Role::Input) {
       buffers::PacketBatch batch = buf->popAll();
-      appendSeries(enc, bu.qualified + ".consumed", t, batch.count(arena));
+      appendSeries(enc, bu.qualified + ".consumed", t, batch.count);
     } else if (bu.spec->role == BufferSpec::Role::Output) {
       const std::string stem =
           bu.qualified + ".t" + std::to_string(t) + ".emit";
@@ -116,6 +115,7 @@ void contractStep(const CompilationUnit& unit, Encoding& enc,
       enc.assumptions.push_back(
           arena.le(count, arena.intConst(contract.maxOutPerStep)));
       buffers::PacketBatch batch;
+      batch.count = count;
       for (int i = 0; i < contract.maxOutPerStep; ++i) {
         std::map<std::string, ir::TermRef> fields;
         for (const auto& field : bu.spec->schema.fields) {
@@ -128,8 +128,7 @@ void contractStep(const CompilationUnit& unit, Encoding& enc,
                 arena.le(v, arena.intConst(bu.spec->maxPacketBytes)));
           }
         }
-        batch.slots.push_back(buffers::PacketSlot{
-            arena.lt(arena.intConst(i), count), std::move(fields)});
+        batch.slots.push_back(buffers::PacketSlot{std::move(fields)});
       }
       buf->accept(batch, arena.trueTerm());
       appendSeries(enc, bu.qualified + ".emitted", t, count);
@@ -250,7 +249,7 @@ std::unique_ptr<core::Encoding> buildEncoding(
           *enc,
           qualifiedName(conn.fromInstance, conn.fromParam, conn.fromIndex) +
               ".out",
-          t, batch.count(arena));
+          t, batch.count);
       to->accept(batch, arena.trueTerm());
     }
 
@@ -261,7 +260,7 @@ std::unique_ptr<core::Encoding> buildEncoding(
         if (unit.connectedOutputs().count(bu.qualified) != 0) continue;
         buffers::SymBuffer* buf = enc->store.buffer(bu.qualified);
         buffers::PacketBatch batch = buf->popAll();
-        appendSeries(*enc, bu.qualified + ".out", t, batch.count(arena));
+        appendSeries(*enc, bu.qualified + ".out", t, batch.count);
       }
     }
   }

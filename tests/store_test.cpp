@@ -105,8 +105,8 @@ TEST_F(StoreTest, DeepCopyClonesBuffers) {
   store.addBuffer("b", std::make_unique<buffers::ListBuffer>(cfg("b"), arena));
   Store copy = store;
   buffers::PacketBatch batch;
-  batch.slots.push_back(
-      {arena.trueTerm(), {{"val", arena.intConst(1)}}});
+  batch.count = arena.intConst(1);
+  batch.slots.push_back({{{"val", arena.intConst(1)}}});
   copy.buffer("b")->accept(batch, arena.trueTerm());
   EXPECT_EQ(ir::evalTerm(copy.buffer("b")->backlogP(), {}), 1);
   EXPECT_EQ(ir::evalTerm(store.buffer("b")->backlogP(), {}), 0);
@@ -114,7 +114,8 @@ TEST_F(StoreTest, DeepCopyClonesBuffers) {
 
 void acceptOne(buffers::SymBuffer& buffer, ir::TermArena& arena, int value) {
   buffers::PacketBatch batch;
-  batch.slots.push_back({arena.trueTerm(), {{"val", arena.intConst(value)}}});
+  batch.count = arena.intConst(1);
+  batch.slots.push_back({{{"val", arena.intConst(value)}}});
   buffer.accept(batch, arena.trueTerm());
 }
 

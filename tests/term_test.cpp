@@ -145,14 +145,6 @@ TEST_F(TermTest, VariablesTracked) {
   EXPECT_EQ(arena.variables().size(), 2u);
 }
 
-TEST_F(TermTest, CountTrue) {
-  const TermRef p = arena.var("p", Sort::Bool);
-  const std::vector<TermRef> flags = {arena.trueTerm(), arena.falseTerm(), p};
-  const TermRef count = arena.countTrue(flags);
-  EXPECT_EQ(evalTerm(count, {{"p", 1}}), 2);
-  EXPECT_EQ(evalTerm(count, {{"p", 0}}), 1);
-}
-
 TEST_F(TermTest, EqSortMismatchThrows) {
   EXPECT_THROW(arena.eq(arena.intConst(1), arena.trueTerm()), Error);
   EXPECT_THROW(
