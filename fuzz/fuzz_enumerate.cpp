@@ -17,12 +17,15 @@
 // ids are sparse the way they are in an encoding that answers many
 // queries; the problem a given input decodes to is the same.
 //
-// Invariants: whenever the enumerator answers, Z3Backend::check gives the
-// same status (or Unknown within its timeout); every model the enumerator
-// returns satisfies every constraint under ir::evalTerm; and on a small
-// box of small values — each derived threshold widened by two — plain
-// search under ir::evalTerms finds the same first model, or none. A
-// disagreement aborts.
+// Invariants: the problem laid out as a prefix of its constraints (an
+// enumerate::Layout) extended by the rest, at a split point the input
+// draws, answers exactly what a fresh compile does: status, reason, model
+// and every search counter; whenever the enumerator answers,
+// Z3Backend::check gives the same status (or Unknown within its timeout);
+// every model the enumerator returns satisfies every constraint under
+// ir::evalTerm; and on a small box of small values — each derived
+// threshold widened by two — plain search under ir::evalTerms finds the
+// same first model, or none. A disagreement aborts.
 #include <algorithm>
 #include <climits>
 #include <cstddef>
@@ -30,7 +33,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +46,8 @@
 namespace {
 
 using buffy::enumerate::Enumerator;
+using buffy::enumerate::Layout;
+using buffy::enumerate::Outcome;
 using buffy::ir::Sort;
 using buffy::ir::TermRef;
 
@@ -291,6 +298,16 @@ std::optional<buffy::ir::Assignment> bruteForce(
   }
 }
 
+bool sameOutcome(const Outcome& a, const Outcome& b) {
+  return a.status == b.status && a.model == b.model && a.reason == b.reason &&
+         a.stats.visited == b.stats.visited &&
+         a.stats.evaluations == b.stats.evaluations &&
+         a.stats.memoHits == b.stats.memoHits &&
+         a.stats.deadEntries == b.stats.deadEntries &&
+         a.stats.liveWidth == b.stats.liveWidth &&
+         a.stats.saturated == b.stats.saturated;
+}
+
 /// The enumerator's box with each derived threshold widened by two, when
 /// it holds at most 2,048 assignments of small values.
 std::optional<std::vector<Enumerator::Domain>> smallBox(
@@ -322,8 +339,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                          : decodeLayered(arena, in, pad);
 
   Enumerator enumerator(p.constraints);
-  const buffy::enumerate::Outcome out =
-      enumerator.run([] { return false; });
+  const Outcome out = enumerator.run([] { return false; });
+
+  // Split point 0 extends an empty layout by the whole problem; the last
+  // one lays it all out with an empty delta.
+  const std::span<const TermRef> all(p.constraints);
+  const std::size_t split = in.byte() % (all.size() + 1);
+  Enumerator extended(std::make_shared<const Layout>(all.first(split)),
+                      all.subspan(split));
+  if (!sameOutcome(out, extended.run([] { return false; }))) {
+    fail("a layout extended by the rest disagrees with a fresh compile");
+  }
   using buffy::enumerate::Status;
   if (out.status == Status::Stopped) fail("stopped without a stop request");
   if (out.status == Status::Declined) return 0;

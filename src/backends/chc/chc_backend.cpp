@@ -175,12 +175,22 @@ ChcResult proveSafety(const core::TransitionSystem& system,
     return result;
   } catch (const z3::exception& e) {
     // Spacer may raise ("canceled") instead of answering unknown when its
-    // context is interrupted mid-query.
+    // context is interrupted mid-query, and it raises the same when its
+    // own timeout fires.
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
     if (interrupt && interrupt->interrupted()) {
-      return interruptedResult(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
+      return interruptedResult(seconds);
+    }
+    if (timeoutMs && std::string(e.msg()).find("canceled") !=
+                         std::string::npos) {
+      ChcResult result;
+      result.status = ChcStatus::Unknown;
+      result.seconds = seconds;
+      result.detail = "timeout";
+      return result;
     }
     throw BackendError(std::string("z3 (spacer): ") + e.msg());
   }

@@ -46,7 +46,8 @@ struct ChcResult {
 /// assert holds at every step. When `interrupt` is non-null the query
 /// registers with it so it can be cancelled from another thread; an
 /// interrupted query returns Unknown/"interrupted", whether Spacer answers
-/// unknown or raises. Any other Spacer failure throws BackendError.
+/// unknown or raises. A query that runs out of `timeoutMs` returns
+/// Unknown/"timeout". Any other Spacer failure throws BackendError.
 ChcResult proveSafety(const core::TransitionSystem& system,
                       ir::TermRef property,
                       std::optional<unsigned> timeoutMs = 60000,

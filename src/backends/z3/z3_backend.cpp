@@ -328,19 +328,40 @@ SolveResult Z3Backend::check(std::span<const ir::TermRef> constraints,
 SolveResult Z3Backend::enumerateOrCheck(
     std::span<const ir::TermRef> constraints, SolveBudget budget,
     const PlannedProblem& planned) {
+  std::shared_ptr<const enumerate::Layout> layout;
+  return enumerateOrCheck(layout, constraints, {}, budget, planned);
+}
+
+SolveResult Z3Backend::enumerateOrCheck(
+    std::shared_ptr<const enumerate::Layout>& layout,
+    std::span<const ir::TermRef> structural,
+    std::span<const ir::TermRef> delta, SolveBudget budget,
+    const PlannedProblem& planned) {
   const auto start = std::chrono::steady_clock::now();
-  enumerate::Enumerator problem(constraints);
+  std::uint64_t setUpNodes = 0;
+  if (!layout) {
+    layout = std::make_shared<const enumerate::Layout>(structural);
+    setUpNodes = layout->nodes();
+  }
+  enumerate::Enumerator problem(layout, delta);
   const double setUpSeconds = secondsSince(start);
+  setUpNodes += problem.setupNodes();
   return impl_->oneShot(budget, "z3: ", problem.qualifies(), [&] {
     SolveResult searched;
     if (problem.qualifies()) searched = impl_->runEnumeration(problem, budget);
     searched.seconds += setUpSeconds;
     searched.setupSeconds = setUpSeconds;
+    searched.setupNodes = setUpNodes;
     if (searched.enumerated) return searched;
-    SolveResult result =
-        impl_->checkZ3(planned ? planned() : constraints, budget);
+    std::vector<ir::TermRef> whole;
+    if (!planned) {
+      whole.assign(structural.begin(), structural.end());
+      whole.insert(whole.end(), delta.begin(), delta.end());
+    }
+    SolveResult result = impl_->checkZ3(planned ? planned() : whole, budget);
     result.seconds += searched.seconds;
     result.setupSeconds = setUpSeconds;
+    result.setupNodes = setUpNodes;
     result.search = searched.search;
     return result;
   });

@@ -74,6 +74,10 @@ struct SolveResult {
   /// The part of `seconds` spent constructing the enumerator (domains,
   /// saturation thresholds, dead-set layout); 0 when none was built.
   double setupSeconds = 0.0;
+  /// DAG nodes that construction laid out: the structural layout's and the
+  /// delta's when the attempt built the layout, the delta's own after
+  /// that; 0 when no enumerator was built.
+  std::uint64_t setupNodes = 0;
   /// Z3's reason when status == Unknown (e.g. "timeout").
   std::string reason;
   /// Z3 resource units consumed by this query alone (the context's
@@ -125,6 +129,17 @@ class Z3Backend {
   SolveResult enumerateOrCheck(std::span<const ir::TermRef> constraints,
                                SolveBudget budget = {},
                                const PlannedProblem& planned = {});
+
+  /// The same for the conjunction of `structural` and `delta`, where an
+  /// engine asks many queries under one `structural` set: `layout` holds
+  /// its enumerate::Layout across the queries. An attempt that finds it
+  /// empty lays the structural constraints out and leaves the layout
+  /// there; every attempt lays out only the nodes its delta adds.
+  SolveResult enumerateOrCheck(
+      std::shared_ptr<const enumerate::Layout>& layout,
+      std::span<const ir::TermRef> structural,
+      std::span<const ir::TermRef> delta, SolveBudget budget = {},
+      const PlannedProblem& planned = {});
 
   /// Parses SMT-LIB2 text (e.g. from the smtlib backend) and checks it —
   /// the emission/reparse path of the backend-comparison ablation and the

@@ -73,6 +73,7 @@ std::string encodeAttempt(const SolveAttempt& attempt) {
   map.set("reason", attempt.reason);
   map.setDouble("seconds", attempt.seconds);
   map.setDouble("setupSeconds", attempt.setupSeconds);
+  map.setUint("setupNodes", attempt.setupNodes);
   map.setUint("rlimitUsed", attempt.rlimitUsed);
   if (attempt.seed) map.setUint("seed", *attempt.seed);
   if (attempt.timeoutMs) map.setUint("timeoutMs", *attempt.timeoutMs);
@@ -108,6 +109,7 @@ SolveAttempt decodeAttempt(const std::string& bytes) {
   const auto counter = [&map](const char* key) {
     return map.has(key) ? map.getUint(key) : std::uint64_t{0};
   };
+  attempt.setupNodes = counter("setupNodes");
   attempt.visited = counter("visited");
   attempt.memoHits = counter("memoHits");
   attempt.deadEntries = counter("deadEntries");
@@ -254,6 +256,15 @@ struct Analysis::Impl {
   /// every term this engine hashes lives in the one encoding arena, so
   /// one hasher per engine is sound.
   ir::TermHasher hasher;
+  /// The encoding's assumptions and soundness constraints, which every
+  /// query shares, and the cache key's hash of them: each built at the
+  /// first query that needs it.
+  std::vector<ir::TermRef> structural;
+  std::optional<std::uint64_t> structuralHash;
+  /// The enumerator's layout of `structural` (DESIGN.md §7), built by the
+  /// first query that reaches the solver and extended by each query's
+  /// delta.
+  std::shared_ptr<const enumerate::Layout> layout;
 
   Impl(Network net, AnalysisOptions opts) : options(std::move(opts)) {
     if (options.horizon <= 0) {
@@ -304,13 +315,19 @@ struct Analysis::Impl {
     return budget;
   }
 
-  opt::Optimizer& ensureOptimizer(Encoding& enc) {
-    if (!optimizer) {
-      std::vector<ir::TermRef> structural = enc.assumptions;
+  const std::vector<ir::TermRef>& structuralConstraints(const Encoding& enc) {
+    if (structural.empty()) {
+      structural = enc.assumptions;
       structural.insert(structural.end(), enc.soundness.begin(),
                         enc.soundness.end());
+    }
+    return structural;
+  }
+
+  opt::Optimizer& ensureOptimizer(Encoding& enc) {
+    if (!optimizer) {
       optimizer = std::make_unique<opt::Optimizer>(
-          enc.arena, std::move(structural), options.opt);
+          enc.arena, structuralConstraints(enc), options.opt);
     }
     return *optimizer;
   }
@@ -379,12 +396,12 @@ struct Analysis::Impl {
       pipeline::StageTimer timer(stats.stage("cache"));
       const double cpuStart = cache::threadCpuSeconds();
       constexpr std::uint64_t kPrime = 1099511628211ull;
+      if (!structuralHash) {
+        structuralHash = hasher.hashSet(enc.assumptions) * kPrime ^
+                         hasher.hashSet(enc.soundness);
+      }
       cache::CacheKeyParts parts;
-      parts.problemHash = hasher.hashSet(enc.assumptions);
-      parts.problemHash =
-          parts.problemHash * kPrime ^ hasher.hashSet(enc.soundness);
-      parts.problemHash =
-          parts.problemHash * kPrime ^ hasher.hashSet(out.delta);
+      parts.problemHash = *structuralHash * kPrime ^ hasher.hashSet(out.delta);
       parts.query = query.description();
       parts.horizon = options.horizon;
       parts.forVerify = forVerify;
@@ -402,10 +419,9 @@ struct Analysis::Impl {
 
   /// The raw standalone problem: the encoding's assumptions and soundness
   /// constraints plus the query delta, as built before any planning.
-  static std::vector<ir::TermRef> rawProblem(
-      const Encoding& enc, const std::vector<ir::TermRef>& delta) {
-    std::vector<ir::TermRef> out = enc.assumptions;
-    out.insert(out.end(), enc.soundness.begin(), enc.soundness.end());
+  std::vector<ir::TermRef> rawProblem(const Encoding& enc,
+                                      const std::vector<ir::TermRef>& delta) {
+    std::vector<ir::TermRef> out = structuralConstraints(enc);
     out.insert(out.end(), delta.begin(), delta.end());
     return out;
   }
@@ -581,6 +597,7 @@ struct Analysis::Impl {
     attempt.reason = sr.reason;
     attempt.seconds = sr.seconds;
     attempt.setupSeconds = sr.setupSeconds;
+    attempt.setupNodes = sr.setupNodes;
     attempt.rlimitUsed = sr.rlimitUsed;
     attempt.seed = budget.randomSeed;
     attempt.timeoutMs = budget.timeoutMs;
@@ -610,17 +627,19 @@ struct Analysis::Impl {
     // Z3 or planning a slice.
     if (auto hit = tryCacheHit(keyed.key, enc, forVerify)) return *hit;
 
-    // The initial rung enumerates the raw problem (DESIGN.md §7). The
-    // optimizer plans the query-specialized problem only for Z3: when that
-    // enumeration declines, and for every retry rung.
+    // The initial rung enumerates the raw problem (DESIGN.md §7),
+    // extending the engine's layout of the structural constraints by the
+    // query delta. The optimizer plans the query-specialized problem only
+    // for Z3: when that enumeration declines, and for every retry rung.
     const auto plannedProblem = [&]() -> std::span<const ir::TermRef> {
       finishKeyed(keyed, enc);
       return keyed.standalone;
     };
     std::vector<SolveAttempt> attempts;
     backends::SolveBudget budget = baseBudget();
-    backends::SolveResult sr = solver.enumerateOrCheck(
-        rawProblem(enc, keyed.delta), budget, plannedProblem);
+    backends::SolveResult sr =
+        solver.enumerateOrCheck(layout, structuralConstraints(enc),
+                                keyed.delta, budget, plannedProblem);
     recordAttempt(attempts, "initial", budget, sr);
 
     if (retryable(sr)) {

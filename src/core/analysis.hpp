@@ -154,6 +154,10 @@ struct SolveAttempt {
   /// The part of `seconds` spent constructing the enumerator (domains,
   /// saturation thresholds, dead-set layout); 0 when none was built.
   double setupSeconds = 0.0;
+  /// DAG nodes the enumerator's set-up laid out: the structural layout's
+  /// and the query's on an engine's first enumerated query, the query's
+  /// own after that; 0 when no enumerator was built.
+  std::uint64_t setupNodes = 0;
   /// Z3 resource units consumed by this attempt (best-effort).
   std::uint64_t rlimitUsed = 0;
   /// Random seed the attempt ran with, if pinned.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/verdict_cache.hpp"
 #include "helpers.hpp"
 #include "ir/term_eval.hpp"
 #include "pipeline/driver.hpp"
@@ -315,6 +316,93 @@ TEST(AnalysisApi, SymbolicInitialStateSimulationRejected) {
   opts.symbolicInitialState = true;
   Analysis analysis(schedulerNet(models::kRoundRobin, "rr", 2), opts);
   EXPECT_THROW(analysis.simulate({}), AnalysisError);
+}
+
+// ---------------------------------------------------------------------------
+// Engine layout: the structural constraints are laid out once per engine
+// ---------------------------------------------------------------------------
+
+/// A Figure 6-style batch of nine ∀ properties of the RFC-fixed FQ under
+/// the §6.1 workload (perfbench's `sweep`).
+std::vector<Query> sweepProperties() {
+  std::vector<Query> out;
+  for (const char* text : {
+           "fq.cdeq.1[T-1] >= min(3, (T-1)/3)",
+           "fq.cdeq.0[T-1] >= 0",
+           "fq.cdeq.1[T-1] >= 0",
+           "fq.cdeq.0[T-1] <= T",
+           "fq.cdeq.1[T-1] <= T",
+           "fq.cdeq.0[T-1] + fq.cdeq.1[T-1] <= 2 * T",
+           "sum(fq.cdeq.0, 0, T) >= 0",
+           "fq.ibs.0.backlog[T-1] >= 0",
+           "fq.ibs.1.dropped[T-1] >= 0",
+       }) {
+    out.push_back(Query::expr(text));
+  }
+  return out;
+}
+
+std::unique_ptr<Analysis> fixedFqEngine(const AnalysisOptions& opts) {
+  auto engine = std::make_unique<Analysis>(
+      schedulerNet(models::kFairQueueFixed, "fq", 2), opts);
+  engine->setWorkload(starvationWorkload("fq", opts.horizon));
+  return engine;
+}
+
+TEST(EngineLayout, LaterQueriesLayOutOnlyTheirDelta) {
+  const auto engine = fixedFqEngine(fastOpts(4));
+  std::uint64_t first = 0;
+  for (const Query& q : sweepProperties()) {
+    SCOPED_TRACE(q.description());
+    const AnalysisResult r = engine->verify(q);
+    ASSERT_EQ(r.attempts.size(), 1u);
+    const SolveAttempt& attempt = r.attempts.front();
+    EXPECT_EQ(attempt.solver, "enumerate");
+    if (first == 0) {
+      first = attempt.setupNodes;
+      ASSERT_GT(first, 0u);
+    } else {
+      EXPECT_LE(attempt.setupNodes * 100, first * 15) << attempt.setupNodes;
+    }
+    // A fresh engine answers the same, with the same search.
+    const AnalysisResult expected = fixedFqEngine(fastOpts(4))->verify(q);
+    EXPECT_EQ(r.verdict, expected.verdict);
+    EXPECT_EQ(r.verdict, Verdict::Verified);
+    ASSERT_EQ(expected.attempts.size(), 1u);
+    const SolveAttempt& e = expected.attempts.front();
+    EXPECT_EQ(attempt.visited, e.visited);
+    EXPECT_EQ(attempt.memoHits, e.memoHits);
+    EXPECT_EQ(attempt.deadEntries, e.deadEntries);
+    EXPECT_EQ(attempt.liveWidth, e.liveWidth);
+    EXPECT_GE(e.setupNodes, first * 85 / 100);
+  }
+}
+
+TEST(EngineLayout, CacheHitBuildsNoLayout) {
+  AnalysisOptions opts = fastOpts(4);
+  opts.cache = std::make_shared<cache::VerdictCache>();
+  const Query hit = Query::expr("fq.cdeq.0[T-1] <= T");
+  const Query miss = Query::expr("fq.cdeq.1[T-1] <= T");
+  ASSERT_EQ(fixedFqEngine(opts)->verify(hit).verdict, Verdict::Verified);
+  const auto engine = fixedFqEngine(opts);
+  const AnalysisResult cached = engine->verify(hit);
+  ASSERT_TRUE(cached.cached);
+  EXPECT_TRUE(cached.attempts.empty());
+  // The first query that misses lays out the whole problem, as a fresh
+  // engine's first query does...
+  const AnalysisResult solved = engine->verify(miss);
+  ASSERT_FALSE(solved.cached);
+  ASSERT_EQ(solved.attempts.size(), 1u);
+  const AnalysisResult expected = fixedFqEngine(fastOpts(4))->verify(miss);
+  ASSERT_EQ(expected.attempts.size(), 1u);
+  EXPECT_EQ(solved.attempts.front().setupNodes,
+            expected.attempts.front().setupNodes);
+  // ...and the next only its own delta.
+  const AnalysisResult next =
+      engine->verify(Query::expr("fq.ibs.0.backlog[T-1] >= 0"));
+  ASSERT_EQ(next.attempts.size(), 1u);
+  EXPECT_LT(next.attempts.front().setupNodes * 5,
+            solved.attempts.front().setupNodes);
 }
 
 // Property sweep: RR fairness bound holds across queue counts and horizons.

@@ -26,6 +26,7 @@
 
 #include "helpers.hpp"
 #include "ir/term_hash.hpp"
+#include "support/wire_map.hpp"
 #include "synth/synthesizer.hpp"
 
 namespace buffy {
@@ -157,6 +158,42 @@ TEST(Record, RoundTripsWithTrace) {
   EXPECT_EQ(answer.trace->horizon, 3);
   EXPECT_EQ(answer.trace->series.at("fq.ibs.0.arrived"),
             (std::vector<std::int64_t>{1, 1, 0}));
+}
+
+TEST(Record, AttemptSetUpNodesRoundTrip) {
+  core::AnalysisResult v;
+  v.verdict = core::Verdict::Verified;
+  core::SolveAttempt attempt;
+  attempt.stage = "initial";
+  attempt.solver = "enumerate";
+  attempt.outcome = "unsat";
+  attempt.setupNodes = 1234;
+  v.attempts.push_back(attempt);
+  const core::AnalysisResult back = core::decodeVerdict(core::encodeVerdict(v));
+  ASSERT_EQ(back.attempts.size(), 1u);
+  EXPECT_EQ(back.attempts.front().setupNodes, 1234u);
+
+  // A record written before attempts counted their set-up reads 0.
+  WireMap old;
+  old.set("stage", "initial");
+  old.set("outcome", "unsat");
+  old.set("reason", "");
+  old.setDouble("seconds", 0.5);
+  old.setUint("rlimitUsed", 0);
+  WireMap record;
+  record.set("verdict", "VERIFIED");
+  record.set("detail", "");
+  record.setDouble("solveSeconds", 0.5);
+  record.setBool("canceled", false);
+  record.setBool("witnessChecked", false);
+  record.set("cacheKey", "");
+  record.setBool("cached", false);
+  record.setUint("attempt.count", 1);
+  record.set("attempt.0", old.encode());
+  const core::AnalysisResult legacy = core::decodeVerdict(record.encode());
+  ASSERT_EQ(legacy.attempts.size(), 1u);
+  EXPECT_EQ(legacy.attempts.front().setupNodes, 0u);
+  EXPECT_EQ(legacy.attempts.front().visited, 0u);
 }
 
 TEST(Record, RejectsEveryMalformation) {

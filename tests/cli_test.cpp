@@ -240,6 +240,28 @@ TEST(Cli, ProveStopsOnFirstSigint) {
   EXPECT_LT(seconds, 6.0) << result.output;
 }
 
+TEST(Cli, ProveTimeoutIsUnknown) {
+  // Spacer needs 17-18 s for this refutation (Z3 4.8.12, 4-core host). A
+  // 2 s timeout runs out first: UNKNOWN "timeout", exit 3, not an
+  // internal failure.
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = runCli(
+      "prove -D N=2 --input ibs:6:3 --output ob:32 --timeout 2000"
+      " --query \"fq.cdeq.0[0] <= fq.cdeq.1[0] + 22\" " +
+      model("fq_buggy.bfy"));
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(result.exitCode, 3) << result.output;
+  EXPECT_NE(result.output.find("UNKNOWN"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("timeout"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("solver failure"), std::string::npos)
+      << result.output;
+  EXPECT_LT(seconds, 10.0) << result.output;
+}
+
 TEST(Cli, LintCommand) {
   const auto clean = runCli("lint -D N=2 --input ibs --output ob " +
                             model("round_robin.bfy"));

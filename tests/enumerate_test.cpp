@@ -2,8 +2,9 @@
 // saturation thresholds of one-sided variables, the search budget, what
 // the search answers against a plain brute-force reference, how an
 // enumerated attempt keeps the solver protocol (fault slots,
-// cancellation, timeouts), and a differential check of the enumerator
-// against Z3 on every example model.
+// cancellation, timeouts), a differential check of the enumerator
+// against Z3 on every example model, and that a layout extended by a
+// delta answers what a fresh compile of both halves does.
 #include "enumerate/enumerator.hpp"
 
 #include <gtest/gtest.h>
@@ -192,6 +193,31 @@ TEST_F(EnumerateTest, PeriodicReadHasNoThreshold) {
   const auto result = backend.enumerateOrCheck(cs);
   EXPECT_FALSE(result.enumerated);
   EXPECT_EQ(result.status, SolveStatus::Sat);
+}
+
+TEST_F(EnumerateTest, ProbeAfterAnEarlyExitRecomputesTheStaleCone) {
+  // y has a lower bound only. max(y, 5) is built before the check y != 0,
+  // and the check max(y, 5) <= 10 after it. The probe at y >= 0 stops at
+  // y != 0 and never reaches the later check. At y >= 1, max(y, 5) keeps
+  // the interval and dependence the stopped probe gave it, so only the
+  // mark the stopped probe left makes this one re-evaluate the later
+  // check, which depends on y until y >= 11.
+  const TermRef y = arena.var("y", Sort::Int);
+  std::vector<TermRef> cs;
+  cs.push_back(arena.ge(y, arena.intConst(0)));
+  const TermRef highest = arena.max(y, arena.intConst(5));
+  cs.push_back(arena.ne(y, arena.intConst(0)));
+  cs.push_back(arena.le(highest, arena.intConst(10)));
+  Enumerator problem(cs);
+  ASSERT_TRUE(problem.qualifies());
+  const auto box = problem.domains();
+  ASSERT_EQ(box.size(), 1u);
+  EXPECT_EQ(box[0].lo, 0);
+  EXPECT_EQ(box[0].hi, 11);
+  const Outcome out = problem.run(kNeverStop);
+  ASSERT_EQ(out.status, Status::Sat);
+  EXPECT_EQ(out.model.at("y"), 1);
+  EXPECT_EQ(out.stats.saturated, 1u);
 }
 
 // ---- the search budget --------------------------------------------------
@@ -920,6 +946,257 @@ TEST(EnumerateDifferential, EveryExampleModelAgreesWithZ3) {
   }
   EXPECT_GT(saturated, 0u);  // the havoc models' one-sided variables
   EXPECT_EQ(cell, std::size(kPinned));
+}
+
+// ---- layouts: the structural half laid out once, extended per query -----
+
+/// Every field of two outcomes, as one comparison.
+bool sameOutcome(const Outcome& a, const Outcome& b) {
+  return a.status == b.status && a.model == b.model && a.reason == b.reason &&
+         a.stats.visited == b.stats.visited &&
+         a.stats.evaluations == b.stats.evaluations &&
+         a.stats.memoHits == b.stats.memoHits &&
+         a.stats.deadEntries == b.stats.deadEntries &&
+         a.stats.liveWidth == b.stats.liveWidth &&
+         a.stats.saturated == b.stats.saturated;
+}
+
+std::string describe(const Outcome& o) {
+  return std::to_string(static_cast<int>(o.status)) + " '" + o.reason +
+         "' visited " + std::to_string(o.stats.visited) + " evaluations " +
+         std::to_string(o.stats.evaluations) + " memo " +
+         std::to_string(o.stats.memoHits) + " dead " +
+         std::to_string(o.stats.deadEntries) + " width " +
+         std::to_string(o.stats.liveWidth) + " saturated " +
+         std::to_string(o.stats.saturated);
+}
+
+/// `cs` solved as a layout of its first `split` constraints extended by
+/// the rest.
+Outcome solvedAtSplit(std::span<const TermRef> cs, std::size_t split) {
+  const auto layout = std::make_shared<const Layout>(cs.first(split));
+  return Enumerator(layout, cs.subspan(split)).run(kNeverStop);
+}
+
+TEST(EnumerateLayout, DifferentialCellsAgreeAtEverySplitPoint) {
+  std::size_t cells = 0;
+  std::size_t splits = 0;
+  for (const ModelConfig& m : goldenScopes()) {
+    core::ProgramSpec spec;
+    spec.source = readModel(m.name);
+    spec.compile.constants = m.constants;
+    if (m.constants.count("N") != 0) {
+      spec.compile.defaultListCapacity =
+          std::max<int>(2, static_cast<int>(m.constants.at("N")));
+    }
+    spec.buffers = m.buffers;
+    core::Network net;
+    net.add(spec);
+    core::AnalysisOptions options;
+    options.horizon = m.horizon;
+    const pipeline::CompilerDriver driver(core::pipelineOptionsFor(options));
+    const pipeline::CompilationUnitPtr unit = driver.compile(std::move(net));
+    const auto enc = pipeline::buildEncoding(*unit, core::Workload{}, nullptr);
+    for (const bool forVerify : {false, true}) {
+      for (const bool holds : {true, false}) {
+        const char* query = holds ? m.holds : m.impossible;
+        SCOPED_TRACE(std::string(m.name) + (forVerify ? " verify " : " check ") +
+                     query);
+        const std::vector<TermRef> problem =
+            rawProblem(*enc, core::Query::expr(query), forVerify);
+        const Outcome fresh = Enumerator(problem).run(kNeverStop);
+        ++cells;
+        for (std::size_t split = 0; split <= problem.size(); ++split) {
+          const Outcome extended = solvedAtSplit(problem, split);
+          ++splits;
+          if (!sameOutcome(fresh, extended)) {
+            ADD_FAILURE() << "split " << split << " of " << problem.size()
+                          << ": " << describe(extended) << " against "
+                          << describe(fresh);
+            break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, std::size(kPinned));
+  EXPECT_GT(splits, 10 * cells);
+}
+
+TEST(EnumerateLayout, BruteForceProblemsAgreeAtASeededSplitPoint) {
+  std::size_t saturated = 0;
+  for (unsigned seed = 0; seed < 1000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    ir::TermArena arena;
+    const Layered p = layeredProblem(arena, rng);
+    std::mt19937 pick(seed + 7919);
+    const std::size_t split = pick() % (p.cs.size() + 1);
+    Enumerator fresh(p.cs);
+    const auto layout =
+        std::make_shared<const Layout>(std::span(p.cs).first(split));
+    Enumerator extended(layout, std::span(p.cs).subspan(split));
+    ASSERT_EQ(fresh.qualifies(), extended.qualifies());
+    const auto freshBox = fresh.domains();
+    const auto extendedBox = extended.domains();
+    ASSERT_EQ(freshBox.size(), extendedBox.size());
+    for (std::size_t i = 0; i < freshBox.size(); ++i) {
+      EXPECT_EQ(freshBox[i].var, extendedBox[i].var);
+      EXPECT_EQ(freshBox[i].lo, extendedBox[i].lo);
+      EXPECT_EQ(freshBox[i].hi, extendedBox[i].hi);
+    }
+    const Outcome a = fresh.run(kNeverStop);
+    const Outcome b = extended.run(kNeverStop);
+    EXPECT_TRUE(sameOutcome(a, b))
+        << "split " << split << ": " << describe(b) << " against "
+        << describe(a);
+    saturated += a.stats.saturated;
+  }
+  EXPECT_GT(saturated, 0u);
+}
+
+TEST_F(EnumerateTest, DeltaWithANewVariableIsLaidOutAfresh) {
+  // y is created before x, so a fresh compile searches y first: appending
+  // it after the layout's x would change the search order.
+  const TermRef y = arena.var("y", Sort::Int);
+  const TermRef x = arena.var("x", Sort::Int);
+  std::vector<TermRef> structural;
+  bound(structural, x, 0, 5);
+  structural.push_back(arena.le(arena.intConst(2), arena.add(x, x)));
+  std::vector<TermRef> delta;
+  bound(delta, y, 0, 5);
+  delta.push_back(arena.eq(arena.add(x, y), arena.intConst(6)));
+  std::vector<TermRef> all = structural;
+  all.insert(all.end(), delta.begin(), delta.end());
+
+  const auto layout = std::make_shared<const Layout>(structural);
+  Enumerator extended(layout, delta);
+  Enumerator fresh(all);
+  EXPECT_EQ(extended.setupNodes(), fresh.setupNodes());
+  const auto box = extended.domains();
+  ASSERT_EQ(box.size(), 2u);
+  EXPECT_EQ(box[0].var, y);
+  const Outcome out = extended.run(kNeverStop);
+  ASSERT_EQ(out.status, Status::Sat);
+  EXPECT_EQ(out.model.at("y"), 1);
+  EXPECT_EQ(out.model.at("x"), 5);
+  EXPECT_TRUE(sameOutcome(out, fresh.run(kNeverStop)));
+  // The caller's layout is left as it was, for the next delta.
+  EXPECT_LT(layout->nodes(), fresh.setupNodes());
+}
+
+TEST_F(EnumerateTest, DeltaBoundsAStructuralVariable) {
+  // x has no lower bound in the structural half: the layout does not
+  // decline, because the delta may bound it.
+  const TermRef x = arena.var("x", Sort::Int);
+  const TermRef w = arena.var("w", Sort::Int);
+  const std::vector<TermRef> structural = {arena.le(x, arena.intConst(9)),
+                                           arena.le(w, arena.intConst(9))};
+  const auto layout = std::make_shared<const Layout>(structural);
+  const std::vector<TermRef> bounds = {arena.ge(x, arena.intConst(2)),
+                                       arena.ge(w, arena.intConst(4)),
+                                       arena.lt(w, x)};
+  Enumerator bounded(layout, bounds);
+  ASSERT_TRUE(bounded.qualifies());
+  const Outcome out = bounded.run(kNeverStop);
+  ASSERT_EQ(out.status, Status::Sat);
+  EXPECT_EQ(out.model.at("x"), 5);
+  EXPECT_EQ(out.model.at("w"), 4);
+  std::vector<TermRef> all = structural;
+  all.insert(all.end(), bounds.begin(), bounds.end());
+  EXPECT_TRUE(sameOutcome(out, Enumerator(all).run(kNeverStop)));
+
+  // Left unbounded, the variable named is the one a fresh walk of both
+  // halves meets first. It starts from the delta's last conjunct, w < x,
+  // and meets x there; the structural half alone would meet w first.
+  const std::vector<TermRef> order = {arena.lt(w, x)};
+  EXPECT_EQ(Enumerator(layout, {}).run(kNeverStop).reason,
+            "unbounded variable w");
+  const Outcome declined = Enumerator(layout, order).run(kNeverStop);
+  EXPECT_EQ(declined.reason, "unbounded variable x");
+  all = structural;
+  all.push_back(order.front());
+  EXPECT_TRUE(sameOutcome(declined, Enumerator(all).run(kNeverStop)));
+}
+
+TEST_F(EnumerateTest, DeltaFromAnotherArenaDeclines) {
+  // y takes x's id in its own arena: the delta's walk must see the clash
+  // with the layout's table, as a fresh walk of both halves does.
+  ir::TermArena other;
+  const TermRef x = arena.var("x", Sort::Int);
+  const TermRef y = other.var("y", Sort::Int);
+  ASSERT_EQ(x->id, y->id);
+  std::vector<TermRef> structural;
+  bound(structural, x, 0, 3);
+  const auto layout = std::make_shared<const Layout>(structural);
+  const std::vector<TermRef> delta = {other.ge(y, other.intConst(0))};
+  Enumerator extended(layout, delta);
+  EXPECT_FALSE(extended.qualifies());
+  const Outcome out = extended.run(kNeverStop);
+  EXPECT_EQ(out.reason, "terms from more than one arena");
+  std::vector<TermRef> all = structural;
+  all.push_back(delta.front());
+  EXPECT_TRUE(sameOutcome(out, Enumerator(all).run(kNeverStop)));
+
+  // The walk's decline comes before any decision of the structural half,
+  // a constant-false conjunct's included.
+  const std::vector<TermRef> falsified = {arena.falseTerm(),
+                                          arena.ge(x, arena.intConst(0))};
+  const auto unsat = std::make_shared<const Layout>(falsified);
+  EXPECT_EQ(Enumerator(unsat, delta).run(kNeverStop).reason,
+            "terms from more than one arena");
+}
+
+TEST_F(EnumerateTest, ConstantFalseStructuralConjunctDecidesFirst) {
+  // The structural conjuncts come first in the conjunct loop: a false one
+  // decides the problem before the delta's non-Boolean conjunct or its
+  // empty range.
+  const TermRef x = arena.var("x", Sort::Int);
+  const std::vector<TermRef> structural = {arena.ge(x, arena.intConst(0)),
+                                           arena.falseTerm()};
+  const auto layout = std::make_shared<const Layout>(structural);
+  const std::vector<TermRef> deltas[] = {
+      {arena.intConst(1)},
+      {arena.le(x, arena.intConst(-1))},
+      {arena.lt(x, arena.intConst(3))},
+  };
+  for (const auto& delta : deltas) {
+    std::vector<TermRef> all = structural;
+    all.insert(all.end(), delta.begin(), delta.end());
+    const Outcome out = Enumerator(layout, delta).run(kNeverStop);
+    EXPECT_EQ(out.status, Status::Unsat);
+    EXPECT_TRUE(sameOutcome(out, Enumerator(all).run(kNeverStop)));
+  }
+  // A delta's own non-Boolean conjunct still declines a clean layout.
+  std::vector<TermRef> clean;
+  bound(clean, x, 0, 3);
+  const Outcome declined =
+      Enumerator(std::make_shared<const Layout>(clean),
+                 std::vector<TermRef>{arena.intConst(1)})
+          .run(kNeverStop);
+  EXPECT_EQ(declined.reason, "constraint is not boolean");
+}
+
+TEST_F(EnumerateTest, ExtensionLaysOutOnlyTheDeltasNewNodes) {
+  const TermRef x = arena.var("x", Sort::Int);
+  const TermRef y = arena.var("y", Sort::Int);
+  std::vector<TermRef> structural;
+  bound(structural, x, 0, 3);
+  bound(structural, y, 0, 3);
+  const TermRef sum = arena.add(x, y);
+  structural.push_back(arena.le(sum, arena.intConst(5)));
+  const auto layout = std::make_shared<const Layout>(structural);
+  EXPECT_EQ(Enumerator(structural).setupNodes(), layout->nodes());
+  // sum >= 4 adds the comparison and the constant 4; sum is the layout's.
+  const std::vector<TermRef> delta = {arena.ge(sum, arena.intConst(4))};
+  Enumerator extended(layout, delta);
+  EXPECT_EQ(extended.setupNodes(), 2u);
+  const Outcome out = extended.run(kNeverStop);
+  ASSERT_EQ(out.status, Status::Sat);
+  EXPECT_EQ(out.model.at("x"), 1);
+  EXPECT_EQ(out.model.at("y"), 3);
+  // A delta of the layout's own nodes adds none.
+  EXPECT_EQ(Enumerator(layout, structural).setupNodes(), 0u);
 }
 
 }  // namespace

@@ -736,6 +736,7 @@ int reportResult(const Options& opts, const core::AnalysisResult& result,
       std::snprintf(secs, sizeof secs, "%.6f", a.setupSeconds);
       json += ",\"setupSeconds\":";
       json += secs;
+      json += ",\"setupNodes\":" + std::to_string(a.setupNodes);
       json += ",\"rlimitUsed\":" + std::to_string(a.rlimitUsed);
       json += ",\"visited\":" + std::to_string(a.visited);
       json += ",\"memoHits\":" + std::to_string(a.memoHits);
@@ -1183,6 +1184,7 @@ int run(const Options& opts) {
       std::printf("  interrupted\n");
       return kExitInterrupted;
     }
+    if (!result.detail.empty()) std::printf("  %s\n", result.detail.c_str());
     switch (result.status) {
       case backends::ChcStatus::Proved: return kExitOk;
       case backends::ChcStatus::Violated: return kExitViolation;
