@@ -24,13 +24,18 @@
 // decoder, and would take the supervising process or the cache's reader
 // down. Whatever a decoder accepts, its encoder must write back in a form
 // the decoder accepts again, and every decoded trace keeps Trace's
-// invariant: a non-negative horizon and `horizon` values per series.
+// invariant: a non-negative horizon and `horizon` values per series. A
+// verdict record that decodes must also reach a fixed point at once:
+// decoding its re-encoding gives the same answer field for field, and
+// encoding that answer gives the same bytes again.
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -110,9 +115,48 @@ void fuzzRecords(std::string_view bytes) {
 
 const std::string kRecordKey(32, 'k');
 
+/// Equal as the record stores them: bit for bit, or both NaN of one sign
+/// (the text keeps a NaN's sign but not its payload).
+bool sameDouble(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b) &&
+           std::signbit(a) == std::signbit(b);
+  }
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Every field a verdict record carries.
+bool sameAnswer(const core::AnalysisResult& a, const core::AnalysisResult& b) {
+  if (a.verdict != b.verdict || a.detail != b.detail ||
+      !sameDouble(a.solveSeconds, b.solveSeconds) ||
+      a.canceled != b.canceled || a.witnessChecked != b.witnessChecked ||
+      a.cacheKey != b.cacheKey || a.cached != b.cached ||
+      a.attempts.size() != b.attempts.size() ||
+      a.trace.has_value() != b.trace.has_value()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
+    const core::SolveAttempt& x = a.attempts[i];
+    const core::SolveAttempt& y = b.attempts[i];
+    if (x.stage != y.stage || x.solver != y.solver ||
+        x.outcome != y.outcome || x.reason != y.reason ||
+        !sameDouble(x.seconds, y.seconds) ||
+        !sameDouble(x.setupSeconds, y.setupSeconds) ||
+        x.setupNodes != y.setupNodes || x.rlimitUsed != y.rlimitUsed ||
+        x.seed != y.seed || x.timeoutMs != y.timeoutMs ||
+        x.visited != y.visited || x.memoHits != y.memoHits ||
+        x.deadEntries != y.deadEntries || x.liveWidth != y.liveWidth ||
+        x.saturated != y.saturated) {
+      return false;
+    }
+  }
+  return !a.trace || (a.trace->horizon == b.trace->horizon &&
+                      a.trace->series == b.trace->series);
+}
+
 /// Decodes `bytes` as a verdict-cache disk record and its value as a
-/// verdict record; whatever decodes must survive both encoders and decode
-/// again.
+/// verdict record; whatever decodes must survive both encoders, decode to
+/// the same answer, and re-encode to the same bytes.
 void fuzzCacheRecord(std::string_view bytes) {
   std::optional<core::AnalysisResult> answer;
   try {
@@ -125,8 +169,13 @@ void fuzzCacheRecord(std::string_view bytes) {
   checkTrace(answer->trace);
   const std::string again = cache::VerdictCache::encodeRecord(
       kRecordKey, core::encodeVerdict(*answer));
-  (void)core::decodeVerdict(
+  const core::AnalysisResult back = core::decodeVerdict(
       cache::VerdictCache::decodeRecord(kRecordKey, again).value());
+  if (!sameAnswer(*answer, back)) std::abort();
+  if (cache::VerdictCache::encodeRecord(kRecordKey,
+                                        core::encodeVerdict(back)) != again) {
+    std::abort();
+  }
 }
 
 /// A valid encoded job, result and disk record, with every optional part

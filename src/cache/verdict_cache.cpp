@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -57,40 +58,54 @@ double threadCpuSeconds() {
 }
 
 std::string cacheKeyFor(const CacheKeyParts& parts) {
-  WireMap blob;
-  blob.setUint("problemHash", parts.problemHash);
-  blob.set("query", parts.query);
-  blob.setInt("horizon", parts.horizon);
-  blob.setBool("forVerify", parts.forVerify);
-  blob.setInt("model", parts.model);
-  blob.setBool("symbolicInitialState", parts.symbolicInitialState);
-  const std::string bytes = blob.encode();
+  std::string bytes;
+  bytes.reserve(160 + parts.query.size());
+  WireWriter blob(bytes);
+  blob.putBool("forVerify", parts.forVerify);
+  blob.putInt("horizon", parts.horizon);
+  blob.putInt("model", parts.model);
+  blob.putUint("problemHash", parts.problemHash);
+  blob.put("query", parts.query);
+  blob.putBool("symbolicInitialState", parts.symbolicInitialState);
+  blob.finish();
 
   const std::uint64_t lo = fnv1a64(bytes);
   const std::uint64_t hi = fnv1a64(bytes, 1099511628211ull * 31 + 7);
-  char out[33];
-  std::snprintf(out, sizeof out, "%016llx%016llx",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(32, '0');
+  for (int i = 0; i < 16; ++i) {
+    out[static_cast<std::size_t>(15 - i)] = kDigits[(hi >> (4 * i)) & 15];
+    out[static_cast<std::size_t>(31 - i)] = kDigits[(lo >> (4 * i)) & 15];
+  }
   return out;
 }
 
 std::string VerdictCache::encodeRecord(const std::string& key,
                                        const std::string& value) {
-  WireMap record;
-  record.set("key", key);
-  record.set("value", value);
-  return sealEnvelope(record.encode());
+  // The payload: its count and four length words (20 bytes), "key" and
+  // "value" (8), and the two values.
+  std::string out;
+  out.reserve(kEnvelopeHeaderBytes + 28 + key.size() + value.size() +
+              kEnvelopeTrailerBytes);
+  const std::size_t start = beginEnvelope(out);
+  WireWriter record(out);
+  record.put("key", key);
+  record.put("value", value);
+  record.finish();
+  endEnvelope(out, start);
+  return out;
 }
 
 std::optional<std::string> VerdictCache::decodeRecord(const std::string& key,
                                                       std::string_view bytes) {
+  static constexpr std::array<std::string_view, 2> kFields = {"key", "value"};
   try {
-    const WireMap record = WireMap::decode(openEnvelope(bytes));
+    const auto fields = readWireFields(openEnvelope(bytes), kFields,
+                                       [](std::string_view, std::string_view) {});
     // A record renamed onto the wrong key (or a hand-copied file) must not
     // answer a different question.
-    if (record.get("key") != key) return std::nullopt;
-    return record.get("value");
+    if (requireWireField("key", fields[0]) != key) return std::nullopt;
+    return std::string(requireWireField("value", fields[1]));
   } catch (const DecodeError&) {
     return std::nullopt;
   }
@@ -125,7 +140,6 @@ std::string VerdictCache::pathFor(const std::string& key) const {
 }
 
 std::optional<std::string> VerdictCache::lookup(const std::string& key) {
-  const double cpuStart = threadCpuSeconds();
   std::lock_guard<std::mutex> lock(mutex_);
   std::optional<std::string> value;
   const auto it = index_.find(key);
@@ -137,7 +151,6 @@ std::optional<std::string> VerdictCache::lookup(const std::string& key) {
     if (value) rememberLocked(key, *value);
   }
   ++(value ? stats_.hits : stats_.misses);
-  stats_.clientSeconds += threadCpuSeconds() - cpuStart;
   return value;
 }
 
@@ -176,7 +189,6 @@ void VerdictCache::rememberLocked(const std::string& key,
 }
 
 void VerdictCache::store(const std::string& key, const std::string& value) {
-  const double cpuStart = threadCpuSeconds();
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.stores;
   rememberLocked(key, value);
@@ -187,7 +199,6 @@ void VerdictCache::store(const std::string& key, const std::string& value) {
     writeQueue_.emplace_back(key, encodeRecord(key, value));
     writeCv_.notify_one();
   }
-  stats_.clientSeconds += threadCpuSeconds() - cpuStart;
 }
 
 void VerdictCache::flushDisk() {

@@ -5,15 +5,16 @@
 // layer never looks inside them.
 //
 // Keys are content-addressed: the problem hash is a canonical structural
-// hash of the pre-optimizer encoded problem (ir::TermHasher over the
-// encoding's structural constraint sets plus the query's raw delta), so
-// semantically equal problems — the same model recompiled in a worker
-// process lands on the same key its parent computed — share one entry,
-// and any change to the model, workload, query, horizon, buffer model,
-// or initial-state discipline lands on a different key. The raw encoding
-// is hashed (not the optimizer's output) because its terms are stable
-// interned refs that memoize across queries, and because the optimizer
-// is equivalence-preserving, so a hit can skip planning entirely. Solve
+// hash of the pre-optimizer encoded problem (ir::hashSet over the
+// encoding's structural constraint sets plus the query's raw delta, each
+// term contributing the hash it was interned with), so semantically equal
+// problems — the same model recompiled in a worker process lands on the
+// same key its parent computed — share one entry, and any change to the
+// model, workload, query, horizon, buffer model, or initial-state
+// discipline lands on a different key. The raw encoding is hashed (not
+// the optimizer's output) because its terms already carry their hashes,
+// and because the optimizer is equivalence-preserving, so a hit can skip
+// planning entirely. Solve
 // budgets, random seeds and the solve path are deliberately NOT part of
 // the key: only conclusive verdicts (SAT/UNSAT family, never Unknown or
 // canceled) are stored, and conclusive verdicts do not depend on them.
@@ -45,10 +46,12 @@ namespace buffy::cache {
 /// counters attribute the cache's own cost directly (thread-CPU clocks
 /// around cache work), so a run can report the cache's share of its CPU
 /// without a noise-prone differential against an uncached run:
-/// `clientSeconds` is solve-path work (key hashing and verdict-record
-/// encode/decode in the engine, tier lookups, disk-record encode/decode),
-/// `writerSeconds` is the write-behind thread's file I/O and eviction
-/// scans.
+/// `clientSeconds` is solve-path work, timed by the callers in two
+/// windows — the engine's probe (key derivation, the tier lookups with
+/// any disk-record read, and the record decode on a hit) and
+/// core::storeVerdict (record encode, the memory-tier store and the
+/// disk-record encode) — and `writerSeconds` is the write-behind thread's
+/// file I/O and eviction scans, which it times itself.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -60,9 +63,9 @@ struct CacheStats {
 };
 
 /// Everything a cache key derives from. `problemHash` is a combination of
-/// ir::TermHasher::hashSet over the pre-optimizer encoding's structural
-/// sets and the query's raw delta; the rest is belt-and-braces context
-/// that also shapes those constraints.
+/// ir::hashSet over the pre-optimizer encoding's structural sets and the
+/// query's raw delta; the rest is belt-and-braces context that also
+/// shapes those constraints.
 struct CacheKeyParts {
   std::uint64_t problemHash = 0;
   std::string query;
@@ -73,12 +76,13 @@ struct CacheKeyParts {
 };
 
 /// Derives the 32-hex-digit content key (two independently seeded FNV-1a
-/// passes over the serialized parts — one 64-bit hash would make accidental
-/// collisions plausible at daemon scale).
+/// passes over the parts serialized as one WireMap payload — one 64-bit
+/// hash would make accidental collisions plausible at daemon scale).
 std::string cacheKeyFor(const CacheKeyParts& parts);
 
 /// The calling thread's CPU seconds: the clock behind CacheStats' CPU
 /// counters, for callers crediting cache work through addClientSeconds.
+/// Each read is a system call, so callers read it once per window.
 double threadCpuSeconds();
 
 struct VerdictCacheOptions {
@@ -107,14 +111,16 @@ class VerdictCache {
 
   /// Memory tier first, then disk; a disk hit is promoted into memory.
   /// Malformed disk records count a validation failure, are deleted, and
-  /// read as a miss.
+  /// read as a miss. Not timed here: the caller credits it
+  /// (addClientSeconds) with the rest of its probe.
   std::optional<std::string> lookup(const std::string& key);
 
   /// Stores into the memory tier synchronously; the disk write is
   /// write-behind (encoded here, landed by a background thread so the
   /// file I/O never sits on the solve path; skipped when a record for
   /// the key already exists). A crash loses queued writes — it can never
-  /// tear a record, because landing is still temp-write + rename.
+  /// tear a record, because landing is still temp-write + rename. Not
+  /// timed here: the caller credits it with the record's encoding.
   void store(const std::string& key, const std::string& value);
 
   /// Blocks until every store() issued so far has landed on disk.
@@ -126,9 +132,9 @@ class VerdictCache {
   /// a queued store of the same key cannot resurrect the record.
   void invalidate(const std::string& key);
 
-  /// Credits cache-attributed CPU spent outside this class (the engine's
-  /// key derivation and verdict-record encode/decode) to
-  /// stats().clientSeconds.
+  /// Credits cache-attributed CPU to stats().clientSeconds: a caller's
+  /// window around key derivation, lookup() or store(), and the
+  /// verdict-record codec.
   void addClientSeconds(double seconds);
 
   [[nodiscard]] CacheStats stats() const;
@@ -136,10 +142,10 @@ class VerdictCache {
     return options_;
   }
 
-  /// The disk record: an envelope around the key and the value. Encode
-  /// never fails; decode returns nullopt on any malformation (wrong
-  /// magic, length or checksum, malformed payload, or a record that does
-  /// not echo `key`).
+  /// The disk record: an envelope around a two-entry payload, `key` and
+  /// `value`, each written and read in one pass. Encode never fails;
+  /// decode returns nullopt on any malformation (wrong magic, length or
+  /// checksum, malformed payload, or a record that does not echo `key`).
   static std::string encodeRecord(const std::string& key,
                                   const std::string& value);
   static std::optional<std::string> decodeRecord(const std::string& key,

@@ -136,7 +136,7 @@ enum class Verdict {
 const char* verdictName(Verdict verdict);
 /// Inverse of verdictName; nullopt on an unrecognized name (callers treat
 /// that as cache corruption, not an error).
-std::optional<Verdict> parseVerdictName(const std::string& name);
+std::optional<Verdict> parseVerdictName(std::string_view name);
 
 /// One rung of the Unknown-retry ladder, recorded for diagnosis: what was
 /// tried, with which budget, and how it ended.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <new>
 
+#include "ir/term_hash.hpp"
 #include "support/error.hpp"
 
 namespace buffy::ir {
@@ -50,24 +51,6 @@ std::optional<std::int64_t> foldNeg(std::int64_t a) {
   return foldSub(0, a);
 }
 
-std::size_t TermArena::hashFields(TermKind kind, Sort sort,
-                                  std::int64_t value, std::string_view name,
-                                  std::span<const TermRef> args) {
-  // FNV-1a over the identifying fields; no allocation, no Key object.
-  constexpr std::size_t kPrime = 1099511628211ULL;
-  std::size_t h = 14695981039346656037ULL;
-  h = (h ^ static_cast<std::size_t>(kind)) * kPrime;
-  h = (h ^ static_cast<std::size_t>(sort)) * kPrime;
-  h = (h ^ static_cast<std::size_t>(value)) * kPrime;
-  for (const char c : name) {
-    h = (h ^ static_cast<unsigned char>(c)) * kPrime;
-  }
-  for (const TermRef arg : args) {
-    h = (h ^ (static_cast<std::size_t>(arg->id) + 1)) * kPrime;
-  }
-  return h;
-}
-
 bool TermArena::matches(const Term& term, TermKind kind, Sort sort,
                         std::int64_t value, std::string_view name,
                         std::span<const TermRef> args) {
@@ -87,7 +70,7 @@ constexpr std::size_t kFirstTableSlots = 1024;
 constexpr std::size_t kFirstBlockTerms = 64;
 constexpr std::size_t kMaxBlockTerms = 2048;
 // The most storage a thread keeps for its next arena: a table of 8,192
-// slots (128 KiB) and 640 KiB of blocks, enough for every paper encoding.
+// slots (128 KiB) and 704 KiB of blocks, enough for every paper encoding.
 constexpr std::size_t kMaxSpareSlots = 8192;
 constexpr std::size_t kMaxSpareTerms = 8192;
 
@@ -182,7 +165,7 @@ TermRef TermArena::intern(TermKind kind, Sort sort, std::int64_t value,
                           std::span<const TermRef> args) {
   // Keep the load factor below 3/4 so probe chains stay short.
   if (tableUsed_ * 4 >= table_.size() * 3) growTable();
-  const std::size_t hash = hashFields(kind, sort, value, name, args);
+  const std::uint64_t hash = structuralHash(kind, sort, value, name, args);
   const std::size_t mask = table_.size() - 1;
   std::size_t i = hash & mask;
   while (table_[i].term != nullptr) {
@@ -201,7 +184,7 @@ TermRef TermArena::intern(TermKind kind, Sort sort, std::int64_t value,
   if (next_ == end_) startBlock(block_ + 1);
   const TermRef ref = new (next_) Term{kind, sort,
                                        static_cast<std::uint32_t>(size_),
-                                       value, std::string(name),
+                                       hash, value, std::string(name),
                                        TermArgs(args)};
   ++next_;
   ++size_;

@@ -21,6 +21,12 @@
 // tables in vectors indexed by id, sized by the largest root id plus one.
 // Such a table holds only terms of one arena: ids from a second arena
 // collide. ir::evalTerms and the enumerator check this and fail loudly.
+//
+// Every term also carries its canonical structural hash (Term::hash,
+// ir/term_hash.hpp), computed once when it is interned from its fields
+// and its arguments' hashes. The intern table probes with it, and the
+// verdict cache's keys combine it (DESIGN.md §14), so a term's identity
+// and its cross-run-stable hash both cost a field read.
 #pragma once
 
 #include <algorithm>
@@ -95,6 +101,7 @@ struct Term {
   TermKind kind;
   Sort sort;
   std::uint32_t id;          // dense, per-arena creation index
+  std::uint64_t hash;        // structural, cross-run stable (term_hash.hpp)
   std::int64_t value = 0;    // ConstInt / ConstBool payload
   std::string name;          // Var payload
   TermArgs args;
@@ -194,10 +201,11 @@ class TermArena {
 
  private:
   /// Interning is the hottest path of encoding construction, so the table
-  /// is open-addressed and keyed by a hash precomputed over the candidate
-  /// fields: a hit probes with a string_view/span and allocates nothing.
+  /// is open-addressed and keyed by the candidate's structural hash (the
+  /// value the new term stores): a hit probes with a string_view/span and
+  /// allocates nothing.
   struct Slot {
-    std::size_t hash = 0;
+    std::uint64_t hash = 0;
     TermRef term = nullptr;  // nullptr marks an empty slot
   };
 
@@ -205,9 +213,6 @@ class TermArena {
                  std::string_view name, std::span<const TermRef> args);
   TermRef mkBin(TermKind kind, Sort sort, TermRef a, TermRef b);
 
-  static std::size_t hashFields(TermKind kind, Sort sort, std::int64_t value,
-                                std::string_view name,
-                                std::span<const TermRef> args);
   static bool matches(const Term& term, TermKind kind, Sort sort,
                       std::int64_t value, std::string_view name,
                       std::span<const TermRef> args);

@@ -1,6 +1,7 @@
 #include "ir/term_hash.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 namespace buffy::ir {
@@ -11,17 +12,16 @@ constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 // One multiply + avalanche per 64-bit lane instead of the byte-at-a-time
-// FNV loop: key derivation sits on the cold solve path of every cached
-// query, and the lane-wise mix is ~8x cheaper while staying a pure
-// deterministic function of the value (cross-run stability is the only
-// contract; see the header).
-std::uint64_t mixU64(std::uint64_t h, std::uint64_t v) {
+// FNV loop: every interned term is hashed, and the lane-wise mix is ~8x
+// cheaper while staying a pure deterministic function of the value
+// (cross-run stability is the only contract; see the header).
+constexpr std::uint64_t mixU64(std::uint64_t h, std::uint64_t v) {
   h = (h ^ v) * kFnvPrime;
   h ^= h >> 31;
   return h;
 }
 
-std::uint64_t mixBytes(std::uint64_t h, const std::string& s) {
+std::uint64_t mixBytes(std::uint64_t h, std::string_view s) {
   h = mixU64(h, s.size());
   std::size_t i = 0;
   // Little-endian lane assembly via shifts (compilers lower this to a
@@ -47,56 +47,65 @@ std::uint64_t mixBytes(std::uint64_t h, const std::string& s) {
   return h;
 }
 
+constexpr std::uint64_t mixFields(TermKind kind, Sort sort,
+                                  std::uint64_t value) {
+  std::uint64_t h = kFnvOffset;
+  h = mixU64(h, (static_cast<std::uint64_t>(kind) << 8) |
+                    static_cast<std::uint64_t>(sort));
+  return mixU64(h, value);
+}
+
+constexpr std::size_t kKinds = static_cast<std::size_t>(TermKind::Ite) + 1;
+constexpr std::size_t kArities = TermArgs::kCapacity + 1;
+
+constexpr std::size_t prefixIndex(TermKind kind, Sort sort,
+                                  std::size_t arity) {
+  return (static_cast<std::size_t>(kind) * 2 + static_cast<std::size_t>(sort)) *
+             kArities +
+         arity;
+}
+
+// The hash of an operator term (value 0, no name) before its arguments'
+// hashes are mixed in, for every kind, sort and arity. Interning mixes
+// only the arguments onto it.
+constexpr auto kOperatorPrefix = [] {
+  std::array<std::uint64_t, kKinds * 2 * kArities> table{};
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    for (const Sort sort : {Sort::Int, Sort::Bool}) {
+      for (std::size_t arity = 0; arity < kArities; ++arity) {
+        const auto kind = static_cast<TermKind>(k);
+        std::uint64_t h = mixFields(kind, sort, 0);
+        h = mixU64(h, 0);  // the empty name's length; it has no lanes
+        table[prefixIndex(kind, sort, arity)] = mixU64(h, arity);
+      }
+    }
+  }
+  return table;
+}();
+
 }  // namespace
 
-bool TermHasher::known(TermRef term) const {
-  return term->id < memo_.size() && memo_[term->id] != 0;
-}
-
-std::uint64_t TermHasher::hash(TermRef term) {
-  if (known(term)) return memo_[term->id];
-  // Iterative post-order: a frame is pushed once to expand its children
-  // and once more (expanded=true) to combine their memoized hashes.
-  struct Frame {
-    TermRef term;
-    bool expanded;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);
-  stack.push_back({term, false});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    if (known(frame.term)) continue;
-    if (!frame.expanded) {
-      stack.push_back({frame.term, true});
-      for (const TermRef arg : frame.term->args) {
-        if (!known(arg)) stack.push_back({arg, false});
-      }
-      continue;
-    }
-    std::uint64_t h = kFnvOffset;
-    h = mixU64(h, (static_cast<std::uint64_t>(frame.term->kind) << 8) |
-                      static_cast<std::uint64_t>(frame.term->sort));
-    h = mixU64(h, static_cast<std::uint64_t>(frame.term->value));
-    h = mixBytes(h, frame.term->name);
-    h = mixU64(h, frame.term->args.size());
-    for (const TermRef arg : frame.term->args) h = mixU64(h, memo_[arg->id]);
-    if (h == 0) h = 1;  // 0 is the "unset" sentinel in the dense memo
-    if (frame.term->id >= memo_.size()) {
-      memo_.resize(std::max<std::size_t>(frame.term->id + 1,
-                                         memo_.size() * 2),
-                   0);
-    }
-    memo_[frame.term->id] = h;
+std::uint64_t structuralHash(TermKind kind, Sort sort, std::int64_t value,
+                             std::string_view name,
+                             std::span<const TermRef> args) {
+  std::uint64_t h = 0;
+  if (value == 0 && name.empty()) {
+    h = kOperatorPrefix[prefixIndex(kind, sort, args.size())];
+  } else {
+    h = mixFields(kind, sort, static_cast<std::uint64_t>(value));
+    h = mixBytes(h, name);
+    h = mixU64(h, args.size());
   }
-  return memo_[term->id];
+  for (const TermRef arg : args) h = mixU64(h, arg->hash);
+  // Kept off 0 so every stored hash matches the one cache directories
+  // written before hashes moved onto the term were keyed by.
+  return h == 0 ? 1 : h;
 }
 
-std::uint64_t TermHasher::hashSet(std::span<const TermRef> terms) {
+std::uint64_t hashSet(std::span<const TermRef> terms) {
   std::vector<std::uint64_t> hashes;
   hashes.reserve(terms.size());
-  for (const TermRef term : terms) hashes.push_back(hash(term));
+  for (const TermRef term : terms) hashes.push_back(term->hash);
   std::sort(hashes.begin(), hashes.end());
   std::uint64_t h = mixU64(kFnvOffset, hashes.size());
   for (const std::uint64_t each : hashes) h = mixU64(h, each);

@@ -7,6 +7,10 @@
 // cache's keys content-addressed: a worker recompiling a WireJob from
 // source lands on the same key its parent computed.
 //
+// A term's hash is computed once, when the arena interns it (Term::hash),
+// from its fields and its arguments' stored hashes; the intern table
+// probes with the same value. Nothing walks the DAG to hash it.
+//
 // Assertion *sets* are hashed order-insensitively (per-assertion hashes
 // are sorted before combining) because the optimizer may emit the same
 // slice in a different order across sessions; duplicates still count.
@@ -14,33 +18,20 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <string_view>
 
 #include "ir/term.hpp"
 
 namespace buffy::ir {
 
-/// Memoizing structural hasher. TermRefs are interned per-arena, so one
-/// hasher must only ever see terms from one arena (the memo is a dense
-/// array indexed by the per-arena term id — ids from a second arena would
-/// collide); the memo stays valid as the arena grows. Not thread-safe.
-class TermHasher {
- public:
-  /// Structural 64-bit hash of one term (lane-wise FNV-style mixing over
-  /// the canonical encoding). Iterative — safe on ite/and chains deeper
-  /// than the stack.
-  std::uint64_t hash(TermRef term);
+/// The structural hash of a term with these fields whose arguments carry
+/// `args`' hashes (lane-wise FNV-style mixing over the canonical
+/// encoding, nudged off 0). TermArena::intern stores it as Term::hash.
+std::uint64_t structuralHash(TermKind kind, Sort sort, std::int64_t value,
+                             std::string_view name,
+                             std::span<const TermRef> args);
 
-  /// Order-insensitive, duplicate-sensitive hash of an assertion set.
-  std::uint64_t hashSet(std::span<const TermRef> terms);
-
- private:
-  [[nodiscard]] bool known(TermRef term) const;
-
-  /// memo_[id] == 0 means "not hashed yet" (computed hashes are nudged
-  /// off 0). Dense id indexing makes the per-node probe an array read —
-  /// this sits on the cold path of every cached query.
-  std::vector<std::uint64_t> memo_;
-};
+/// Order-insensitive, duplicate-sensitive hash of an assertion set.
+std::uint64_t hashSet(std::span<const TermRef> terms);
 
 }  // namespace buffy::ir

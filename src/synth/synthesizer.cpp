@@ -368,15 +368,14 @@ SynthesisResult Synthesizer::run(const core::Query& query,
   jobs::JobPool pool;
 
   // In-run negative cache (DESIGN.md §14): canonical workload-set hash ->
-  // (existsSat, forallHolds) of a prescreen-rejected candidate. One hasher
-  // per worker — each engine has its own arena, and a hasher's memo is
-  // only valid within one arena.
+  // (existsSat, forallHolds) of a prescreen-rejected candidate. The hash
+  // combines the terms' own structural hashes, so it matches across the
+  // workers' arenas.
   const bool negativeCacheOn = opts.negativeCache && opts.incremental &&
                                opts.requireUniversal;
   std::mutex negMutex;
   std::unordered_map<std::uint64_t, std::pair<bool, bool>> negCache;
   std::atomic<int> prescreenCacheHits{0};
-  std::vector<ir::TermHasher> hashers(workers);
 
   auto evaluate = [&](jobs::JobContext& ctx, core::Analysis* engine,
                       std::size_t idx) {
@@ -424,8 +423,7 @@ SynthesisResult Synthesizer::run(const core::Query& query,
         stage = "setup";
         engine->rebindWorkload(workloadFor(candidate.assignment));
         bound = true;
-        negKey = hashers[ctx.worker()].hashSet(
-            engine->encoding().workloadTerms);
+        negKey = ir::hashSet(engine->encoding().workloadTerms);
         std::lock_guard<std::mutex> lock(negMutex);
         const auto it = negCache.find(*negKey);
         if (it != negCache.end()) {

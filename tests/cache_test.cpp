@@ -12,11 +12,13 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,25 +59,22 @@ TEST(TermHash, StableAcrossArenas) {
   (void)b.intConst(42);
   const ir::TermRef tb =
       b.le(b.add(b.var("x", ir::Sort::Int), b.intConst(1)), b.intConst(5));
-  ir::TermHasher ha;
-  ir::TermHasher hb;
-  EXPECT_EQ(ha.hash(ta), hb.hash(tb));
+  EXPECT_EQ(ta->hash, tb->hash);
 
   const ir::TermRef other =
       b.le(b.add(b.var("y", ir::Sort::Int), b.intConst(1)), b.intConst(5));
-  EXPECT_NE(hb.hash(tb), hb.hash(other));
+  EXPECT_NE(tb->hash, other->hash);
 }
 
 TEST(TermHash, SetHashIsOrderInsensitive) {
   ir::TermArena a;
   const ir::TermRef t1 = a.ge(a.var("p", ir::Sort::Int), a.intConst(0));
   const ir::TermRef t2 = a.lt(a.var("q", ir::Sort::Int), a.intConst(9));
-  ir::TermHasher h;
   const std::array<ir::TermRef, 2> fwd = {t1, t2};
   const std::array<ir::TermRef, 2> rev = {t2, t1};
-  EXPECT_EQ(h.hashSet(fwd), h.hashSet(rev));
+  EXPECT_EQ(ir::hashSet(fwd), ir::hashSet(rev));
   const std::array<ir::TermRef, 1> just1 = {t1};
-  EXPECT_NE(h.hashSet(fwd), h.hashSet(just1));
+  EXPECT_NE(ir::hashSet(fwd), ir::hashSet(just1));
 }
 
 // ---------------------------------------------------------------------------
@@ -194,6 +193,168 @@ TEST(Record, AttemptSetUpNodesRoundTrip) {
   ASSERT_EQ(legacy.attempts.size(), 1u);
   EXPECT_EQ(legacy.attempts.front().setupNodes, 0u);
   EXPECT_EQ(legacy.attempts.front().visited, 0u);
+}
+
+/// Doubles equal bit for bit (so -0.0 is not 0.0).
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every field encodeVerdict writes, compared one by one.
+void expectSameRecord(const core::AnalysisResult& a,
+                      const core::AnalysisResult& b) {
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(a.detail, b.detail);
+  EXPECT_TRUE(sameBits(a.solveSeconds, b.solveSeconds));
+  EXPECT_EQ(a.canceled, b.canceled);
+  EXPECT_EQ(a.witnessChecked, b.witnessChecked);
+  EXPECT_EQ(a.cacheKey, b.cacheKey);
+  EXPECT_EQ(a.cached, b.cached);
+  ASSERT_EQ(a.attempts.size(), b.attempts.size());
+  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
+    const core::SolveAttempt& x = a.attempts[i];
+    const core::SolveAttempt& y = b.attempts[i];
+    EXPECT_EQ(x.stage, y.stage) << i;
+    EXPECT_EQ(x.solver, y.solver) << i;
+    EXPECT_EQ(x.outcome, y.outcome) << i;
+    EXPECT_EQ(x.reason, y.reason) << i;
+    EXPECT_TRUE(sameBits(x.seconds, y.seconds)) << i;
+    EXPECT_TRUE(sameBits(x.setupSeconds, y.setupSeconds)) << i;
+    EXPECT_EQ(x.setupNodes, y.setupNodes) << i;
+    EXPECT_EQ(x.rlimitUsed, y.rlimitUsed) << i;
+    EXPECT_EQ(x.seed, y.seed) << i;
+    EXPECT_EQ(x.timeoutMs, y.timeoutMs) << i;
+    EXPECT_EQ(x.visited, y.visited) << i;
+    EXPECT_EQ(x.memoHits, y.memoHits) << i;
+    EXPECT_EQ(x.deadEntries, y.deadEntries) << i;
+    EXPECT_EQ(x.liveWidth, y.liveWidth) << i;
+    EXPECT_EQ(x.saturated, y.saturated) << i;
+  }
+  ASSERT_EQ(a.trace.has_value(), b.trace.has_value());
+  if (a.trace) {
+    EXPECT_EQ(a.trace->horizon, b.trace->horizon);
+    EXPECT_EQ(a.trace->series, b.trace->series);
+  }
+}
+
+/// Decodes `v`'s record, requires every field back, and requires the
+/// decoded answer to encode to the same bytes.
+void expectRoundTrip(const core::AnalysisResult& v) {
+  const std::string bytes = core::encodeVerdict(v);
+  const core::AnalysisResult back = core::decodeVerdict(bytes);
+  expectSameRecord(v, back);
+  EXPECT_EQ(core::encodeVerdict(back), bytes);
+}
+
+core::SolveAttempt extremeAttempt(const char* stage) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  core::SolveAttempt attempt;
+  attempt.stage = stage;
+  attempt.solver = "z3";
+  attempt.outcome = "unknown";
+  attempt.reason = "canceled";
+  attempt.seconds = -0.0;
+  attempt.setupSeconds = std::numeric_limits<double>::denorm_min();
+  attempt.setupNodes = kMax;
+  attempt.rlimitUsed = kMax;
+  attempt.seed = std::numeric_limits<unsigned>::max();
+  attempt.timeoutMs = 0;
+  attempt.visited = kMax;
+  attempt.memoHits = kMax;
+  attempt.deadEntries = kMax;
+  attempt.liveWidth = kMax;
+  attempt.saturated = kMax;
+  return attempt;
+}
+
+TEST(Record, BoundaryValuesRoundTripExactly) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  core::AnalysisResult v;
+  v.verdict = core::Verdict::Violated;
+  v.solveSeconds = -0.0;
+  v.cacheKey = std::string(32, 'e');
+  core::Trace trace;
+  trace.horizon = 4;
+  trace.series["a"] = {kMin, kMax, 0, -1};
+  trace.series["b"] = {kMax, kMax, kMin, kMin};
+  v.trace = trace;
+
+  // Empty detail, no attempts.
+  expectRoundTrip(v);
+
+  // A 1 MiB detail, four attempts at every counter's maximum.
+  v.detail.assign(std::size_t{1} << 20, 'd');
+  v.detail[12345] = '\0';
+  v.solveSeconds = 2.2250738585072009e-308;  // subnormal
+  for (const char* stage : {"initial", "reseed", "escalate", "smtlib"}) {
+    v.attempts.push_back(extremeAttempt(stage));
+  }
+  v.attempts[1].seconds = std::numeric_limits<double>::denorm_min();
+  v.attempts[2].seconds = -std::numeric_limits<double>::denorm_min();
+  v.attempts[3].seed.reset();
+  v.attempts[3].timeoutMs.reset();
+  expectRoundTrip(v);
+}
+
+TEST(Record, ElevenAttemptsKeepThePayloadOrder) {
+  // Keys sort as strings, so "attempt.10" comes before "attempt.2"; the
+  // record must still decode every attempt at its own index.
+  core::AnalysisResult v;
+  v.verdict = core::Verdict::Verified;
+  for (unsigned i = 0; i < 11; ++i) {
+    core::SolveAttempt attempt;
+    attempt.stage = "rung" + std::to_string(i);
+    attempt.seed = i;
+    v.attempts.push_back(attempt);
+  }
+  expectRoundTrip(v);
+  WireMap map = WireMap::decode(core::encodeVerdict(v));
+  EXPECT_EQ(map.encode(), core::encodeVerdict(v));
+}
+
+/// A legacy-shaped VERIFIED record with one attempt whose `field` is
+/// `text`.
+std::string recordWithAttemptField(const std::string& field,
+                                   const std::string& text) {
+  WireMap attempt;
+  attempt.set("stage", "initial");
+  attempt.set("outcome", "unsat");
+  attempt.set("reason", "");
+  attempt.setDouble("seconds", 0.5);
+  attempt.setUint("rlimitUsed", 0);
+  attempt.set(field, text);
+  WireMap record;
+  record.set("verdict", "VERIFIED");
+  record.set("detail", "");
+  record.setDouble("solveSeconds", 0.5);
+  record.setBool("canceled", false);
+  record.setBool("witnessChecked", false);
+  record.set("cacheKey", "");
+  record.setBool("cached", false);
+  record.setUint("attempt.count", 1);
+  record.set("attempt.0", attempt.encode());
+  return record.encode();
+}
+
+TEST(Record, OutOfRangeAttemptFieldsAreRejected) {
+  // seed and timeoutMs are unsigned; a value past UINT_MAX must not wrap.
+  EXPECT_THROW(
+      core::decodeVerdict(recordWithAttemptField("seed", "4294967296")),
+      DecodeError);
+  EXPECT_THROW(
+      core::decodeVerdict(recordWithAttemptField("timeoutMs", "4294967297")),
+      DecodeError);
+  EXPECT_THROW(core::decodeVerdict(recordWithAttemptField("seed", "-1")),
+               DecodeError);
+  const core::AnalysisResult seed =
+      core::decodeVerdict(recordWithAttemptField("seed", "4294967295"));
+  ASSERT_EQ(seed.attempts.size(), 1u);
+  EXPECT_EQ(seed.attempts[0].seed, 4294967295u);
+  const core::AnalysisResult timeout =
+      core::decodeVerdict(recordWithAttemptField("timeoutMs", "4294967295"));
+  ASSERT_EQ(timeout.attempts.size(), 1u);
+  EXPECT_EQ(timeout.attempts[0].timeoutMs, 4294967295u);
 }
 
 TEST(Record, RejectsEveryMalformation) {

@@ -22,12 +22,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/analysis.hpp"
 #include "ir/term_eval.hpp"
+#include "ir/term_hash.hpp"
 #include "models/library.hpp"
 #include "pipeline/driver.hpp"
 
@@ -370,6 +372,98 @@ TEST(EncoderDag, FingerprintsMatchThePinnedDags) {
     EXPECT_EQ(actual[i].first, kPinned[i].config);
     EXPECT_EQ(actual[i].second, kPinned[i].fp)
         << "{\"" << actual[i].first << "\", " << actual[i].second << "},";
+  }
+}
+
+// ---- structural hashes -------------------------------------------------
+
+/// DESIGN.md §14's term hash, computed recursively from its definition.
+/// With mix(h, v) = m ^ (m >> 31) where m = (h ^ v) * 1099511628211, a
+/// term's hash starts from 1469598103934665603 and mixes in turn
+/// kind * 256 + sort, the value, the name's length, the name in 8-byte
+/// little-endian lanes (the last one zero-padded), the argument count and
+/// each argument's hash; a result of 0 becomes 1.
+class ReferenceHash {
+ public:
+  std::uint64_t operator()(TermRef t) {
+    const auto known = memo_.find(t);
+    if (known != memo_.end()) return known->second;
+    std::uint64_t h = 1469598103934665603ULL;
+    h = mix(h, static_cast<std::uint64_t>(t->kind) * 256 +
+                   static_cast<std::uint64_t>(t->sort));
+    h = mix(h, static_cast<std::uint64_t>(t->value));
+    h = mix(h, t->name.size());
+    for (std::size_t lane = 0; lane * 8 < t->name.size(); ++lane) {
+      std::uint64_t bits = 0;
+      for (std::size_t b = 0; b < 8 && lane * 8 + b < t->name.size(); ++b) {
+        bits += static_cast<std::uint64_t>(
+                    static_cast<unsigned char>(t->name[lane * 8 + b]))
+                << (8 * b);
+      }
+      h = mix(h, bits);
+    }
+    h = mix(h, t->args.size());
+    for (const TermRef arg : t->args) h = mix(h, (*this)(arg));
+    if (h == 0) h = 1;
+    memo_.emplace(t, h);
+    return h;
+  }
+
+  /// A set's hash: its size, then its terms' hashes in ascending order.
+  std::uint64_t set(const std::vector<TermRef>& terms) {
+    std::vector<std::uint64_t> hashes;
+    for (const TermRef t : terms) hashes.push_back((*this)(t));
+    std::sort(hashes.begin(), hashes.end());
+    std::uint64_t h = mix(1469598103934665603ULL, hashes.size());
+    for (const std::uint64_t each : hashes) h = mix(h, each);
+    return h;
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+    const std::uint64_t m = (h ^ v) * 1099511628211ULL;
+    return m ^ (m >> 31);
+  }
+
+  std::map<TermRef, std::uint64_t> memo_;
+};
+
+TEST(TermHash, EveryEncodedTermMatchesTheRecursiveReference) {
+  for (const ModelConfig& m : goldenScopes()) {
+    for (const auto model :
+         {buffers::ModelKind::List, buffers::ModelKind::Counter}) {
+      const auto unit = compileNet(modelNet(m), 3, model);
+      const auto enc = buildEncoding(*unit, core::Workload{}, nullptr);
+      std::vector<TermRef> stack = enc->assumptions;
+      stack.insert(stack.end(), enc->soundness.begin(), enc->soundness.end());
+      for (const auto& o : enc->obligations) stack.push_back(o.cond);
+      for (const auto& [name, terms] : enc->series) {
+        stack.insert(stack.end(), terms.begin(), terms.end());
+      }
+      ReferenceHash reference;
+      std::vector<bool> seen(enc->arena.size(), false);
+      std::size_t checked = 0;
+      std::size_t wrong = 0;
+      while (!stack.empty()) {
+        const TermRef t = stack.back();
+        stack.pop_back();
+        if (seen.at(t->id)) continue;
+        seen[t->id] = true;
+        ++checked;
+        if (t->hash != reference(t)) ++wrong;
+        for (const TermRef arg : t->args) stack.push_back(arg);
+      }
+      const std::string config =
+          std::string(m.name) +
+          (model == buffers::ModelKind::List ? " list" : " counter");
+      EXPECT_GT(checked, 10u) << config;
+      EXPECT_EQ(wrong, 0u) << config << ": " << wrong << " of " << checked;
+      EXPECT_EQ(ir::hashSet(enc->assumptions),
+                reference.set(enc->assumptions))
+          << config;
+      EXPECT_EQ(ir::hashSet(enc->soundness), reference.set(enc->soundness))
+          << config;
+    }
   }
 }
 

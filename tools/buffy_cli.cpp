@@ -660,8 +660,10 @@ void printProcsStats(const procs::ProcsStats& s) {
 /// the accounting the cache promises (DESIGN.md §14): hits/misses/stores
 /// across every query the run issued, evictions from either tier,
 /// validation failures (corrupt or stale records that fell back cold),
-/// and the cache's directly attributed CPU cost (solve-path key
-/// derivation/lookups/encoding, and the write-behind thread's I/O).
+/// and the cache's directly attributed CPU cost: `clientCpuSeconds`, the
+/// engine's probe windows (key derivation, lookups, record decode) and
+/// store windows (record encode, store), and `writerCpuSeconds`, the
+/// write-behind thread's I/O.
 std::string cacheJson(const cache::CacheStats& s) {
   char cpu[96];
   std::snprintf(cpu, sizeof cpu,
