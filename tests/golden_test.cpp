@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -34,6 +35,11 @@ struct ModelConfig {
   const char* args;   // horizon, constants, buffer roles
   const char* query;  // emit-smt2 query (emit-dafny ignores it)
 };
+
+/// Prints the model stem, e.g. `aimd`. CTest names each case after this
+/// text; gtest's default byte dump would embed the (ASLR-randomised)
+/// pointers and change the names on every build.
+void PrintTo(const ModelConfig& m, std::ostream* os) { *os << m.name; }
 
 // One deterministic configuration per example model. Horizons are kept
 // small so the snapshots stay reviewable; constants match the values the
